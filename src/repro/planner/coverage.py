@@ -119,19 +119,17 @@ def context_coverage(store: "EvaluationStore",
                      ) -> Dict[Context, FrozenSet[int]]:
     """Enumeration indices the store holds, per requested context.
 
-    One pass over the store's keys; contexts absent from ``geometries``
-    are ignored, contexts absent from the store map to an empty set.
-    Iteration never touches the store's hit/miss counters.
+    Reads only the requested contexts' keys from the store's per-context
+    index; contexts absent from the store map to an empty set.  Never
+    touches the store's hit/miss counters.
     """
-    indices: Dict[Context, set] = {context: set() for context in geometries}
-    for key in store.keys():
-        geometry = geometries.get(key.context)
-        if geometry is None:
-            continue
-        indices[key.context].add(
+    return {
+        context: frozenset(
             point_index(key.point, geometry.num_multipliers, geometry.num_variables)
+            for key in store.context_keys(context)
         )
-    return {context: frozenset(found) for context, found in indices.items()}
+        for context, geometry in geometries.items()
+    }
 
 
 def covers(indices: Iterable[int], start: int, stop: int) -> bool:

@@ -18,6 +18,24 @@ a sqlite file loaded on construction and written by :meth:`flush` — so
 campaigns can persist their evaluations across runs and later sweeps start
 warm even across process boundaries.
 
+Consistency contract of the backend:
+
+* **One writer.**  Only the store that owns a path flushes to it; workers
+  and readers never write.
+* **Readers see a committed prefix.**  Each flush is one sqlite transaction
+  that brings the file to the writer's in-memory contents at that moment,
+  so a store opened on the same path holds exactly the mapping of the last
+  committed flush — never a half-written one.
+* **Store before journal.**  :meth:`~repro.runtime.checkpoint.CampaignCheckpoint.flush`
+  commits the store before it appends the journal lines that claim its
+  work, so the journal never claims an evaluation the file does not hold.
+
+A flush writes only what changed since the last successful one (records
+added or upgraded by :meth:`~EvaluationStore.put` /
+:meth:`~EvaluationStore.merge`, keys dropped by
+:meth:`~EvaluationStore.clear_context`), so its cost follows the change,
+not the size of the store.
+
 Keys are content-addressed: two benchmarks with identical kernels and
 parameters share a fingerprint, and any change to the operator catalog,
 workload seed, or accuracy mode changes the key, so a hit is always
@@ -133,6 +151,10 @@ def catalog_fingerprint(catalog: "OperatorCatalog") -> str:
 # ----------------------------------------------------------------------- keys
 
 
+#: An evaluation context: (benchmark, catalog, seed, signed).
+_Context = Tuple[str, str, int, bool]
+
+
 class EvaluationKey(NamedTuple):
     """Identity of one cached evaluation.
 
@@ -160,6 +182,10 @@ def _encode_key(key: EvaluationKey) -> str:
         f"{key.benchmark}|{key.catalog}|{key.seed}|{int(key.signed)}"
         f"|{adder}:{multiplier}:{mask}"
     )
+
+
+def _encode_record(record: "EvaluationRecord") -> bytes:
+    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _decode_key(text: str) -> EvaluationKey:
@@ -208,11 +234,12 @@ class EvaluationStore:
     path:
         Optional sqlite file backing the store.  Existing entries are loaded
         on construction; :meth:`flush` (or :meth:`close` / the context
-        manager) writes the current contents back.  Only one process should
+        manager) writes back what changed since.  Only one process should
         own a given path at a time — parallel workers operate on in-memory
         snapshots and are merged back by the owner.
     records:
         Optional initial contents (e.g. a :meth:`snapshot` of another store).
+        With a ``path`` they count as changed: the next flush writes them.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None,
@@ -233,8 +260,18 @@ class EvaluationStore:
         #: Counters persisted by earlier owners of the backend (see
         #: :attr:`lifetime_stats`); zero for in-memory / fresh stores.
         self._base_stats = StoreStats(hits=0, misses=0, upgrades=0)
-        if self._path is not None and self._path.exists():
-            self._load()
+        #: Keys put, merged or dropped since the last committed flush, in
+        #: insertion order (a dict, so the write order never depends on
+        #: hash seeds).  ``None`` for pathless stores, which never flush.
+        self._pending: Optional[Dict[EvaluationKey, None]] = None
+        #: Set by :meth:`clear`: the next flush rewrites the whole table.
+        self._rewrite = False
+        #: Per-context key index, built by the first context query.
+        self._contexts: Optional[Dict[_Context, Dict[EvaluationKey, None]]] = None
+        if self._path is not None:
+            self._pending = dict.fromkeys(self._records)
+            if self._path.exists():
+                self._load()
 
     # ------------------------------------------------------------ inspection
 
@@ -274,9 +311,21 @@ class EvaluationStore:
     def hit_rate(self) -> float:
         return self.stats.hit_rate
 
-    def context_size(self, context: Tuple[str, str, int, bool]) -> int:
-        """Number of cached evaluations under one evaluator context."""
-        return sum(1 for key in self._records if key.context == context)
+    def context_keys(self, context: _Context) -> Tuple[EvaluationKey, ...]:
+        """The keys cached under one evaluator context, in insertion order.
+
+        Served from a per-context index, so the cost follows the context,
+        not the store.  Never touches the hit/miss counters.
+        """
+        return tuple(self._context_index().get(context, ()))
+
+    def _context_index(self) -> Dict[_Context, Dict[EvaluationKey, None]]:
+        if self._contexts is None:
+            index: Dict[_Context, Dict[EvaluationKey, None]] = {}
+            for key in self._records:
+                index.setdefault(key.context, {})[key] = None
+            self._contexts = index
+        return self._contexts
 
     # -------------------------------------------------------------- get / put
 
@@ -307,17 +356,27 @@ class EvaluationStore:
     def put(self, key: EvaluationKey, record: "EvaluationRecord") -> None:
         """Cache one evaluation."""
         self._records[key] = record
+        if self._pending is not None:
+            self._pending[key] = None
+        if self._contexts is not None:
+            self._contexts.setdefault(key.context, {})[key] = None
 
-    def clear_context(self, context: Tuple[str, str, int, bool]) -> int:
+    def clear_context(self, context: _Context) -> int:
         """Drop every record under one evaluator context; returns the count."""
-        stale = [key for key in self._records if key.context == context]
+        stale = self._context_index().pop(context, {})
         for key in stale:
             del self._records[key]
+        if self._pending is not None:
+            self._pending.update(stale)
         return len(stale)
 
     def clear(self) -> None:
         """Drop every record and reset the counters (persisted ones too)."""
         self._records.clear()
+        self._contexts = None
+        if self._pending is not None:
+            self._pending.clear()
+            self._rewrite = True
         self._hits = 0
         self._misses = 0
         self._upgrades = 0
@@ -337,12 +396,15 @@ class EvaluationStore:
         identity for callers already holding a reference.
         """
         records = other.snapshot() if isinstance(other, EvaluationStore) else other
-        added = 0
-        for key, record in records.items():
-            if key not in self._records:
-                self._records[key] = record
-                added += 1
-        return added
+        added = [key for key in records if key not in self._records]
+        for key in added:
+            self._records[key] = records[key]
+        if self._pending is not None:
+            self._pending.update(dict.fromkeys(added))
+        if self._contexts is not None:
+            for key in added:
+                self._contexts.setdefault(key.context, {})[key] = None
+        return len(added)
 
     def record_external_lookups(self, hits: int, misses: int, upgrades: int = 0) -> None:
         """Fold the hit/miss counters of a merged worker store into this one."""
@@ -404,17 +466,24 @@ class EvaluationStore:
             )
 
     def flush(self) -> int:
-        """Write the current contents to the sqlite backend; returns the count.
+        """Commit the changes since the last flush to the sqlite backend.
 
-        The backend is rewritten to mirror the in-memory contents exactly, so
-        :meth:`clear` / :meth:`clear_context` survive a flush-and-reload.  A
-        no-op (returning 0) for purely in-memory stores.
+        Returns the number of records the backend holds afterwards (0 for a
+        purely in-memory store, which has no backend and does nothing).
+        One transaction upserts the records :meth:`put` / :meth:`merge`
+        added or upgraded, deletes the keys :meth:`clear_context` dropped
+        and rewrites the lifetime-counter row, so the file mirrors the
+        in-memory contents exactly and readers only ever see a committed
+        flush.  The whole table is rewritten only after :meth:`clear` or
+        when the file does not exist yet.  The pending changes are dropped
+        once the transaction commits, never before.
 
         Lock contention (``sqlite3.OperationalError`` — a concurrent writer
         holding the file past the connection's own busy timeout) is retried
         with bounded exponential backoff (:data:`FLUSH_ATTEMPTS` attempts,
-        sleeps doubling from :data:`FLUSH_BACKOFF_S`); the rewrite is
-        idempotent, so retries can only help.  The final failure propagates.
+        sleeps doubling from :data:`FLUSH_BACKOFF_S`); a failed attempt
+        commits nothing and keeps every pending change, so retries can only
+        help.  The final failure propagates.
         """
         if self._path is None:
             return 0
@@ -431,6 +500,11 @@ class EvaluationStore:
 
     def _flush_once(self) -> int:
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        rewrite = self._rewrite or not self._path.exists()
+        changed = self._records if rewrite else self._pending
+        upserts = [(_encode_key(key), _encode_record(self._records[key]))
+                   for key in changed if key in self._records]
+        deletes = [(_encode_key(key),) for key in changed if key not in self._records]
         connection = self._connect()
         try:
             with connection:  # one transaction; commits on success
@@ -438,13 +512,12 @@ class EvaluationStore:
                     "CREATE TABLE IF NOT EXISTS evaluations "
                     "(key TEXT PRIMARY KEY, record BLOB NOT NULL)"
                 )
-                connection.execute("DELETE FROM evaluations")
+                if rewrite:
+                    connection.execute("DELETE FROM evaluations")
+                connection.executemany("DELETE FROM evaluations WHERE key = ?", deletes)
                 connection.executemany(
-                    "INSERT INTO evaluations (key, record) VALUES (?, ?)",
-                    [
-                        (_encode_key(key), pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-                        for key, record in self._records.items()
-                    ],
+                    "INSERT OR REPLACE INTO evaluations (key, record) VALUES (?, ?)",
+                    upserts,
                 )
                 connection.execute(
                     "CREATE TABLE IF NOT EXISTS store_stats "
@@ -459,6 +532,8 @@ class EvaluationStore:
                 )
         finally:
             connection.close()
+        self._pending.clear()
+        self._rewrite = False
         return len(self._records)
 
     def close(self) -> None:
