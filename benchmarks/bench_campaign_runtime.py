@@ -4,7 +4,7 @@ Runs the paper's 4-benchmark suite over 3 seeds through the campaign
 runtime three times:
 
 1. **cold serial** — ``SerialExecutor`` with a fresh evaluation store (the
-   legacy ``Campaign.run`` behaviour and the timing baseline);
+   timing baseline);
 2. **cold parallel** — ``ProcessExecutor(n_jobs>=2)`` with a fresh store,
    to measure pure fan-out (only wins wall-clock on multi-core machines);
 3. **warm parallel** — ``ProcessExecutor`` re-running the same campaign
@@ -19,7 +19,10 @@ timings and rates land in ``benchmark.extra_info`` for the perf trajectory.
 A second measurement, **batched vs serial exploration**, runs a Table-III
 style campaign (``matmul_10x10``, q-learning, 10,000 steps, 256 seeds)
 once per batch size in ``(1, 32, 256)`` — the same seed set every time, so
-wall-clock ratios are steps/sec ratios.  Batch size 1 is the per-seed
+wall-clock ratios are steps/sec ratios.  Both measurements time the
+runtime primitives directly — ``flatten_outcomes(executor.run(
+expand_jobs(...)))``, the job list a campaign spec dispatches — so no
+planning or report assembly is in the timed region.  Batch size 1 is the per-seed
 serial engine (:class:`~repro.dse.explorer.Explorer`); larger sizes step
 that many episodes in lockstep through the vectorized engine
 (:mod:`repro.dse.batched_env`).  Every run must be entry-for-entry
@@ -41,8 +44,15 @@ from pathlib import Path
 
 from benchmarks.conftest import paper_benchmark_suite
 from repro.benchmarks import MatMulBenchmark
-from repro.dse import Campaign
-from repro.runtime import AgentSpec, EvaluationStore, ProcessExecutor, SerialExecutor
+from repro.experiments import RuntimeSpec
+from repro.runtime import (
+    AgentSpec,
+    EvaluationStore,
+    ProcessExecutor,
+    SerialExecutor,
+    expand_jobs,
+    flatten_outcomes,
+)
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign_runtime.json"
 
@@ -52,24 +62,31 @@ _FULL_BATCH_SIZES = (1, 32, 256)
 _SMOKE_BATCH_SIZES = (1, 32)
 
 
-def _run_campaign(executor, store, paper_scale, max_steps):
-    campaign = Campaign(
-        benchmarks=paper_benchmark_suite(paper_scale),
-        agent_factory=AgentSpec("q-learning"),
-        max_steps=max_steps,
-        seeds=(0, 1, 2),
-        executor=executor,
-        store=store,
-    )
+def _run_jobs(executor, store, benchmarks, seeds, max_steps, batch_size):
+    """Time one q-learning campaign's jobs; returns (per-seed outcomes, s)."""
     started = time.perf_counter()
-    entries = campaign.run()
-    return entries, time.perf_counter() - started
+    jobs = expand_jobs(benchmarks, AgentSpec("q-learning"), seeds=seeds,
+                       max_steps=max_steps, batch_size=batch_size)
+    outcomes = flatten_outcomes(executor.run(jobs, store=store))
+    elapsed = time.perf_counter() - started
+    assert all(outcome.ok for outcome in outcomes)
+    return outcomes, elapsed
+
+
+def _run_campaign(executor, store, paper_scale, max_steps):
+    seeds = (0, 1, 2)
+    # The batch size a campaign spec on this many workers would use.
+    workers = getattr(executor, "n_jobs", 1)
+    batch_size = RuntimeSpec.from_jobs(workers).effective_batch_size(len(seeds))
+    return _run_jobs(executor, store, paper_benchmark_suite(paper_scale), seeds,
+                     max_steps, batch_size)
 
 
 def _assert_identical(reference, candidate):
     assert len(reference) == len(candidate)
     for left, right in zip(reference, candidate):
-        assert (left.benchmark_label, left.seed) == (right.benchmark_label, right.seed)
+        assert (left.job.benchmark_label, left.job.seed) == \
+            (right.job.benchmark_label, right.job.seed)
         assert [r.deltas for r in left.result.records] == \
             [r.deltas for r in right.result.records]
         assert left.result.solution.point == right.result.solution.point
@@ -144,7 +161,7 @@ def test_campaign_runtime_speedup(benchmark, paper_scale, exploration_budget):
 
 
 def _trace_fingerprint(entries):
-    """Everything the bit-identity check needs, per campaign entry.
+    """Everything the bit-identity check needs, per per-seed outcome.
 
     Keeps the (shared, deduplicated) delta objects and the solution point
     instead of pinning a million step records between timed runs — the
@@ -152,7 +169,7 @@ def _trace_fingerprint(entries):
     the next.
     """
     return [
-        (entry.benchmark_label, entry.seed,
+        (entry.job.benchmark_label, entry.job.seed,
          [record.deltas for record in entry.result.records],
          entry.result.solution.point)
         for entry in entries
@@ -161,17 +178,9 @@ def _trace_fingerprint(entries):
 
 def _run_at_batch_size(seeds, max_steps, batch_size):
     """One matmul_10x10 q-learning campaign at the given batch size."""
-    campaign = Campaign(
-        benchmarks={"matmul_10x10": MatMulBenchmark(rows=10, inner=10, cols=10)},
-        agent_factory=AgentSpec("q-learning"),
-        max_steps=max_steps,
-        seeds=seeds,
-        store=EvaluationStore(),
-        batch_size=batch_size,
-    )
-    started = time.perf_counter()
-    entries = campaign.run()
-    return entries, time.perf_counter() - started
+    return _run_jobs(SerialExecutor(), EvaluationStore(),
+                     {"matmul_10x10": MatMulBenchmark(rows=10, inner=10, cols=10)},
+                     seeds, max_steps, batch_size)
 
 
 def test_batched_exploration_speedup(benchmark, smoke):

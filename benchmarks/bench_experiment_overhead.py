@@ -1,14 +1,15 @@
-"""Declarative experiment facade — overhead vs. direct ``Campaign`` calls.
+"""Declarative experiment facade — overhead vs. direct executor calls.
 
 The spec layer adds work around an experiment: parsing/validating the
-document, expanding it onto the runtime, and assembling the serializable
-report.  This micro-benchmark shows that work is negligible:
+document, planning it and expanding the plan onto the runtime, and
+assembling the serializable report.  This micro-benchmark shows that work
+is negligible:
 
 1. **End-to-end** — the same campaign (benchmark x agents x seeds) run
-   directly through :class:`Campaign` and through
-   :func:`run_experiment` on a fresh store each; the results must be
-   bit-identical and the facade's wall-clock within a small factor of the
-   direct call.
+   directly on the runtime primitives (``expand_jobs`` +
+   ``SerialExecutor.run``) and through :func:`run_experiment` on a fresh
+   store each; the results must be bit-identical and the facade's
+   wall-clock within a small factor of the direct call.
 2. **Document plumbing alone** — ``from_dict(to_dict(spec))`` +
    ``fingerprint()`` + ``report.to_dict()`` timed over many repetitions;
    microseconds against explorations that take milliseconds each.
@@ -22,9 +23,14 @@ from __future__ import annotations
 
 import time
 
-from repro.dse import Campaign
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.runtime import AgentSpec, EvaluationStore
+from repro.runtime import (
+    AgentSpec,
+    EvaluationStore,
+    SerialExecutor,
+    expand_jobs,
+    flatten_outcomes,
+)
 
 
 def _front_identity(result):
@@ -57,20 +63,18 @@ def test_experiment_facade_overhead(benchmark, smoke):
     })
 
     def run_all():
-        # -- direct Campaign calls, one per agent (the imperative API) -----
+        # -- the runtime primitives directly: expand, run, flatten ---------
         started = time.perf_counter()
-        direct_entries = []
-        for agent in agents:
-            campaign = Campaign(
-                benchmarks={spec.benchmarks[0].label: spec.benchmarks[0].build()},
-                agent_factory=AgentSpec(agent),
-                max_steps=max_steps,
-                seeds=seeds,
-                env_kwargs=spec.thresholds.env_kwargs(),
-                store=EvaluationStore(),
-            )
-            for entry in campaign.run():
-                direct_entries.append((agent, entry))
+        jobs = expand_jobs(
+            {spec.benchmarks[0].label: spec.benchmarks[0].build()},
+            [AgentSpec(agent) for agent in agents],
+            seeds=seeds,
+            max_steps=max_steps,
+            env_kwargs=spec.thresholds.env_kwargs(),
+            batch_size=spec.runtime.effective_batch_size(len(seeds)),
+        )
+        direct_entries = flatten_outcomes(
+            SerialExecutor().run(jobs, store=EvaluationStore()))
         direct_s = time.perf_counter() - started
 
         # -- the same experiment through the declarative facade ------------
@@ -95,28 +99,28 @@ def test_experiment_facade_overhead(benchmark, smoke):
     overhead = facade_s / direct_s if direct_s else float("inf")
     benchmark.extra_info["smoke"] = smoke
     benchmark.extra_info["explorations"] = len(report.entries)
-    benchmark.extra_info["direct_campaign_s"] = round(direct_s, 4)
+    benchmark.extra_info["direct_executor_s"] = round(direct_s, 4)
     benchmark.extra_info["facade_s"] = round(facade_s, 4)
     benchmark.extra_info["facade_overhead_x"] = round(overhead, 3)
     benchmark.extra_info["plumbing_per_spec_ms"] = round(plumbing_s * 1000, 4)
 
     print(f"\nExperiment facade overhead ({len(report.entries)} explorations, "
           f"{max_steps} steps each)")
-    print(f"  direct Campaign  {direct_s * 1000:9.1f} ms   (baseline)")
+    print(f"  direct executor  {direct_s * 1000:9.1f} ms   (baseline)")
     print(f"  run_experiment   {facade_s * 1000:9.1f} ms   ({overhead:.2f}x)")
     print(f"  spec+report plumbing {plumbing_s * 1e6:9.1f} us per round trip")
 
     # The facade changes packaging, never results: same (benchmark, seed,
-    # agent) explorations, bit-identical traces and fronts.  The direct
-    # campaigns run agent-major, expand_jobs is benchmark x agent x seed —
-    # the same order here (one benchmark).
+    # agent) explorations in the same benchmark x agent x seed order,
+    # bit-identical traces and fronts.
     facade_identities = [
         _entry_identity(entry.benchmark_label, entry.seed, entry.result)
         for entry in report.entries
     ]
     direct_identities = [
-        _entry_identity(entry.benchmark_label, entry.seed, entry.result)
-        for _, entry in direct_entries
+        _entry_identity(outcome.job.benchmark_label, outcome.job.seed,
+                        outcome.result)
+        for outcome in direct_entries
     ]
     assert report.ok
     assert facade_identities == direct_identities
@@ -125,5 +129,5 @@ def test_experiment_facade_overhead(benchmark, smoke):
     # itself is what costs.  Only asserted at full size where the direct
     # runtime dominates noise.
     if not smoke:
-        assert overhead < 1.25, f"facade overhead {overhead:.2f}x vs direct Campaign"
+        assert overhead < 1.25, f"facade overhead {overhead:.2f}x vs direct executor"
         assert plumbing_s < 0.05

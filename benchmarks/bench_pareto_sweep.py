@@ -7,11 +7,12 @@ Two measurements, both asserting correctness before speed:
    The fronts must be bit-identical (same record objects, same order) and
    the vectorized engine at least 10x faster.
 2. **Exhaustive sweep** — the full design space of a benchmark evaluated
-   through chunked :class:`SweepJob`\\ s: cold serial, cold parallel
-   (``ProcessExecutor``), and warm parallel (re-sweeping against the
-   serial run's store).  All three must produce identical true fronts and
-   evaluate identical design points; the cold parallel sweep must beat
-   the serial wall-clock on multi-core machines, the warm one everywhere.
+   by a sweep spec through :func:`run_experiment` (chunked
+   :class:`SweepJob`\\ s): cold serial, cold parallel (``ProcessExecutor``),
+   and warm parallel (re-sweeping against the serial run's store).  All
+   three must produce identical true fronts and evaluate identical design
+   points; the cold parallel sweep must beat the serial wall-clock on
+   multi-core machines, the warm one everywhere.
 
 ``--smoke`` shrinks both problems and drops the wall-clock assertions so
 CI exercises every code path (chunking, fan-out, merge-back, front
@@ -26,13 +27,12 @@ import time
 
 import numpy as np
 
-from repro.benchmarks import DotProductBenchmark
-from repro.dse import run_sweep
 from repro.dse.design_space import DesignPoint
 from repro.dse.frontier import ParetoArchive, pareto_front_bruteforce
 from repro.dse.results import StepRecord
+from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
 from repro.metrics.deltas import ObjectiveDeltas
-from repro.runtime import EvaluationStore, ProcessExecutor
+from repro.runtime import EvaluationStore
 
 
 def _synthetic_trace(num_steps: int, seed: int = 7):
@@ -62,9 +62,21 @@ def _front_identity(front):
 
 def test_pareto_sweep_speedup(benchmark, smoke):
     trace_steps = 2_000 if smoke else 10_000
-    sweep_kernel = DotProductBenchmark(length=16 if smoke else 2048)
     chunk_size = 48
     n_jobs = max(2, min(4, os.cpu_count() or 1))
+    serial_spec = ExperimentSpec.from_dict({
+        "kind": "sweep",
+        "benchmarks": [{"name": "dotproduct",
+                        "params": {"length": 16 if smoke else 2048},
+                        "label": "dotproduct"}],
+        "seeds": [0],
+        "runtime": {"chunk_size": chunk_size},
+    })
+    parallel_spec = serial_spec.with_runtime(
+        RuntimeSpec(executor="process", jobs=n_jobs, chunk_size=chunk_size))
+
+    def sweep_results(spec, store):
+        return run_experiment(spec, store=store).sweep_results()
 
     def run_all():
         # -- frontier: brute force vs vectorized on one long trace --------
@@ -78,28 +90,21 @@ def test_pareto_sweep_speedup(benchmark, smoke):
         vectorized_s = time.perf_counter() - started
 
         # -- sweep: serial vs process fan-out over chunk jobs -------------
-        benchmarks = {"dotproduct": sweep_kernel}
         serial_store = EvaluationStore()
         started = time.perf_counter()
-        serial_results = run_sweep(benchmarks, store=serial_store, chunk_size=chunk_size)
+        serial_results = sweep_results(serial_spec, serial_store)
         serial_s = time.perf_counter() - started
 
         parallel_store = EvaluationStore()
         started = time.perf_counter()
-        parallel_results = run_sweep(
-            benchmarks, executor=ProcessExecutor(n_jobs=n_jobs),
-            store=parallel_store, chunk_size=chunk_size,
-        )
+        parallel_results = sweep_results(parallel_spec, parallel_store)
         parallel_s = time.perf_counter() - started
 
         # Warm parallel re-sweep: every design point is already in the
         # store, so this measures pure reuse (wins even on one core).
         warm_store = EvaluationStore(records=serial_store.snapshot())
         started = time.perf_counter()
-        warm_results = run_sweep(
-            benchmarks, executor=ProcessExecutor(n_jobs=n_jobs),
-            store=warm_store, chunk_size=chunk_size,
-        )
+        warm_results = sweep_results(parallel_spec, warm_store)
         warm_s = time.perf_counter() - started
 
         return {

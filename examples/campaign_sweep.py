@@ -7,13 +7,13 @@ Run with::
 
 A single exploration is noisy (one -R constraint violation changes a whole
 reward window), so a practical evaluation repeats the exploration over
-several seeds.  This example runs the paper's two benchmark families over a
-seed sweep with :class:`repro.dse.Campaign` on top of the campaign runtime:
-``--jobs N`` fans the explorations out over N worker processes with
-:class:`repro.runtime.ProcessExecutor`, and ``--store PATH`` persists the
-shared evaluation store so a re-run (or a different agent) starts warm
-instead of re-measuring design points.  Serial and parallel execution
-produce identical results — only the wall-clock changes.
+several seeds.  This example declares the paper's two benchmark families
+over a seed sweep as a campaign :class:`repro.ExperimentSpec` and runs it
+through :func:`repro.run_experiment`: ``--jobs N`` fans the explorations
+out over N worker processes, and ``--store PATH`` persists the shared
+evaluation store so a re-run (or a different agent) starts warm instead of
+re-measuring design points.  Serial and parallel execution produce
+identical results — only the wall-clock changes.
 
 The per-benchmark aggregates are printed, and every trace is exported to
 CSV plus a JSON summary — ready to be plotted into Figures 2-4 with any
@@ -23,13 +23,10 @@ external tool.
 from __future__ import annotations
 
 import argparse
-import time
 from pathlib import Path
 
+from repro import ExperimentSpec, RuntimeSpec, run_experiment
 from repro.analysis import write_result_json, write_trace_csv
-from repro.benchmarks import FirBenchmark, MatMulBenchmark
-from repro.dse import Campaign
-from repro.runtime import AgentSpec, EvaluationStore, ProcessExecutor, SerialExecutor
 
 
 def main() -> None:
@@ -44,30 +41,23 @@ def main() -> None:
                         help="directory for the exported CSV/JSON files")
     args = parser.parse_args()
 
-    executor = SerialExecutor() if args.jobs <= 1 else ProcessExecutor(n_jobs=args.jobs)
-    store = EvaluationStore(path=args.store)
+    spec = ExperimentSpec.from_dict({
+        "kind": "campaign",
+        "benchmarks": ["matmul_10x10", "fir_100"],
+        "agents": ["q-learning"],
+        "seeds": list(range(args.seeds)),
+        "max_steps": args.steps,
+    }).with_runtime(RuntimeSpec.from_jobs(
+        args.jobs, store_path=None if args.store is None else str(args.store)))
+    store = spec.runtime.build_store()
 
-    campaign = Campaign(
-        benchmarks={
-            "matmul_10x10": MatMulBenchmark(rows=10, inner=10, cols=10),
-            "fir_100": FirBenchmark(num_samples=100),
-        },
-        agent_factory=AgentSpec("q-learning"),
-        max_steps=args.steps,
-        seeds=tuple(range(args.seeds)),
-        executor=executor,
-        store=store,
-    )
-
-    print(f"Running {len(campaign.benchmark_labels)} benchmarks x {args.seeds} seeds "
+    print(f"Running {len(spec.benchmarks)} benchmarks x {args.seeds} seeds "
           f"x {args.steps} steps on {max(args.jobs, 1)} process(es)"
           + (f", store warm with {len(store)} evaluations" if len(store) else "") + " ...")
-    started = time.perf_counter()
-    entries = campaign.run()
-    elapsed = time.perf_counter() - started
+    report = run_experiment(spec, store=store)
 
     print("\nPer-benchmark aggregates over seeds")
-    for label, summary in Campaign.summarize(entries).items():
+    for label, summary in report.summarize()["q-learning"].items():
         best = "-" if summary.best_feasible_power_mw is None else \
             f"{summary.best_feasible_power_mw:.1f} mW"
         print(f"  {label:14s} runs={summary.runs}  "
@@ -77,17 +67,16 @@ def main() -> None:
               f"feasible={100 * summary.mean_feasible_fraction:.0f} %  "
               f"best feasible Δpower={best}")
 
-    stats = store.stats
-    print(f"\nWall-clock: {elapsed:.1f} s — evaluation store: {len(store)} design points, "
-          f"{stats.hits} hits / {stats.lookups} lookups")
-    store.flush()
+    print(f"\nWall-clock: {report.wall_clock_s:.1f} s — evaluation store: "
+          f"{report.store['size']} design points, "
+          f"{report.store['hits']} hits / {report.store['lookups']} lookups")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for entry in entries:
+    for entry in report.entries:
         stem = f"{entry.benchmark_label}_seed{entry.seed}"
         write_trace_csv(entry.result, args.out / f"{stem}_trace.csv")
         write_result_json(entry.result, args.out / f"{stem}_summary.json")
-    print(f"Exported {2 * len(entries)} files to {args.out}/")
+    print(f"Exported {2 * len(report.entries)} files to {args.out}/")
 
 
 if __name__ == "__main__":

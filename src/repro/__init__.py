@@ -64,9 +64,6 @@ from repro.benchmarks import Benchmark, FirBenchmark, MatMulBenchmark
 from repro.dse import (
     Algorithm1Reward,
     AxcDseEnv,
-    Campaign,
-    CampaignEntry,
-    CampaignSummary,
     DesignPoint,
     DesignSpace,
     ExplorationResult,
@@ -78,10 +75,10 @@ from repro.dse import (
     SweepResult,
     explore,
     front_quality,
-    run_sweep,
 )
 from repro.experiments import (
     BenchmarkSpec,
+    CampaignSummary,
     ExperimentAgentSpec,
     ExperimentEntry,
     ExperimentReport,
@@ -110,7 +107,6 @@ from repro.runtime import (
     SweepJob,
     execute_job,
     expand_jobs,
-    expand_sweep_jobs,
 )
 
 __version__ = "1.3.0"
@@ -134,19 +130,15 @@ __all__ = [
     "FirBenchmark",
     "OperatorCatalog",
     "default_catalog",
-    "Campaign",
-    "CampaignEntry",
     "CampaignSummary",
     "ParetoArchive",
     "FrontQuality",
     "front_quality",
     "SweepResult",
-    "run_sweep",
     "AgentSpec",
     "ExplorationJob",
     "SweepJob",
     "expand_jobs",
-    "expand_sweep_jobs",
     "execute_job",
     "JobOutcome",
     "SerialExecutor",

@@ -655,20 +655,13 @@ def _command_run(args: argparse.Namespace) -> int:
     print(header)
     print(f"  {_expansion_summary(spec, store)}")
 
-    if args.explain or args.store is not None:
-        from repro.planner import execute_plan, plan_experiments
+    if args.explain:
+        from repro.planner import plan_experiments
 
-        plan = plan_experiments([spec], store=store)
-        if args.explain:
-            print()
-            print(plan.explain())
-            print()
-        execution = execute_plan(plan, store=store,
-                                 executor=spec.runtime.build_executor(),
-                                 checkpoint=spec.runtime.build_checkpoint())
-        report = execution.reports[spec.fingerprint()]
-    else:
-        report = run_experiment(spec, store=store)
+        print()
+        print(plan_experiments([spec], store=store).explain())
+        print()
+    report = run_experiment(spec, store=store)
     status = _print_report(report)
     print(f"\nWall-clock: {report.wall_clock_s:.2f} s")
 

@@ -19,7 +19,6 @@ The package decomposes the methodology of Section II into:
   ground-truth front per benchmark.
 """
 
-from repro.dse.campaign import Campaign, CampaignEntry, CampaignSummary
 from repro.dse.design_space import DesignPoint, DesignSpace
 from repro.dse.environment import ACTION_SCHEMES, AxcDseEnv
 from repro.dse.evaluator import EvaluationRecord, Evaluator
@@ -35,13 +34,10 @@ from repro.dse.frontier import (
 from repro.dse.pareto import dominates, pareto_front, pareto_points
 from repro.dse.results import ExplorationResult, ObjectiveSummary, StepRecord
 from repro.dse.reward import Algorithm1Reward, RewardFunction, RewardOutcome, ScalarizedReward
-from repro.dse.sweep import SweepChunk, SweepResult, run_sweep
+from repro.dse.sweep import SweepChunk, SweepResult
 from repro.dse.thresholds import ExplorationThresholds, derive_thresholds
 
 __all__ = [
-    "Campaign",
-    "CampaignEntry",
-    "CampaignSummary",
     "DesignPoint",
     "DesignSpace",
     "Evaluator",
@@ -70,5 +66,4 @@ __all__ = [
     "pareto_front_bruteforce",
     "SweepChunk",
     "SweepResult",
-    "run_sweep",
 ]

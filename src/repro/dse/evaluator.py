@@ -80,8 +80,8 @@ class Evaluator:
         evaluator owns a private in-memory store (the historical behaviour).
     store_outputs:
         Whether cached records retain the raw output arrays.  Defaults to
-        ``True`` for direct users; campaigns default it off to keep records
-        light (see :class:`~repro.dse.campaign.Campaign`).
+        ``True`` for direct users; experiments default it off to keep
+        records light (see ``RuntimeSpec.store_outputs``).
     compiled:
         Run design points through LUT-compiled operator kernels on the
         trusted context fast path (see :mod:`repro.operators.compiled`).

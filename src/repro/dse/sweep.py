@@ -6,13 +6,15 @@ Sweeping the whole space therefore yields, at modest cost, the *true*
 Pareto front of every benchmark — the yardstick an agent's discovered
 front can be judged against (see :func:`repro.dse.frontier.front_quality`).
 
-A sweep is chunked: :func:`repro.runtime.jobs.expand_sweep_jobs` splits the
-enumerated space into disjoint index ranges, each a picklable
-:class:`~repro.runtime.jobs.SweepJob` that any
-:class:`~repro.runtime.executor.Executor` can run.  Every chunk evaluates
-its points through a shared :class:`~repro.runtime.store.EvaluationStore`
-(so sweeps warm-start campaigns and vice versa) and returns its chunk-local
-front; the driver merges those through a
+A sweep is chunked: a sweep-kind
+:class:`~repro.experiments.spec.ExperimentSpec` plans into disjoint index
+ranges of the enumerated space, each run as a picklable
+:class:`~repro.runtime.jobs.SweepJob` on any
+:class:`~repro.runtime.executor.Executor`.  Every chunk evaluates its
+points through a shared :class:`~repro.runtime.store.EvaluationStore` (so
+sweeps warm-start campaigns and vice versa) and returns its chunk-local
+front (:func:`execute_sweep_job`); plan execution merges those into one
+:class:`SweepResult` per benchmark x seed through a
 :class:`~repro.dse.frontier.ParetoArchive` — the front of a union is the
 front of the union of the chunk fronts, so only tiny payloads cross process
 boundaries.  Both executors produce identical results for the same
@@ -21,11 +23,9 @@ definition: parallelism changes wall-clock, never output.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.benchmarks.base import Benchmark
 from repro.dse.evaluator import EvaluationRecord, Evaluator
 from repro.dse.frontier import (
     FrontQuality,
@@ -37,11 +37,10 @@ from repro.dse.frontier import (
 from repro.dse.thresholds import ExplorationThresholds, derive_thresholds
 from repro.errors import ExplorationError
 from repro.operators.energy import RunCost
-from repro.runtime.executor import Executor, JobOutcome, SerialExecutor
-from repro.runtime.jobs import SweepJob, expand_sweep_jobs
+from repro.runtime.jobs import SweepJob
 from repro.runtime.store import EvaluationStore, benchmark_fingerprint
 
-__all__ = ["SweepChunk", "SweepResult", "execute_sweep_job", "run_sweep"]
+__all__ = ["SweepChunk", "SweepResult", "execute_sweep_job"]
 
 
 @dataclass(frozen=True)
@@ -175,101 +174,3 @@ def execute_sweep_job(job: SweepJob, store: Optional[EvaluationStore] = None,
         thresholds=thresholds,
         precise_cost=evaluator.precise_cost,
     )
-
-
-def run_sweep(benchmarks: Mapping[str, Benchmark],
-              seeds: Sequence[int] = (0,),
-              executor: Optional[Executor] = None,
-              store: Optional[EvaluationStore] = None,
-              chunk_size: int = 256,
-              signed_accuracy: bool = False,
-              restrict_to_benchmark_widths: bool = True,
-              compiled: bool = True,
-              checkpoint: Optional[object] = None) -> List[SweepResult]:
-    """Exhaustively evaluate every design space and extract its true front.
-
-    Parameters
-    ----------
-    benchmarks:
-        Benchmarks keyed by label; each (benchmark, seed) pair is swept.
-    seeds:
-        Workload seeds to sweep each benchmark under.
-    executor:
-        The :class:`~repro.runtime.executor.Executor` chunks run on
-        (serial by default; results are identical either way).
-    store:
-        Shared :class:`~repro.runtime.store.EvaluationStore` warm-starting
-        the sweep and receiving every new evaluation.
-    chunk_size:
-        Design points per chunk job.
-    signed_accuracy, restrict_to_benchmark_widths:
-        Evaluator options, forwarded unchanged to every chunk.
-    compiled:
-        Evaluate on LUT-compiled operator kernels (bit-identical).
-    checkpoint:
-        Optional :class:`~repro.runtime.checkpoint.CampaignCheckpoint`:
-        journaled chunks are restored instead of re-evaluated.
-
-    Returns
-    -------
-    One :class:`SweepResult` per (benchmark, seed), in definition order.
-    Any failed chunk raises :class:`ExplorationError` after every chunk has
-    had the chance to run.
-    """
-    executor = executor if executor is not None else SerialExecutor()
-    store = store if store is not None else EvaluationStore()
-    jobs = expand_sweep_jobs(
-        benchmarks,
-        seeds=seeds,
-        chunk_size=chunk_size,
-        signed_accuracy=signed_accuracy,
-        restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-        compiled=compiled,
-    )
-
-    started = time.perf_counter()
-    outcomes: List[JobOutcome] = executor.run(jobs, store=store, store_outputs=False,
-                                              checkpoint=checkpoint)
-    wall_clock = time.perf_counter() - started
-
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures:
-        details = "\n".join(
-            f"  {outcome.job.describe()}:\n{outcome.error}" for outcome in failures
-        )
-        raise ExplorationError(
-            f"{len(failures)} of {len(outcomes)} sweep chunk(s) failed:\n{details}"
-        )
-
-    grouped: Dict[Tuple[str, int], List[JobOutcome]] = {}
-    for outcome in outcomes:  # executor preserves job order -> chunk order
-        chunk: SweepChunk = outcome.result
-        grouped.setdefault((chunk.benchmark_label, chunk.seed), []).append(outcome)
-
-    results: List[SweepResult] = []
-    for (label, seed), group in grouped.items():
-        chunks = [outcome.result for outcome in group]
-        archive = ParetoArchive()
-        for chunk in chunks:
-            archive.add_many(chunk.front)
-        first = chunks[0]
-        results.append(
-            SweepResult(
-                benchmark_label=label,
-                benchmark_name=benchmarks[label].name,
-                seed=seed,
-                space_size=first.space_size,
-                evaluations=sum(chunk.evaluated for chunk in chunks),
-                front=archive.front(),
-                thresholds=first.thresholds,
-                precise_cost=first.precise_cost,
-                # Summed chunk durations: exact wall-clock under the serial
-                # executor, an upper bound under a process executor (wave
-                # members overlap and include collection wait).  The run's
-                # true wall-clock lands in metadata.
-                duration_s=sum(outcome.duration_s for outcome in group),
-                metadata={"chunks": len(chunks), "chunk_size": chunk_size,
-                          "sweep_wall_clock_s": wall_clock},
-            )
-        )
-    return results

@@ -12,10 +12,11 @@ thresholds — and this package makes that matrix a *document*:
   agents *and* the metaheuristic baselines addressable by name, shared by
   :class:`~repro.runtime.jobs.AgentSpec`, the CLI and the specs;
 * :mod:`~repro.experiments.runner` — :func:`run_experiment`, the single
-  facade expanding any spec onto the jobs/executor/store runtime;
+  facade running any spec as a plan of one on the jobs/executor/store
+  runtime;
 * :mod:`~repro.experiments.report` — :class:`ExperimentReport`, the
   serializable result document (spec + provenance + per-entry results +
-  aggregate summaries).
+  aggregate :class:`CampaignSummary` statistics).
 
 A serialized spec fully reconstructs the experiment: what you queue, shard,
 cache-key and audit is the document, not a pile of keyword arguments.
@@ -46,6 +47,7 @@ _EXPORTS = {
     "run_experiment": "repro.experiments.runner",
     "ExperimentEntry": "repro.experiments.report",
     "ExperimentReport": "repro.experiments.report",
+    "CampaignSummary": "repro.experiments.report",
 }
 
 __all__: Tuple[str, ...] = tuple(_EXPORTS)

@@ -18,9 +18,9 @@ the serial and process executors produce identical ``payload()`` sequences
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["ExperimentEntry", "ExperimentReport"]
+__all__ = ["CampaignSummary", "ExperimentEntry", "ExperimentReport", "summarize"]
 
 
 def _round_trip_float(value) -> float:
@@ -135,6 +135,83 @@ class ExperimentEntry:
 
 
 @dataclass(frozen=True)
+class CampaignSummary:
+    """Aggregate statistics over the seeds of one benchmark.
+
+    ``mean_front_size`` is the average size of the Pareto front each run
+    discovered.  ``mean_front_coverage`` and ``mean_hypervolume_ratio``
+    compare those fronts against a reference front (typically the
+    ground-truth front of an exhaustive sweep) and stay ``None`` when no
+    reference was supplied to :func:`summarize`.
+    """
+
+    benchmark_label: str
+    runs: int
+    mean_solution_power_mw: float
+    mean_solution_time_ns: float
+    mean_solution_accuracy: float
+    mean_feasible_fraction: float
+    best_feasible_power_mw: Optional[float]
+    mean_front_size: float = 0.0
+    mean_front_coverage: Optional[float] = None
+    mean_hypervolume_ratio: Optional[float] = None
+
+
+def summarize(entries: Iterable[ExperimentEntry],
+              reference_fronts: Optional[Mapping[str, Sequence]] = None,
+              ) -> Dict[str, CampaignSummary]:
+    """Aggregate successful exploration entries per benchmark label.
+
+    Returns ``{}`` when there are no entries.  ``reference_fronts``
+    optionally maps benchmark labels to reference Pareto fronts (e.g. the
+    ``front`` of a sweep report's
+    :meth:`~ExperimentReport.sweep_results`); labels present there gain
+    ``mean_front_coverage`` and ``mean_hypervolume_ratio`` scoring every
+    run's discovered front against the reference.
+    """
+    import numpy as np
+
+    from repro.dse.frontier import front_quality
+
+    grouped: Dict[str, List[ExperimentEntry]] = {}
+    for entry in entries:
+        grouped.setdefault(entry.benchmark_label, []).append(entry)
+
+    summaries: Dict[str, CampaignSummary] = {}
+    for label, group in grouped.items():
+        results = [entry.result for entry in group]
+        solutions = [result.solution.deltas for result in results]
+        best_records = (result.best_feasible() for result in results)
+        best_values = [
+            record.deltas.power_mw for record in best_records if record is not None
+        ]
+        fronts = [result.front() for result in results]
+        coverage = hypervolume_ratio = None
+        reference = (reference_fronts or {}).get(label)
+        if reference is not None:
+            qualities = [front_quality(front, reference) for front in fronts]
+            coverage = float(np.mean([quality.coverage for quality in qualities]))
+            hypervolume_ratio = float(
+                np.mean([quality.hypervolume_ratio for quality in qualities])
+            )
+        summaries[label] = CampaignSummary(
+            benchmark_label=label,
+            runs=len(group),
+            mean_solution_power_mw=float(np.mean([d.power_mw for d in solutions])),
+            mean_solution_time_ns=float(np.mean([d.time_ns for d in solutions])),
+            mean_solution_accuracy=float(np.mean([d.accuracy for d in solutions])),
+            mean_feasible_fraction=float(
+                np.mean([result.feasible_fraction() for result in results])
+            ),
+            best_feasible_power_mw=max(best_values) if best_values else None,
+            mean_front_size=float(np.mean([len(front) for front in fronts])),
+            mean_front_coverage=coverage,
+            mean_hypervolume_ratio=hypervolume_ratio,
+        )
+    return summaries
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     """The full result document of one :func:`run_experiment` call."""
 
@@ -147,7 +224,7 @@ class ExperimentReport:
     #: both call :meth:`summarize`, and each summary re-extracts every
     #: trace's Pareto front; the frozen report's entries never change, so
     #: the no-reference result is computed once.
-    _summaries: Optional[Dict[str, Dict[str, object]]] = field(
+    _summaries: Optional[Dict[str, Dict[str, CampaignSummary]]] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -186,26 +263,18 @@ class ExperimentReport:
         return grouped
 
     def summarize(self, reference_fronts: Optional[Mapping[str, Sequence]] = None,
-                  ) -> Dict[str, Dict[str, object]]:
+                  ) -> Dict[str, Dict[str, CampaignSummary]]:
         """Per-agent, per-benchmark :class:`CampaignSummary` aggregates.
 
         ``reference_fronts`` optionally maps benchmark labels to ground
-        truth fronts (see :meth:`Campaign.summarize`).
+        truth fronts (see :func:`summarize`).
         """
         if reference_fronts is None and self._summaries is not None:
             return self._summaries
-        from repro.dse.campaign import Campaign, CampaignEntry
-
-        summaries: Dict[str, Dict[str, object]] = {}
-        for agent, entries in self.entries_by_agent().items():
-            campaign_entries = [
-                CampaignEntry(benchmark_label=entry.benchmark_label,
-                              seed=entry.seed, result=entry.result)
-                for entry in entries
-            ]
-            summaries[agent] = Campaign.summarize(
-                campaign_entries, reference_fronts=reference_fronts
-            )
+        summaries = {
+            agent: summarize(entries, reference_fronts=reference_fronts)
+            for agent, entries in self.entries_by_agent().items()
+        }
         if reference_fronts is None:
             object.__setattr__(self, "_summaries", summaries)
         return summaries

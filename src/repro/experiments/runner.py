@@ -1,27 +1,29 @@
-"""The single experiment facade: expand any spec onto the runtime.
+"""The single experiment facade: run any spec as a plan of one.
 
 :func:`run_experiment` is the one entry point behind every CLI subcommand
 and the recommended Python API: it takes an
-:class:`~repro.experiments.spec.ExperimentSpec`, expands it into jobs
-(explorations for ``explore``/``compare``/``campaign``, chunked
-:class:`SweepJob`\\ s for ``sweep``), runs them on the spec's executor
-against the spec's store, and assembles a serializable
+:class:`~repro.experiments.spec.ExperimentSpec`, plans it against the
+spec's store (:func:`~repro.planner.plan_experiments`), executes the plan
+on the spec's executor (:func:`~repro.planner.execute_plan`, the only
+code that drives executors) and returns the spec's serializable
 :class:`~repro.experiments.report.ExperimentReport`.
 
 Because expansion is deterministic and every job is deterministic given
 (benchmark, catalog, seed), a spec's results depend only on its
-fingerprinted fields: running the same spec serially or across processes
-yields identical report entries.
+fingerprinted fields: running the same spec serially or across processes,
+on a cold store or a warm one, yields identical report entries.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.report import ExperimentEntry, ExperimentReport
+from repro.experiments.report import ExperimentReport
 from repro.experiments.spec import ExperimentSpec
+
+if TYPE_CHECKING:  # imported on first run: planning is not needed to import
+    from repro.planner import QueryPlanner
 
 __all__ = ["run_experiment"]
 
@@ -30,7 +32,7 @@ def run_experiment(spec: ExperimentSpec,
                    executor: Optional[object] = None,
                    store: Optional[object] = None,
                    on_outcome: Optional[Callable] = None,
-                   planner: Optional[object] = None,
+                   planner: Optional["QueryPlanner"] = None,
                    checkpoint: Optional[object] = None) -> ExperimentReport:
     """Run one declarative experiment and return its report.
 
@@ -44,14 +46,14 @@ def run_experiment(spec: ExperimentSpec,
         print warm-store information before running).  Results never depend
         on them.
     on_outcome:
-        Optional progress callback invoked with every finished
-        :class:`~repro.runtime.executor.JobOutcome` (exploration kinds only).
+        Optional progress callback invoked with every evaluated
+        :class:`~repro.runtime.executor.JobOutcome` (exploration kinds
+        only; units the store replays are not reported).
     planner:
-        Route execution through the subsumption-aware planner
-        (:mod:`repro.planner`): ``True`` for the default
-        :class:`~repro.planner.planner.QueryPlanner`, or a configured
-        instance.  Work the store already materializes replays instead of
-        re-evaluating; the report is bit-identical either way.
+        Optional configured :class:`~repro.planner.planner.QueryPlanner`
+        (``QueryPlanner(reuse=False)`` evaluates everything the store
+        would otherwise replay); defaults to the reusing planner.  The
+        report is bit-identical either way.
     checkpoint:
         Optional pre-built :class:`~repro.runtime.checkpoint.CampaignCheckpoint`
         overriding the spec's journal (the spec's own
@@ -62,79 +64,14 @@ def run_experiment(spec: ExperimentSpec,
         raise ConfigurationError(
             f"run_experiment expects an ExperimentSpec, got {type(spec).__name__}"
         )
+    from repro.planner import execute_plan, plan_experiments
+
     store = store if store is not None else spec.runtime.build_store()
-    executor = executor if executor is not None else spec.runtime.build_executor()
-    checkpoint = (checkpoint if checkpoint is not None
-                  else spec.runtime.build_checkpoint())
-
-    if planner is not None and planner is not False:
-        from repro.planner import QueryPlanner, execute_plan, plan_experiments
-
-        chosen = planner if isinstance(planner, QueryPlanner) else QueryPlanner()
-        plan = plan_experiments([spec], store=store, planner=chosen)
-        execution = execute_plan(plan, store=store, executor=executor,
-                                 on_outcome=on_outcome, checkpoint=checkpoint)
-        return execution.reports[spec.fingerprint()]
-
-    benchmarks = {bspec.label: bspec.build() for bspec in spec.benchmarks}
-
-    started = time.perf_counter()
-    if spec.kind == "sweep":
-        from repro.dse.sweep import run_sweep
-
-        sweep_results = run_sweep(
-            benchmarks,
-            seeds=spec.seeds,
-            executor=executor,
-            store=store,
-            chunk_size=spec.runtime.chunk_size,
-            compiled=spec.runtime.compiled,
-            checkpoint=checkpoint,
-        )
-        entries = [ExperimentEntry.from_sweep(result) for result in sweep_results]
-    else:
-        from repro.runtime.executor import flatten_outcomes
-        from repro.runtime.jobs import expand_jobs
-
-        jobs = expand_jobs(
-            benchmarks,
-            [aspec.to_agent_spec() for aspec in spec.agents],
-            seeds=spec.seeds,
-            max_steps=spec.max_steps,
-            env_kwargs={**spec.thresholds.env_kwargs(),
-                        "compiled": spec.runtime.compiled},
-            batch_size=spec.runtime.effective_batch_size(len(spec.seeds)),
-        )
-        outcomes = executor.run(jobs, store=store,
-                                store_outputs=spec.runtime.store_outputs,
-                                on_outcome=on_outcome,
-                                checkpoint=checkpoint)
-        entries = [
-            ExperimentEntry.from_outcome(outcome)
-            for outcome in flatten_outcomes(outcomes)
-        ]
-    wall_clock_s = time.perf_counter() - started
-    store.flush()
-
-    import repro
-
-    stats = store.stats
-    return ExperimentReport(
-        spec=spec,
-        entries=tuple(entries),
-        wall_clock_s=wall_clock_s,
-        store={
-            "size": len(store),
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "upgrades": stats.upgrades,
-            "lookups": stats.lookups,
-            "hit_rate": stats.hit_rate,
-            "path": None if store.path is None else str(store.path),
-        },
-        provenance={
-            "fingerprint": spec.fingerprint(),
-            "repro_version": repro.__version__,
-            "executor": type(executor).__name__,
-        },
+    plan = plan_experiments([spec], store=store, planner=planner)
+    execution = execute_plan(
+        plan, store=store,
+        executor=executor if executor is not None else spec.runtime.build_executor(),
+        on_outcome=on_outcome,
+        checkpoint=checkpoint if checkpoint is not None else spec.runtime.build_checkpoint(),
     )
+    return execution.reports[spec.fingerprint()]

@@ -1,35 +1,41 @@
-"""Plan execution: run the DAG on the existing executors, merge reports back.
+"""Plan execution: the only code that runs the executors.
 
-:func:`execute_plan` walks an :class:`~repro.planner.plan.ExperimentPlan`
-in its (topological) node order:
+:func:`execute_plan` runs an :class:`~repro.planner.plan.ExperimentPlan`;
+every experiment, planned alone by
+:func:`~repro.experiments.runner.run_experiment` or in a batch, goes
+through it:
 
-* :class:`~repro.planner.plan.EvaluateJobs` nodes run on the caller's
-  executor against the shared store — this is the paid work, and the store
-  receives every new evaluation (merge-back is the executors' existing
-  contract);
-* :class:`~repro.planner.plan.ReplayFromStore` nodes re-run the same
+* the units of every :class:`~repro.planner.plan.EvaluateJobs` node run in
+  one executor call per ``store_outputs`` group, against the shared store
+  — this is the paid work, and the store receives every new evaluation
+  (merge-back is the executors' existing contract).  Evaluate nodes never
+  have dependencies, so one dispatch lets a process executor fill every
+  wave.  Consecutive exploration units of one spec that differ only in
+  seed batch through :func:`~repro.runtime.jobs.expand_jobs` at the
+  spec's :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
+* :class:`~repro.planner.plan.ReplayFromStore` nodes then re-run the same
   deterministic job code serially against the now-warm store, so every
   design-point evaluation is a store hit;
 * :class:`~repro.planner.plan.MergeReports` nodes assemble one spec's
   :class:`~repro.experiments.report.ExperimentReport` from the shared unit
   outcomes, re-attaching the spec's own benchmark/agent labels.
 
-The merge path mirrors :func:`~repro.experiments.runner.run_experiment`
-field by field (entry order, sweep assembly, failure formatting, store and
-provenance payloads), which is what makes planned reports bit-identical to
-the unplanned path — see ``tests/test_planner.py``.
+Warm replay equals cold evaluation: a report's entries never depend on
+which units replayed — see ``tests/test_planner.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ExplorationError
 from repro.experiments.report import ExperimentEntry, ExperimentReport
-from repro.experiments.spec import BenchmarkSpec, ExperimentSpec, ThresholdSpec
+from repro.experiments.spec import ExperimentSpec, ThresholdSpec
 from repro.planner.coverage import BenchmarkResolver
 from repro.planner.plan import (
     EntryBinding,
@@ -65,18 +71,14 @@ class PlanExecution:
 
 
 def _build_job(unit: PlanUnit, resolver: BenchmarkResolver,
-               label: Optional[str] = None,
-               agent_label: Optional[str] = None):
-    """The runtime job computing ``unit`` (labels default to canonical)."""
+               label: str, agent_label: str):
+    """The runtime job computing ``unit`` under a spec's labels."""
     from repro.runtime.jobs import AgentSpec, ExplorationJob, SweepJob
 
     resolved = resolver.resolve_unit(unit)
-    params = json.loads(unit.benchmark_params)
-    benchmark_label = (label if label is not None
-                       else BenchmarkSpec.default_label(unit.benchmark_name, params))
     if isinstance(unit, SweepChunkUnit):
         return SweepJob(
-            benchmark_label=benchmark_label,
+            benchmark_label=label,
             benchmark=resolved.benchmark,
             seed=unit.seed,
             start=unit.start,
@@ -85,50 +87,106 @@ def _build_job(unit: PlanUnit, resolver: BenchmarkResolver,
         )
     thresholds = ThresholdSpec.from_dict(json.loads(unit.thresholds))
     return ExplorationJob(
-        benchmark_label=benchmark_label,
+        benchmark_label=label,
         benchmark=resolved.benchmark,
         seed=unit.seed,
-        agent=AgentSpec(
-            unit.agent_name,
-            options=json.loads(unit.agent_options),
-            label=agent_label if agent_label is not None else unit.agent_name,
-        ),
+        agent=AgentSpec(unit.agent_name, options=json.loads(unit.agent_options),
+                        label=agent_label),
         max_steps=unit.max_steps,
         env_kwargs={**thresholds.env_kwargs(), "compiled": unit.compiled},
     )
 
 
-def _run_unit_node(node, store, executor, resolver: BenchmarkResolver,
-                   outcomes: Dict[str, object],
-                   on_outcome: Optional[Callable],
-                   checkpoint: Optional[object] = None) -> None:
-    """Execute one EvaluateJobs/ReplayFromStore node; record per-unit outcomes."""
-    # ``store_outputs`` is a per-run flag on the executors, so units that
-    # need raw outputs retained run in their own call; order within each
-    # group is preserved and the groups share the store.
-    groups: Dict[bool, List[Tuple[str, PlanUnit]]] = {}
-    for unit in node.units:
-        wants_outputs = isinstance(unit, ExplorationUnit) and unit.store_outputs
-        groups.setdefault(wants_outputs, []).append((unit.fingerprint(), unit))
-    for store_outputs, members in groups.items():
-        jobs = [_build_job(unit, resolver) for _, unit in members]
-        results = executor.run(jobs, store=store, store_outputs=store_outputs,
-                               on_outcome=on_outcome, checkpoint=checkpoint)
-        for (fingerprint, _), outcome in zip(members, results):
-            outcomes[fingerprint] = outcome
+#: Each unit's first binding, with its spec's index in ``plan.specs``.
+FirstBindings = Dict[str, Tuple[int, EntryBinding]]
+
+
+def _first_bindings(plan: ExperimentPlan) -> FirstBindings:
+    """Where each unit is first bound: its jobs run under that spec's labels."""
+    positions = {spec.fingerprint(): index for index, spec in enumerate(plan.specs)}
+    first: FirstBindings = {}
+    for node in plan.merge_nodes:
+        for binding in node.bindings:
+            for fingerprint in binding.unit_fingerprints:
+                first.setdefault(fingerprint,
+                                 (positions[node.spec_fingerprint], binding))
+    return first
+
+
+def _job_for(unit: PlanUnit, resolver: BenchmarkResolver, first: FirstBindings):
+    """The job computing ``unit`` under its first binding's labels."""
+    _, binding = first[unit.fingerprint()]
+    return _build_job(unit, resolver, binding.benchmark_label, binding.agent_label)
+
+
+def _batched_jobs(units: Sequence[PlanUnit], plan: ExperimentPlan,
+                  resolver: BenchmarkResolver, first: FirstBindings) -> List[object]:
+    """The jobs computing ``units``, in order; seed runs batch per spec.
+
+    Consecutive exploration units of one owning spec that differ only in
+    seed expand together through :func:`~repro.runtime.jobs.expand_jobs`
+    at that spec's batch size, so a one-spec plan dispatches exactly the
+    job list the spec's definition expands to.
+    """
+    from repro.runtime.jobs import expand_jobs
+
+    def run_key(unit: PlanUnit) -> Tuple[object, ...]:
+        if isinstance(unit, SweepChunkUnit):
+            return (unit,)  # every chunk is its own job
+        return (first[unit.fingerprint()][0], dataclasses.replace(unit, seed=0))
+
+    jobs: List[object] = []
+    for _, group in groupby(units, key=run_key):
+        run = list(group)
+        template = _job_for(run[0], resolver, first)
+        if isinstance(run[0], SweepChunkUnit):
+            jobs.append(template)
+            continue
+        runtime = plan.specs[first[run[0].fingerprint()][0]].runtime
+        jobs.extend(expand_jobs(
+            {template.benchmark_label: template.benchmark}, template.agent,
+            seeds=[unit.seed for unit in run], max_steps=template.max_steps,
+            env_kwargs=template.env_kwargs,
+            batch_size=runtime.effective_batch_size(len(run)),
+        ))
+    return jobs
+
+
+def _record(units: Sequence[PlanUnit], results: Sequence[object],
+            outcomes: Dict[str, object]) -> None:
+    """Key executor outcomes by the units they computed."""
+    from repro.runtime.executor import flatten_outcomes
+
+    # Batched jobs cover consecutive units in seed order, so the flattened
+    # outcomes line up with the units one to one.
+    for unit, outcome in zip(units, flatten_outcomes(results)):
+        outcomes[unit.fingerprint()] = outcome
+
+
+def _explorations_only(on_outcome: Optional[Callable]) -> Optional[Callable]:
+    """Forward exploration outcomes only: sweep chunks are not progress events."""
+    if on_outcome is None:
+        return None
+    from repro.runtime.jobs import SweepJob
+
+    def forward(outcome) -> None:
+        if not isinstance(outcome.job, SweepJob):
+            on_outcome(outcome)
+
+    return forward
 
 
 def _sweep_entry(binding: EntryBinding, plan: ExperimentPlan,
                  spec: ExperimentSpec, outcomes: Dict[str, object],
                  wall_clock_s: float) -> ExperimentEntry:
-    """Assemble one benchmark x seed sweep entry (mirrors ``run_sweep``)."""
+    """Assemble one benchmark x seed sweep entry from its chunk outcomes."""
     from repro.dse.frontier import ParetoArchive
     from repro.dse.sweep import SweepResult
 
     chunks = [outcomes[fingerprint].result
               for fingerprint in binding.unit_fingerprints]
     archive = ParetoArchive()
-    for chunk in chunks:  # ascending chunk order, as run_sweep merges
+    for chunk in chunks:  # ascending chunk order
         archive.add_many(chunk.front)
     first = chunks[0]
     result = SweepResult(
@@ -150,7 +208,7 @@ def _sweep_entry(binding: EntryBinding, plan: ExperimentPlan,
 
 def _check_sweep_failures(node: MergeReports, plan: ExperimentPlan,
                           outcomes: Dict[str, object]) -> None:
-    """Raise exactly as ``run_sweep`` does when any chunk of the spec failed."""
+    """Raise once every chunk ran if any chunk of the spec failed."""
     failed: List[Tuple[SweepChunkUnit, object, str]] = []
     total = 0
     for binding in node.bindings:
@@ -187,11 +245,11 @@ def _merge_report(node: MergeReports, plan: ExperimentPlan, store, executor,
     else:
         for binding in node.bindings:
             outcome = outcomes[binding.unit_fingerprints[0]]
-            # Re-attach the spec's own labels: the shared unit ran under its
-            # canonical identity, the entry reports under the spec's.
+            # Re-attach the spec's own labels: a shared unit ran under the
+            # labels of the first spec binding it.
             labeled_job = _build_job(plan.units[binding.unit_fingerprints[0]],
-                                     resolver, label=binding.benchmark_label,
-                                     agent_label=binding.agent_label)
+                                     resolver, binding.benchmark_label,
+                                     binding.agent_label)
             entries.append(ExperimentEntry.from_outcome(JobOutcome(
                 job=labeled_job, result=outcome.result, error=outcome.error,
                 duration_s=outcome.duration_s,
@@ -236,11 +294,14 @@ def execute_plan(plan: ExperimentPlan,
         replay decisions assume its coverage.
     store, executor:
         Runtime pieces; default to an in-memory store and the serial
-        executor.  ``executor`` runs :class:`EvaluateJobs` nodes only;
-        replay is always serial (its cost is store lookups, not compute).
+        executor.  ``executor`` runs the units of every
+        :class:`EvaluateJobs` node, in one call per ``store_outputs``
+        group; replay is always serial (its cost is store lookups, not
+        compute).
     on_outcome:
-        Optional progress callback for evaluated exploration outcomes,
-        matching :func:`run_experiment`'s parameter.
+        Optional progress callback for evaluated exploration outcomes (a
+        batched job reports once, with its batched outcome); sweep chunks
+        and replays are not reported.
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.CampaignCheckpoint`
         applied to :class:`EvaluateJobs` nodes (the paid work); replay
@@ -257,25 +318,36 @@ def execute_plan(plan: ExperimentPlan,
     executor = executor if executor is not None else SerialExecutor()
     replayer = SerialExecutor()
     resolver = BenchmarkResolver()
+    first = _first_bindings(plan)
 
     execution = PlanExecution(plan=plan, stats_before=store.stats)
     outcomes: Dict[str, object] = {}
     started = time.perf_counter()
+    # Evaluate nodes never depend on anything, so their units all run
+    # first, in one executor call per ``store_outputs`` group (a per-run
+    # flag on the executors); every later node only reads their outcomes.
+    paid: Dict[bool, List[PlanUnit]] = {}
+    for node in plan.evaluate_nodes:
+        for unit in node.units:
+            wants_outputs = isinstance(unit, ExplorationUnit) and unit.store_outputs
+            paid.setdefault(wants_outputs, []).append(unit)
+    for store_outputs, units in paid.items():
+        results = executor.run(_batched_jobs(units, plan, resolver, first),
+                               store=store, store_outputs=store_outputs,
+                               on_outcome=_explorations_only(on_outcome),
+                               checkpoint=checkpoint)
+        _record(units, results, outcomes)
     for node in plan.nodes:
-        if isinstance(node, EvaluateJobs):
-            forward = on_outcome if any(
-                isinstance(unit, ExplorationUnit) for unit in node.units
-            ) else None
-            _run_unit_node(node, store, executor, resolver, outcomes, forward,
-                           checkpoint=checkpoint)
-        elif isinstance(node, ReplayFromStore):
-            _run_unit_node(node, store, replayer, resolver, outcomes, None)
+        if isinstance(node, ReplayFromStore):
+            # Replayed units never retain outputs: the planner evaluates those.
+            jobs = [_job_for(unit, resolver, first) for unit in node.units]
+            _record(node.units, replayer.run(jobs, store=store), outcomes)
         elif isinstance(node, MergeReports):
             wall_clock_s = time.perf_counter() - started
             execution.reports[node.spec_fingerprint] = _merge_report(
                 node, plan, store, executor, resolver, outcomes, wall_clock_s
             )
-        else:  # pragma: no cover - the planner only emits the three kinds
+        elif not isinstance(node, EvaluateJobs):  # pragma: no cover
             raise ConfigurationError(
                 f"plan node {node.node_id} has unknown kind {type(node).__name__}"
             )

@@ -25,9 +25,9 @@
    * everything else evaluates (partially-covered work still wins: the
      store serves every cached point at evaluation time).
 
-The invariant: executing the plan produces reports bit-identical to
-running each spec directly — replay re-runs the same deterministic code
-against the warm store, so only wall-clock changes.
+The invariant: warm replay equals cold evaluation — replay re-runs the
+same deterministic code against the warm store, so a spec's report is
+bit-identical whatever the store answered and only wall-clock changes.
 """
 
 from __future__ import annotations
@@ -171,9 +171,8 @@ class QueryPlanner:
                 bindings.append(EntryBinding(
                     kind="sweep",
                     benchmark_label=bspec.label,
-                    # The built instance's name (it may encode parameters) —
-                    # run_sweep reports benchmarks[label].name, not the
-                    # registry name.
+                    # The built instance's name (it may encode
+                    # parameters), not the registry name.
                     benchmark_name=resolved.benchmark.name,
                     seed=seed,
                     unit_fingerprints=tuple(chunk_fingerprints),
@@ -345,5 +344,10 @@ def plan_experiments(specs: Sequence[ExperimentSpec],
     Returns the :class:`~repro.planner.plan.ExperimentPlan`; execute it
     with :func:`~repro.planner.execute.execute_plan`.
     """
-    planner = planner if planner is not None else QueryPlanner()
+    if planner is None:
+        planner = QueryPlanner()
+    elif not isinstance(planner, QueryPlanner):
+        raise ConfigurationError(
+            f"planner must be a QueryPlanner, got {type(planner).__name__}"
+        )
     return planner.plan(specs, store=store)

@@ -43,7 +43,6 @@ from repro.runtime.jobs import (
     SweepJob,
     execute_job,
     expand_jobs,
-    expand_sweep_jobs,
 )
 from repro.runtime.resilience import RetryPolicy, is_retryable, job_fingerprint
 
@@ -73,7 +72,6 @@ __all__ = [
     "ExplorationJob",
     "SweepJob",
     "expand_jobs",
-    "expand_sweep_jobs",
     "execute_job",
     "Executor",
     "JobOutcome",

@@ -74,7 +74,7 @@ def _format_job_error(job: ExplorationJob) -> str:
     """The current exception's *full* traceback, headed by the job identity.
 
     Captured failures travel as strings through :class:`JobOutcome` into
-    campaign entries and serialized experiment reports, so this is the
+    report entries and serialized experiment reports, so this is the
     only diagnostic a failed shard leaves behind: it must carry the whole
     traceback (not just the exception repr) plus which job produced it.
     """
@@ -129,8 +129,8 @@ def flatten_outcomes(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:
     """Expand batched-job outcomes into per-seed outcomes, in seed order.
 
     A :class:`~repro.runtime.jobs.BatchedExplorationJob` returns one result
-    per seed; the reporting layers (campaign entries, experiment reports)
-    are written in terms of one outcome per (benchmark, agent, seed), so
+    per seed; plan execution and the experiment reports are written in
+    terms of one outcome per (benchmark, agent, seed), so
     this splits every batched outcome into the outcomes its serial
     equivalents would have produced.  The batch's wall-clock is split
     evenly across its seeds — the sum is preserved, the attribution is

@@ -36,7 +36,6 @@ __all__ = [
     "BatchedExplorationJob",
     "SweepJob",
     "expand_jobs",
-    "expand_sweep_jobs",
     "execute_job",
     "AGENT_NAMES",
 ]
@@ -437,55 +436,6 @@ class SweepJob:
     def describe(self) -> str:
         """Short human-readable identity, used in error reports and logs."""
         return f"{self.benchmark_label}[sweep {self.start}:{self.stop}, seed={self.seed}]"
-
-
-def expand_sweep_jobs(benchmarks: Mapping[str, "Benchmark"],
-                      seeds: Sequence[int] = (0,),
-                      chunk_size: int = 256,
-                      signed_accuracy: bool = False,
-                      restrict_to_benchmark_widths: bool = True,
-                      compiled: bool = True) -> List[SweepJob]:
-    """Deterministically expand a sweep definition into its chunk jobs.
-
-    The order is benchmark (mapping order) x seed x chunk (ascending index
-    range), so the same definition always yields the same list.  Chunk
-    boundaries come from the design-space size under the default catalog
-    (restricted to the benchmark's widths unless disabled) — no benchmark
-    execution happens here.
-    """
-    if not benchmarks:
-        raise ExplorationError("a sweep requires at least one benchmark")
-    seeds = tuple(int(seed) for seed in seeds)
-    if not seeds:
-        raise ExplorationError("a sweep requires at least one seed")
-    if chunk_size <= 0:
-        raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-
-    from repro.dse.design_space import DesignSpace
-    from repro.operators.catalog import default_catalog
-
-    catalog = default_catalog()
-    jobs: List[SweepJob] = []
-    for label, benchmark in benchmarks.items():
-        sized = catalog
-        if restrict_to_benchmark_widths:
-            sized = catalog.restrict_widths(benchmark.add_width, benchmark.mul_width)
-        size = DesignSpace(benchmark, sized).size
-        for seed in seeds:
-            for start in range(0, size, chunk_size):
-                jobs.append(
-                    SweepJob(
-                        benchmark_label=label,
-                        benchmark=benchmark,
-                        seed=seed,
-                        start=start,
-                        stop=min(start + chunk_size, size),
-                        signed_accuracy=signed_accuracy,
-                        restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-                        compiled=compiled,
-                    )
-                )
-    return jobs
 
 
 def execute_job(job: ExplorationJob,

@@ -269,8 +269,7 @@ class EvaluationDaemon:
 
                 report = run_experiment(
                     spec, executor=self._executor, store=self._store,
-                    checkpoint=self._checkpoint, planner=True,
-                    on_outcome=on_outcome,
+                    checkpoint=self._checkpoint, on_outcome=on_outcome,
                 )
                 # Serialize on the worker thread: summaries and canonical
                 # JSON are the expensive part and must not block the loop.

@@ -18,16 +18,17 @@ import pytest
 
 from repro.benchmarks.registry import available, create
 from repro.cli import main
-from repro.dse import Campaign, Evaluator
+from repro.dse import Evaluator
 from repro.dse.thresholds import ExplorationThresholds
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.spec import RuntimeSpec
 from repro.runtime import (
     AgentSpec,
     BatchedExplorationJob,
     EvaluationStore,
     ExplorationJob,
-    ProcessExecutor,
+    SerialExecutor,
     execute_job,
     expand_jobs,
     flatten_outcomes,
@@ -267,52 +268,57 @@ def _module_level_factory(environment, seed):
 
 
 class TestCampaignBatching:
-    def _campaign(self, **kwargs):
-        return Campaign(
-            benchmarks={"dot": create("dotproduct", length=8)},
-            agent_factory=AgentSpec("q-learning"),
-            max_steps=40,
-            seeds=(0, 1, 2, 3),
-            store=EvaluationStore(),
-            **kwargs,
-        )
+    SEEDS = (0, 1, 2, 3)
+
+    def _spec(self, **runtime):
+        return ExperimentSpec.from_dict({
+            "kind": "campaign",
+            "benchmarks": [{"name": "dotproduct", "params": {"length": 8},
+                            "label": "dot"}],
+            "agents": ["q-learning"], "seeds": list(self.SEEDS),
+            "max_steps": 40, "runtime": runtime,
+        })
+
+    def _dispatched(self, spec):
+        """The job lists ``run_experiment`` hands the executor for ``spec``."""
+        calls = []
+
+        class Spy:
+            def run(self, jobs, **kwargs):
+                calls.append(list(jobs))
+                return SerialExecutor().run(jobs, **kwargs)
+
+        run_experiment(spec, executor=Spy(), store=EvaluationStore())
+        return calls
 
     def test_auto_batching_spreads_seeds_over_workers(self):
-        serial_jobs = self._campaign().jobs()
+        (serial_jobs,) = self._dispatched(self._spec())
         assert [job.seeds for job in serial_jobs] == [(0, 1, 2, 3)]
-        process_jobs = self._campaign(
-            executor=ProcessExecutor(n_jobs=2)
-        ).jobs()
+        (process_jobs,) = self._dispatched(self._spec(executor="process", jobs=2))
         assert [job.seeds for job in process_jobs] == [(0, 1), (2, 3)]
 
     def test_batched_campaign_matches_per_seed_campaign(self):
-        reference = self._campaign(batch_size=1).run()
-        batched = self._campaign(batch_size=4).run()
-        assert [(e.benchmark_label, e.seed) for e in batched] == \
-            [(e.benchmark_label, e.seed) for e in reference]
-        for left, right in zip(reference, batched):
+        reference = run_experiment(self._spec(batch_size=1))
+        batched = run_experiment(self._spec(batch_size=4))
+        assert [(e.benchmark_label, e.seed) for e in batched.entries] == \
+            [(e.benchmark_label, e.seed) for e in reference.entries]
+        for left, right in zip(reference.entries, batched.entries):
             assert left.result == right.result
 
     def test_process_executor_runs_batched_jobs_and_merges_store(self):
         store = EvaluationStore()
-        campaign = Campaign(
-            benchmarks={"dot": create("dotproduct", length=8)},
-            agent_factory=AgentSpec("q-learning"),
-            max_steps=40,
-            seeds=(0, 1, 2, 3),
-            store=store,
-            executor=ProcessExecutor(n_jobs=2),
-            batch_size=2,
-        )
-        entries = campaign.run()
-        reference = self._campaign(batch_size=1).run()
-        for left, right in zip(reference, entries):
+        report = run_experiment(
+            self._spec(executor="process", jobs=2, batch_size=2), store=store)
+        reference = run_experiment(self._spec(batch_size=1))
+        for left, right in zip(reference.entries, report.entries):
             assert left.result == right.result
         assert len(store) > 0  # batched workers merged evaluations back
 
     def test_flatten_outcomes_splits_batched_outcomes(self):
-        campaign = self._campaign(batch_size=4)
-        outcomes = campaign.run_outcomes()
+        jobs = expand_jobs({"dot": create("dotproduct", length=8)},
+                           AgentSpec("q-learning"), seeds=self.SEEDS,
+                           max_steps=40, batch_size=4)
+        outcomes = SerialExecutor().run(jobs)
         assert len(outcomes) == 1  # one batched job ran ...
         flat = flatten_outcomes(outcomes)
         assert [outcome.job.seed for outcome in flat] == [0, 1, 2, 3]
@@ -321,10 +327,11 @@ class TestCampaignBatching:
         assert shares == pytest.approx([outcomes[0].duration_s / 4] * 4)
 
     def test_negative_batch_size_rejected(self):
-        from repro.errors import ExplorationError
-
-        with pytest.raises(ExplorationError):
-            self._campaign(batch_size=-2)
+        with pytest.raises(ConfigurationError):
+            expand_jobs({"dot": create("dotproduct", length=8)},
+                        AgentSpec("q-learning"), seeds=self.SEEDS, batch_size=-2)
+        with pytest.raises(ConfigurationError):
+            self._spec(batch_size=-2)
 
 
 # ------------------------------------------------------------ spec and CLI

@@ -8,29 +8,35 @@ import json
 import numpy as np
 import pytest
 
-from repro.agents import QLearningAgent, RandomAgent
+from repro.agents import RandomAgent
 from repro.analysis import result_to_dict, trace_rows, write_result_json, write_trace_csv
-from repro.benchmarks import DotProductBenchmark, MatMulBenchmark
-from repro.dse import Campaign, explore
+from repro.benchmarks import DotProductBenchmark
+from repro.dse import explore
 from repro.errors import AnalysisError, ExplorationError
+from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.report import summarize
+from repro.runtime import AgentSpec, ExplorationJob, expand_jobs
 
 
-def _agent_factory(environment, seed):
-    return QLearningAgent(num_actions=environment.action_space.n, epsilon=0.3, seed=seed)
+def _campaign_spec(**overrides) -> ExperimentSpec:
+    payload = {
+        "kind": "campaign",
+        "benchmarks": [
+            {"name": "dotproduct", "params": {"length": 16}, "label": "dot"},
+            {"name": "matmul", "params": {"rows": 3, "inner": 3, "cols": 3},
+             "label": "matmul"},
+        ],
+        "agents": [{"name": "q-learning", "hyperparams": {"epsilon": 0.3}}],
+        "seeds": [0, 1],
+        "max_steps": 40,
+    }
+    payload.update(overrides)
+    return ExperimentSpec.from_dict(payload)
 
 
 @pytest.fixture(scope="module")
 def small_campaign_entries():
-    campaign = Campaign(
-        benchmarks={
-            "dot": DotProductBenchmark(length=16),
-            "matmul": MatMulBenchmark(rows=3, inner=3, cols=3),
-        },
-        agent_factory=_agent_factory,
-        max_steps=40,
-        seeds=(0, 1),
-    )
-    return campaign.run()
+    return run_experiment(_campaign_spec()).entries
 
 
 @pytest.fixture
@@ -50,7 +56,7 @@ class TestCampaign:
             assert entry.result.agent_name == "q-learning"
 
     def test_summary_aggregates_per_benchmark(self, small_campaign_entries):
-        summaries = Campaign.summarize(small_campaign_entries)
+        summaries = summarize(small_campaign_entries)
         assert set(summaries) == {"dot", "matmul"}
         for summary in summaries.values():
             assert summary.runs == 2
@@ -59,25 +65,25 @@ class TestCampaign:
 
     def test_validation(self):
         with pytest.raises(ExplorationError):
-            Campaign(benchmarks={}, agent_factory=_agent_factory)
+            expand_jobs({}, AgentSpec("q-learning"))
         with pytest.raises(ExplorationError):
-            Campaign(benchmarks={"dot": DotProductBenchmark(8)}, agent_factory=_agent_factory,
-                     seeds=())
+            expand_jobs({"dot": DotProductBenchmark(8)}, AgentSpec("q-learning"),
+                        seeds=())
         with pytest.raises(ExplorationError):
-            Campaign(benchmarks={"dot": DotProductBenchmark(8)}, agent_factory=_agent_factory,
-                     max_steps=0)
+            ExplorationJob("dot", DotProductBenchmark(8), seed=0,
+                           agent=AgentSpec("q-learning"), max_steps=0)
 
     def test_env_kwargs_forwarded(self):
-        campaign = Campaign(
-            benchmarks={"dot": DotProductBenchmark(length=8)},
-            agent_factory=_agent_factory,
-            max_steps=10,
-            seeds=(0,),
-            env_kwargs={"accuracy_factor": 0.1},
-        )
-        entries = campaign.run()
+        spec = _campaign_spec(benchmarks=["dotproduct:length=8"], seeds=[0],
+                              max_steps=10,
+                              thresholds={"accuracy_factor": 0.1})
+        default = _campaign_spec(benchmarks=["dotproduct:length=8"], seeds=[0],
+                                 max_steps=10)
+        scaled = run_experiment(spec).entries[0].result.thresholds
         # accth = 0.1 x mean output instead of the default 0.4 x.
-        assert entries[0].result.thresholds.accuracy > 0
+        assert scaled.accuracy > 0
+        assert scaled.accuracy == pytest.approx(
+            run_experiment(default).entries[0].result.thresholds.accuracy / 4)
 
 
 class TestExport:

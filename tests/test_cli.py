@@ -398,6 +398,39 @@ class TestPlanAndStore:
         assert "Explorer comparison on dotproduct_4" in output
         assert "100 % hit rate" in output  # everything replayed
 
+    def test_run_with_store_batches_like_plain_run(self, capsys, tmp_path,
+                                                   monkeypatch):
+        from repro.runtime.executor import SerialExecutor
+        from repro.runtime.store import EvaluationStore
+
+        dispatched = []
+        original_run = SerialExecutor.run
+
+        def recording_run(self, jobs, **kwargs):
+            dispatched.append([type(job).__name__ for job in jobs])
+            return original_run(self, jobs, **kwargs)
+
+        monkeypatch.setattr(SerialExecutor, "run", recording_run)
+        spec_path = self._write_spec(tmp_path, {
+            "kind": "campaign", "benchmarks": ["dotproduct:length=4"],
+            "agents": ["q-learning"], "seeds": [0, 1], "max_steps": 12,
+        })
+        store_path = tmp_path / "empty.sqlite"
+        EvaluationStore(path=store_path).flush()
+        plain, stored = tmp_path / "plain.json", tmp_path / "stored.json"
+        assert main(["run", str(spec_path), "--out", str(plain)]) == 0
+        assert main(["run", str(spec_path), "--store", str(store_path),
+                     "--out", str(stored)]) == 0
+
+        assert capsys.readouterr().out.count("batched 2 seeds/job") == 2
+        assert dispatched == [["BatchedExplorationJob"]] * 2  # ... and it did
+        def entries(path):
+            return [{key: value for key, value in entry.items()
+                     if key != "duration_s"}
+                    for entry in json.loads(path.read_text())["entries"]]
+
+        assert entries(stored) == entries(plain)
+
     def test_run_explain_prints_the_plan(self, capsys, tmp_path):
         spec_path = self._write_spec(tmp_path, self.COMPARE)
         assert main(["run", str(spec_path), "--explain"]) == 0

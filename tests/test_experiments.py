@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.benchmarks import DotProductBenchmark
-from repro.dse import AxcDseEnv, Campaign
+from repro.dse import AxcDseEnv
 from repro.errors import ConfigurationError, UnknownBenchmarkError
 from repro.experiments import (
     BenchmarkSpec,
@@ -484,8 +484,8 @@ class TestRunExperiment:
         assert [record.deltas for record in result.records] == \
             [record.deltas for record in direct.records]
 
-    def test_sweep_spec_matches_run_sweep(self):
-        from repro.dse import run_sweep
+    def test_sweep_spec_matches_exhaustive_evaluation(self):
+        from repro.dse import Evaluator, ParetoArchive
 
         spec = ExperimentSpec.from_dict({
             "kind": "sweep", "benchmarks": ["dotproduct:length=12"], "seeds": [0],
@@ -493,14 +493,16 @@ class TestRunExperiment:
                         "chunk_size": 96, "store_outputs": False},
         })
         report = run_experiment(spec)
-        direct = run_sweep({"dotproduct:length=12": DotProductBenchmark(length=12)},
-                           seeds=(0,), chunk_size=96)
+        evaluator = Evaluator(DotProductBenchmark(length=12), seed=0,
+                              store_outputs=False)
+        size = evaluator.design_space.size
+        front = ParetoArchive(evaluator.evaluate_index_range(0, size)).front()
         entry = report.entries[0]
         assert entry.agent is None
-        assert entry.metrics["space_size"] == direct[0].space_size
-        assert entry.metrics["evaluations"] == direct[0].evaluations
+        assert entry.metrics["space_size"] == size
+        assert entry.metrics["evaluations"] == size
         assert [(r.point.key(), r.deltas) for r in entry.sweep_result.front] == \
-            [(r.point.key(), r.deltas) for r in direct[0].front]
+            [(r.point.key(), r.deltas) for r in front]
 
     def test_report_serializes_with_provenance(self):
         spec = _tiny_campaign_spec(seeds=[0])
@@ -544,17 +546,20 @@ class TestRunExperiment:
         assert [entry.payload() for entry in cold.entries] == \
             [entry.payload() for entry in warm.entries]
 
-    def test_campaign_from_spec_bridge(self):
-        spec = ExperimentSpec.from_dict({
-            "kind": "campaign", "benchmarks": ["dotproduct:length=12"],
-            "agents": ["q-learning"], "seeds": [0, 1], "max_steps": 20,
-        })
-        campaign = Campaign.from_spec(spec)
-        entries = campaign.run()
+    def test_campaign_spec_matches_direct_runtime_jobs(self):
+        from repro.runtime import SerialExecutor, expand_jobs, flatten_outcomes
+
+        spec = _tiny_campaign_spec()
+        outcomes = flatten_outcomes(SerialExecutor().run(expand_jobs(
+            {bspec.label: bspec.build() for bspec in spec.benchmarks},
+            [aspec.to_agent_spec() for aspec in spec.agents],
+            seeds=spec.seeds, max_steps=spec.max_steps,
+            env_kwargs=spec.thresholds.env_kwargs(),
+            batch_size=spec.runtime.effective_batch_size(len(spec.seeds)),
+        )))
         report = run_experiment(spec)
-        assert [(e.benchmark_label, e.seed) for e in entries] == \
-            [(e.benchmark_label, e.seed) for e in report.entries]
-        assert [e.result.solution.deltas for e in entries] == \
+        assert [(o.job.benchmark_label, o.job.agent.label, o.job.seed)
+                for o in outcomes] == \
+            [(e.benchmark_label, e.agent, e.seed) for e in report.entries]
+        assert [o.result.solution.deltas for o in outcomes] == \
             [e.result.solution.deltas for e in report.entries]
-        with pytest.raises(ConfigurationError, match="one agent family"):
-            Campaign.from_spec(_tiny_campaign_spec())

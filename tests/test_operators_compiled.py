@@ -330,12 +330,15 @@ class TestEvaluatorEquivalence:
         assert fast_report.entries == slow_report.entries
 
     def test_sweep_compiled_flag_produces_identical_fronts(self):
-        from repro.benchmarks import DotProductBenchmark
-        from repro.dse.sweep import run_sweep
+        from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
 
-        benchmarks = {"dot": DotProductBenchmark(length=8)}
-        fast = run_sweep(benchmarks, chunk_size=64)[0]
-        slow = run_sweep(benchmarks, chunk_size=64, compiled=False)[0]
+        fast_spec = ExperimentSpec.from_dict({
+            "kind": "sweep", "benchmarks": ["dotproduct:length=8"], "seeds": [0],
+            "runtime": {"chunk_size": 64},
+        })
+        slow_spec = fast_spec.with_runtime(RuntimeSpec(chunk_size=64, compiled=False))
+        (fast,) = run_experiment(fast_spec).sweep_results()
+        (slow,) = run_experiment(slow_spec).sweep_results()
         assert fast.evaluations == slow.evaluations == fast.space_size
         assert [(record.point.key(), record.deltas) for record in fast.front] == \
             [(record.point.key(), record.deltas) for record in slow.front]

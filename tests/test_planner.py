@@ -1,10 +1,11 @@
 """Tests for the subsumption-aware experiment planner (`repro.planner`).
 
-Covers the three contracts the planner makes:
+Covers the contracts the planner makes:
 
-1. **Bit-identity** — a planned execution produces report entries equal to
-   running each spec directly through `run_experiment`, for every
-   experiment kind on both executors.
+1. **Bit-identity** — warm replay equals cold evaluation: a plan executed
+   against a warm store produces report entries equal to running each spec
+   on its own on a cold store, for every experiment kind on both
+   executors.
 2. **Subsumption** — a store-complete (or in-plan) exhaustive sweep
    answers explorations without new evaluations; superset campaigns share
    units with their sub-campaigns; overlapping sweep grids evaluate the
@@ -12,6 +13,10 @@ Covers the three contracts the planner makes:
 3. **Fingerprint hygiene** — no `RuntimeSpec` field may ever shift
    `ExperimentSpec.fingerprint()` (enumerated per field, so a future
    field cannot leak in silently).
+4. **One front door** — `run_experiment` dispatches, through the plan,
+   exactly the job list the spec's definition expands to (batched per the
+   runtime's batch size), and every evaluate node runs in one executor
+   call.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ from repro.planner import (
     normalize_spec,
     plan_experiments,
     semantic_fingerprint,
+)
+from repro.planner.coverage import BenchmarkResolver
+from repro.runtime import (
+    BatchedExplorationJob,
+    ProcessExecutor,
+    SerialExecutor,
+    SweepJob,
+    expand_jobs,
 )
 from repro.runtime.store import EvaluationStore
 
@@ -311,7 +324,7 @@ class TestPlanStructure:
 
 
 # --------------------------------------------------------------------------
-# run_experiment(planner=...) wiring
+# run_experiment wiring: every run is a plan
 # --------------------------------------------------------------------------
 
 class TestRunnerIntegration:
@@ -319,10 +332,16 @@ class TestRunnerIntegration:
         spec = _spec("compare")
         direct = run_experiment(spec, store=EvaluationStore())
         store = _warmed_store()
-        hits_before = store.stats.hits
-        planned = run_experiment(spec, store=store, planner=True)
+        before = store.stats
+        planned = run_experiment(spec, store=store)
         assert planned.entries == direct.entries
-        assert store.stats.hits > hits_before  # it really replayed
+        assert store.stats.hits > before.hits  # it really replayed
+        assert store.stats.misses == before.misses  # ... and evaluated nothing
+
+    @pytest.mark.parametrize("planner", [True, False, "reuse"])
+    def test_run_experiment_rejects_non_planner_values(self, planner):
+        with pytest.raises(ConfigurationError, match="QueryPlanner"):
+            run_experiment(_spec("explore"), planner=planner)
 
     def test_run_experiment_accepts_configured_planner(self):
         spec = _spec("explore")
@@ -330,3 +349,134 @@ class TestRunnerIntegration:
                                 planner=QueryPlanner(reuse=False))
         direct = run_experiment(spec, store=EvaluationStore())
         assert report.entries == direct.entries
+
+
+# --------------------------------------------------------------------------
+# One front door: the jobs run_experiment hands the executor
+# --------------------------------------------------------------------------
+
+class SpyExecutor:
+    """Records every ``run`` call's job list, then runs it serially."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, jobs, **kwargs):
+        self.calls.append(list(jobs))
+        return SerialExecutor().run(jobs, **kwargs)
+
+
+class SpyProcessExecutor(ProcessExecutor):
+    """A real process executor that records every ``run`` call's jobs."""
+
+    def __init__(self, n_jobs):
+        super().__init__(n_jobs=n_jobs)
+        self.calls = []
+
+    def run(self, jobs, **kwargs):
+        self.calls.append(list(jobs))
+        return super().run(jobs, **kwargs)
+
+
+def _job_shape(job):
+    """Everything that identifies a dispatched job except the benchmark object."""
+    seeds = job.seeds if isinstance(job, BatchedExplorationJob) else job.seed
+    return (type(job).__name__, job.benchmark_label, seeds, job.agent,
+            job.max_steps, job.env_kwargs)
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize("planner", [None, QueryPlanner(),
+                                         QueryPlanner(reuse=False)],
+                             ids=["default", "reuse", "no-reuse"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("batch_size", [0, 1, 2])
+    def test_dispatched_jobs_equal_the_expanded_definition(self, batch_size,
+                                                           jobs, planner):
+        runtime = {"batch_size": batch_size}
+        if jobs > 1:
+            runtime.update(executor="process", jobs=jobs)
+        spec = _spec("campaign", seeds=[0, 1, 2, 3, 4], runtime=runtime)
+        spy = SpyExecutor()
+        report = run_experiment(spec, executor=spy, store=EvaluationStore(),
+                                planner=planner)
+
+        expected = expand_jobs(
+            {bspec.label: bspec.build() for bspec in spec.benchmarks},
+            [aspec.to_agent_spec() for aspec in spec.agents],
+            seeds=spec.seeds, max_steps=spec.max_steps,
+            env_kwargs={**spec.thresholds.env_kwargs(),
+                        "compiled": spec.runtime.compiled},
+            batch_size=spec.runtime.effective_batch_size(5),
+        )
+        assert len(spy.calls) == 1
+        assert [_job_shape(job) for job in spy.calls[0]] == \
+            [_job_shape(job) for job in expected]
+        assert report.ok and len(report.entries) == 10
+
+    def test_progress_sees_batched_outcomes_not_replays(self):
+        spec = _spec("campaign", seeds=[0, 1, 2, 3], runtime={"batch_size": 2})
+        seen = []
+        run_experiment(spec, store=EvaluationStore(), on_outcome=seen.append)
+        assert [outcome.job.seeds for outcome in seen] == \
+            [(0, 1), (2, 3), (0, 1), (2, 3)]
+        seen.clear()
+        run_experiment(_spec("explore"), store=_warmed_store(),
+                       on_outcome=seen.append)
+        assert seen == []  # replayed from the store: nothing was evaluated
+
+    @pytest.mark.parametrize("planner", [None, QueryPlanner()],
+                             ids=["default", "reuse"])
+    def test_sweep_runs_in_one_dispatch(self, planner):
+        spec = _spec("sweep", benchmarks=[BENCH, "fir:num_samples=8"],
+                     seeds=[0, 1], runtime={"chunk_size": 100})
+        spy = SpyProcessExecutor(n_jobs=2)
+        report = run_experiment(spec, executor=spy, store=EvaluationStore(),
+                                planner=planner)
+
+        sizes = {bspec.label: BenchmarkResolver().resolve(bspec).space_size
+                 for bspec in spec.benchmarks}
+        assert all(size > 100 for size in sizes.values())  # >= 2 chunks each
+        assert len(spy.calls) == 1
+        assert all(isinstance(job, SweepJob) for job in spy.calls[0])
+        assert [(job.benchmark_label, job.seed, job.start)
+                for job in spy.calls[0]] == [
+            (bspec.label, seed, start) for bspec in spec.benchmarks
+            for seed in spec.seeds
+            for start in range(0, sizes[bspec.label], 100)
+        ]
+        assert report.ok
+        assert [entry.metrics["evaluations"] for entry in report.entries] == \
+            [entry.metrics["space_size"] for entry in report.entries]
+
+    def test_mixed_plan_evaluates_in_one_dispatch(self):
+        sweep = _spec("sweep")
+        campaign = _spec("campaign", benchmarks=["fir:num_samples=8"],
+                         seeds=[0, 1])
+        plan = plan_experiments([sweep, campaign], store=EvaluationStore())
+        assert len(plan.evaluate_nodes) == 2  # one per kind
+        spy = SpyExecutor()
+        execution = execute_plan(plan, store=EvaluationStore(), executor=spy)
+        assert len(spy.calls) == 1
+        kinds = [type(job).__name__ for job in spy.calls[0]]
+        assert kinds == ["SweepJob"] * 5 + ["BatchedExplorationJob"] * 2
+        for spec in (sweep, campaign):
+            direct = run_experiment(spec, store=EvaluationStore())
+            assert execution.reports[spec.fingerprint()].entries == direct.entries
+
+    def test_daemon_batches_at_its_batch_size(self, tmp_path):
+        from _service_utils import running_daemon
+
+        from repro.service import ServiceClient
+
+        spec = _spec("campaign", agents=["q-learning"], seeds=[0, 1, 2, 3])
+        socket_path = str(tmp_path / "evald.sock")
+        with running_daemon("--socket", socket_path,
+                            "--batch-size", "2") as (_daemon, address):
+            client = ServiceClient(address)
+            ticket = client.submit(spec)["ticket"]
+            events = list(client.stream(ticket))
+        outcomes = [event for event in events if event.get("event") == "outcome"]
+        assert len(outcomes) == 2
+        assert all(event["ok"] for event in outcomes)
+        assert events[-1]["state"] == "done"

@@ -17,8 +17,10 @@ import pytest
 
 from repro.agents import QLearningAgent
 from repro.benchmarks import DotProductBenchmark, FirBenchmark, MatMulBenchmark
-from repro.dse import Campaign, Evaluator
+from repro.dse import Evaluator
 from repro.errors import ConfigurationError, ExplorationError
+from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.report import summarize
 from repro.runtime import (
     AgentSpec,
     EvaluationKey,
@@ -30,6 +32,7 @@ from repro.runtime import (
     catalog_fingerprint,
     execute_job,
     expand_jobs,
+    flatten_outcomes,
 )
 
 
@@ -269,17 +272,17 @@ class TestExecutors:
             assert "RuntimeError" in outcome.error and "boom" in outcome.error
 
     def test_process_executor_matches_serial_entry_for_entry(self):
-        campaign_kwargs = dict(
-            benchmarks=_small_benchmarks(),
-            agent_factory=AgentSpec("q-learning"),
-            max_steps=30,
-            seeds=(0, 1, 2),
-        )
-        serial = Campaign(executor=SerialExecutor(), **campaign_kwargs).run()
-        parallel = Campaign(executor=ProcessExecutor(n_jobs=2), **campaign_kwargs).run()
+        jobs = expand_jobs(_small_benchmarks(), AgentSpec("q-learning"),
+                           seeds=(0, 1, 2), max_steps=30)
+        batched = expand_jobs(_small_benchmarks(), AgentSpec("q-learning"),
+                              seeds=(0, 1, 2), max_steps=30, batch_size=2)
+        serial = flatten_outcomes(SerialExecutor().run(jobs))
+        parallel = flatten_outcomes(ProcessExecutor(n_jobs=2).run(batched))
         assert len(serial) == len(parallel) == 6
         for left, right in zip(serial, parallel):
-            assert (left.benchmark_label, left.seed) == (right.benchmark_label, right.seed)
+            assert left.ok and right.ok
+            assert (left.job.benchmark_label, left.job.seed) == \
+                (right.job.benchmark_label, right.job.seed)
             assert [r.deltas for r in left.result.records] == \
                 [r.deltas for r in right.result.records]
             assert [r.point for r in left.result.records] == \
@@ -332,27 +335,27 @@ class TestExecutors:
 
 class TestCampaignRuntime:
     def test_campaign_drops_outputs_from_cached_records_by_default(self):
-        campaign = Campaign(benchmarks={"dot": DotProductBenchmark(length=12)},
-                            agent_factory=AgentSpec("random"), max_steps=15, seeds=(0,))
-        campaign.run()
-        records = list(campaign.store.snapshot().values())
+        spec = ExperimentSpec.from_dict({
+            "kind": "campaign", "benchmarks": ["dotproduct:length=12"],
+            "agents": ["random"], "seeds": [0], "max_steps": 15,
+        })
+        store = EvaluationStore()
+        run_experiment(spec, store=store)
+        records = list(store.snapshot().values())
         assert records
         assert all(record.outputs is None for record in records)
 
     def test_campaign_run_reports_all_failures_after_running_everything(self):
-        campaign = Campaign(
-            benchmarks={"dot": DotProductBenchmark(length=12)},
-            agent_factory=_crashing_factory,
-            max_steps=10,
-            seeds=(0, 1),
-        )
-        with pytest.raises(ExplorationError, match="2 of 2"):
-            campaign.run()
-        outcomes = campaign.run_outcomes()
-        assert len(outcomes) == 2 and all(not outcome.ok for outcome in outcomes)
+        jobs = expand_jobs({"dot": DotProductBenchmark(length=12)},
+                           [AgentSpec.from_factory(_crashing_factory),
+                            AgentSpec("random")],
+                           seeds=(0, 1), max_steps=10)
+        outcomes = SerialExecutor().run(jobs)
+        assert [outcome.ok for outcome in outcomes] == [False, False, True, True]
+        assert all("boom" in outcome.error for outcome in outcomes[:2])
 
     def test_summarize_empty_entries_returns_empty_dict(self):
-        assert Campaign.summarize([]) == {}
+        assert summarize([]) == {}
 
     def test_explorer_progress_callback_sees_every_step(self, dot_benchmark):
         from repro.dse import AxcDseEnv, Explorer

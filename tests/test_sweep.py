@@ -5,22 +5,35 @@ from __future__ import annotations
 import pytest
 
 from repro.benchmarks import DotProductBenchmark
-from repro.dse import Campaign, Evaluator, ParetoArchive, run_sweep
+from repro.dse import Evaluator, ParetoArchive
 from repro.dse.sweep import SweepChunk, execute_sweep_job
 from repro.errors import ConfigurationError, DesignSpaceError, ExplorationError
-from repro.runtime import (
-    AgentSpec,
-    EvaluationStore,
-    ProcessExecutor,
-    SerialExecutor,
-    SweepJob,
-    expand_sweep_jobs,
-)
+from repro.experiments import ExperimentSpec, run_experiment
+from repro.planner import SweepChunkUnit, plan_experiments
+from repro.runtime import EvaluationStore, SerialExecutor, SweepJob
 
 
 @pytest.fixture
 def tiny_benchmarks():
     return {"dot": DotProductBenchmark(length=8)}
+
+
+def _sweep_spec(chunk_size, seeds=(0,), **runtime):
+    """An exhaustive sweep of ``tiny_benchmarks`` under the label ``dot``."""
+    return ExperimentSpec.from_dict({
+        "kind": "sweep",
+        "benchmarks": [{"name": "dotproduct", "params": {"length": 8},
+                        "label": "dot"}],
+        "seeds": list(seeds),
+        "runtime": {"chunk_size": chunk_size, **runtime},
+    })
+
+
+def _sweep_results(chunk_size, store=None, seeds=(0,), **runtime):
+    """The per-seed sweep results of ``_sweep_spec`` run on ``store``."""
+    report = run_experiment(_sweep_spec(chunk_size, seeds, **runtime),
+                            store=store if store is not None else EvaluationStore())
+    return report.sweep_results()
 
 
 def _front_identity(front):
@@ -75,41 +88,43 @@ class TestEvaluatorReuse:
         from repro.dse import sweep as sweep_module
 
         sweep_module._EVALUATOR_CACHE.clear()
-        run_sweep(tiny_benchmarks, store=EvaluationStore(), chunk_size=48)
+        _sweep_results(48)
         assert len(sweep_module._EVALUATOR_CACHE) == 1  # six chunks, one baseline
         # A second sweep of the same context reuses the cached baseline and
         # still lands its evaluations in the new store.
         store = EvaluationStore()
-        (result,) = run_sweep(tiny_benchmarks, store=store, chunk_size=96)
+        (result,) = _sweep_results(96, store=store)
         assert len(sweep_module._EVALUATOR_CACHE) == 1
         assert len(store) == result.space_size
 
 
 class TestSweepJobs:
-    def test_expansion_chunks_cover_the_space(self, tiny_benchmarks):
-        jobs = expand_sweep_jobs(tiny_benchmarks, seeds=(0, 1), chunk_size=100)
-        assert all(isinstance(job, SweepJob) for job in jobs)
+    def test_expansion_chunks_cover_the_space(self):
+        plan = plan_experiments([_sweep_spec(100, seeds=(0, 1))])
+        units = [unit for node in plan.evaluate_nodes for unit in node.units]
+        assert all(isinstance(unit, SweepChunkUnit) for unit in units)
         by_seed = {}
-        for job in jobs:
-            by_seed.setdefault(job.seed, []).append((job.start, job.stop))
+        for unit in units:
+            by_seed.setdefault(unit.seed, []).append((unit.start, unit.stop))
         assert set(by_seed) == {0, 1}
         for ranges in by_seed.values():
             assert ranges[0][0] == 0
             assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
             assert ranges[-1][1] == 288  # restricted dotproduct space
 
-    def test_expansion_validation(self, tiny_benchmarks):
-        with pytest.raises(ExplorationError):
-            expand_sweep_jobs({})
-        with pytest.raises(ExplorationError):
-            expand_sweep_jobs(tiny_benchmarks, seeds=())
+    def test_expansion_validation(self):
         with pytest.raises(ConfigurationError):
-            expand_sweep_jobs(tiny_benchmarks, chunk_size=0)
+            ExperimentSpec.from_dict({"kind": "sweep", "benchmarks": [],
+                                      "seeds": [0]})
+        with pytest.raises(ConfigurationError):
+            _sweep_spec(64, seeds=())
+        with pytest.raises(ConfigurationError):
+            _sweep_spec(0)
         with pytest.raises(ConfigurationError):
             SweepJob("dot", DotProductBenchmark(8), seed=0, start=5, stop=5)
 
     def test_chunk_execution_returns_local_front(self, tiny_benchmarks):
-        job = expand_sweep_jobs(tiny_benchmarks, chunk_size=64)[0]
+        job = SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=0, stop=64)
         store = EvaluationStore()
         chunk = execute_sweep_job(job, store=store)
         assert isinstance(chunk, SweepChunk)
@@ -128,7 +143,7 @@ class TestSweepJobs:
 class TestRunSweep:
     def test_true_front_matches_exhaustive_archive(self, tiny_benchmarks):
         store = EvaluationStore()
-        (result,) = run_sweep(tiny_benchmarks, store=store, chunk_size=50)
+        (result,) = _sweep_results(50, store=store)
         assert result.evaluations == result.space_size == 288 == len(store)
         evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store,
                               store_outputs=False)
@@ -142,11 +157,9 @@ class TestRunSweep:
 
     def test_serial_and_process_executors_are_identical(self, tiny_benchmarks):
         serial_store = EvaluationStore()
-        (serial,) = run_sweep(tiny_benchmarks, executor=SerialExecutor(),
-                              store=serial_store, chunk_size=48)
+        (serial,) = _sweep_results(48, store=serial_store)
         process_store = EvaluationStore()
-        (process,) = run_sweep(tiny_benchmarks, executor=ProcessExecutor(n_jobs=2),
-                               store=process_store, chunk_size=48)
+        (process,) = _sweep_results(48, store=process_store, executor="process", jobs=2)
         assert _front_identity(serial.front) == _front_identity(process.front)
         assert serial.evaluations == process.evaluations
         assert sorted(serial_store.keys()) == sorted(process_store.keys())
@@ -158,10 +171,10 @@ class TestRunSweep:
     def test_store_round_trip_warm_starts_the_next_sweep(self, tiny_benchmarks, tmp_path):
         path = tmp_path / "sweep.sqlite"
         with EvaluationStore(path=path) as store:
-            (cold,) = run_sweep(tiny_benchmarks, store=store, chunk_size=96)
+            (cold,) = _sweep_results(96, store=store)
         reloaded = EvaluationStore(path=path)
         assert len(reloaded) == cold.space_size
-        (warm,) = run_sweep(tiny_benchmarks, store=reloaded, chunk_size=96)
+        (warm,) = _sweep_results(96, store=reloaded)
         assert _front_identity(warm.front) == _front_identity(cold.front)
         stats = reloaded.stats
         assert stats.hits == cold.space_size  # everything served from disk
@@ -169,41 +182,49 @@ class TestRunSweep:
         assert stats.upgrades == 0
 
     def test_failed_chunk_reports_and_raises(self, tiny_benchmarks):
-        jobs = expand_sweep_jobs(tiny_benchmarks, chunk_size=300)
+        jobs = [SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=0, stop=288)]
         bad = SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=10_000, stop=10_100)
         outcomes = SerialExecutor().run(jobs + [bad], store=EvaluationStore())
         assert [outcome.ok for outcome in outcomes] == [True, False]
         assert "starts beyond the space" in outcomes[-1].error
 
-    def test_multiple_seeds_produce_one_result_each(self, tiny_benchmarks):
-        results = run_sweep(tiny_benchmarks, seeds=(0, 1), chunk_size=150)
+    def test_multiple_seeds_produce_one_result_each(self):
+        results = _sweep_results(150, seeds=(0, 1))
         assert [(r.benchmark_label, r.seed) for r in results] == [("dot", 0), ("dot", 1)]
 
 
+def _campaign_spec(max_steps, seeds):
+    """A q-learning campaign over the same ``dot`` benchmark as the sweeps."""
+    return ExperimentSpec.from_dict({
+        "kind": "campaign",
+        "benchmarks": [{"name": "dotproduct", "params": {"length": 8},
+                        "label": "dot"}],
+        "agents": ["q-learning"], "seeds": list(seeds), "max_steps": max_steps,
+    })
+
+
 class TestFrontQualityIntegration:
-    def test_judge_scores_agent_trace_against_true_front(self, tiny_benchmarks):
+    def test_judge_scores_agent_trace_against_true_front(self):
         store = EvaluationStore()
-        (truth,) = run_sweep(tiny_benchmarks, store=store, chunk_size=288)
-        campaign = Campaign(tiny_benchmarks, AgentSpec("q-learning"), max_steps=60,
-                            seeds=(0,), store=store)
-        entries = campaign.run()
-        quality = truth.judge(entries[0].result.records)
+        (truth,) = _sweep_results(288, store=store)
+        report = run_experiment(_campaign_spec(60, (0,)), store=store)
+        quality = truth.judge(report.entries[0].result.records)
         assert 0.0 <= quality.coverage <= 1.0
         assert quality.reference_size == truth.front_size
         # The exhaustive front is the ground truth: its own judgement is perfect.
         assert truth.judge(truth.front).coverage == 1.0
 
-    def test_campaign_summarize_with_reference_fronts(self, tiny_benchmarks):
+    def test_campaign_summarize_with_reference_fronts(self):
         store = EvaluationStore()
-        (truth,) = run_sweep(tiny_benchmarks, store=store, chunk_size=288)
-        campaign = Campaign(tiny_benchmarks, AgentSpec("q-learning"), max_steps=50,
-                            seeds=(0, 1), store=store)
-        entries = campaign.run()
-        plain = Campaign.summarize(entries)["dot"]
+        (truth,) = _sweep_results(288, store=store)
+        report = run_experiment(_campaign_spec(50, (0, 1)), store=store)
+        plain = report.summarize()["q-learning"]["dot"]
+        assert plain.runs == 2
         assert plain.mean_front_size >= 1.0
         assert plain.mean_front_coverage is None
         assert plain.mean_hypervolume_ratio is None
-        scored = Campaign.summarize(entries, reference_fronts={"dot": truth.front})["dot"]
+        scored = report.summarize(
+            reference_fronts={"dot": truth.front})["q-learning"]["dot"]
         assert scored.mean_front_coverage is not None
         assert 0.0 <= scored.mean_front_coverage <= 1.0
         assert scored.mean_hypervolume_ratio is not None
