@@ -107,8 +107,8 @@ class SweepResult:
 
 # Process-local evaluator reuse: building an evaluator runs the precise
 # benchmark once, and a sweep executes many chunks of the same evaluation
-# context in the same process (serially, or on a pooled worker across
-# waves).  Caching the evaluator pays that baseline once per context per
+# context in the same process (serially, or on a pooled worker, job after
+# job).  Caching the evaluator pays that baseline once per context per
 # process; each chunk then attaches its own store via `use_store`.
 _EVALUATOR_CACHE: Dict[Tuple, Evaluator] = {}
 _EVALUATOR_CACHE_LIMIT = 8
@@ -161,7 +161,7 @@ def execute_sweep_job(job: SweepJob, store: Optional[EvaluationStore] = None,
         )
     finally:
         # Detach the job's store so the cached evaluator does not pin it (or
-        # a worker's snapshot of it) for the life of the process.
+        # a worker's slice of it) for the life of the process.
         evaluator.use_store(EvaluationStore())
     return SweepChunk(
         benchmark_label=job.benchmark_label,

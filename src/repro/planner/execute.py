@@ -9,10 +9,10 @@ through it:
   one executor call per ``store_outputs`` group, against the shared store
   — this is the paid work, and the store receives every new evaluation
   (merge-back is the executors' existing contract).  Evaluate nodes never
-  have dependencies, so one dispatch lets a process executor fill every
-  wave.  Consecutive exploration units of one spec that differ only in
-  seed batch through :func:`~repro.runtime.jobs.expand_jobs` at the
-  spec's :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
+  have dependencies, so one dispatch keeps every worker of a process
+  executor busy.  Consecutive exploration units of one spec that differ
+  only in seed batch through :func:`~repro.runtime.jobs.expand_jobs` at
+  the spec's :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
 * :class:`~repro.planner.plan.ReplayFromStore` nodes then re-run the same
   deterministic job code serially against the now-warm store, so every
   design-point evaluation is a store hit;

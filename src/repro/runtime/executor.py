@@ -3,12 +3,13 @@
 One interface, two strategies.  :class:`SerialExecutor` preserves the
 historical behaviour — jobs run inline, one after the other, sharing the
 evaluation store directly.  :class:`ProcessExecutor` fans the same job list
-out over worker processes: each worker receives a snapshot of the store,
-runs its job against a private copy, and ships only the newly evaluated
-records back for the parent to merge.  Because design-point evaluation is
-fully deterministic given (benchmark, catalog, seed), both executors produce
-identical results for the same job list — parallelism changes wall-clock
-time, never output.
+out over worker processes: each job is submitted with only the store
+records under its own benchmark and seeds, runs against a private store
+built from them, and ships back only the records it added or upgraded,
+which the parent merges as soon as that job finishes — there is no barrier
+between jobs.  Because design-point evaluation is fully deterministic
+given (benchmark, catalog, seed), both executors produce identical results
+for the same job list — parallelism changes wall-clock time, never output.
 
 Failures are captured per job: a crashing exploration (or an unpicklable
 job) yields a :class:`JobOutcome` carrying the traceback instead of killing
@@ -37,7 +38,7 @@ Both executors are additionally *fault-tolerant* (see
   finalize, so a killed run resumes from its last flush;
 * ``KeyboardInterrupt`` mid-collection flushes completed work into the
   store (and journal) and shuts the pool down (``cancel_futures=True``)
-  before re-raising — Ctrl-C loses the wave in flight, not the campaign.
+  before re-raising — Ctrl-C loses the jobs in flight, not the campaign.
 """
 
 from __future__ import annotations
@@ -45,21 +46,25 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.jobs import BatchedExplorationJob, ExplorationJob, execute_job
 from repro.runtime.resilience import RetryPolicy, is_retryable, job_fingerprint
-from repro.runtime.store import EvaluationKey, EvaluationStore, StoreStats
+from repro.runtime.store import (
+    EvaluationKey,
+    EvaluationStore,
+    StoreStats,
+    benchmark_fingerprint,
+)
 
 __all__ = ["JobOutcome", "Executor", "SerialExecutor", "ProcessExecutor",
            "flatten_outcomes"]
@@ -290,47 +295,68 @@ def _pool_worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
+def _job_seeds(job: ExplorationJob) -> Tuple[int, ...]:
+    """The workload seeds whose store contexts ``job`` can read."""
+    if isinstance(job, BatchedExplorationJob):
+        return tuple(job.seeds)
+    return (job.seed,)
+
+
 def _run_job_in_worker(job: ExplorationJob,
-                       snapshot_blob: bytes,
+                       records: Dict[EvaluationKey, object],
                        store_outputs: bool) -> Tuple[Optional[object], Optional[str],
                                                      bool,
                                                      Dict[EvaluationKey, object],
+                                                     Dict[EvaluationKey, object],
                                                      "StoreStats"]:
-    """Worker entry point: run one job against a private store copy.
+    """Worker entry point: run one job against a private store of its records.
 
-    The snapshot arrives pre-pickled (``snapshot_blob``) so the parent
-    serialises it once per wave instead of once per submitted job.  Returns
-    ``(result, error, retryable, new_entries, stats)`` — only records
-    absent from the incoming snapshot travel back, keeping the merge
-    payload proportional to the new work actually done; ``retryable``
-    classifies a captured failure for the parent's retry layer (the
-    exception object itself cannot cross the process boundary as data).
+    ``records`` is the parent store's slice under the job's own benchmark
+    and seeds (:meth:`EvaluationStore.records_for`), read when the job was
+    submitted.  Returns ``(result, error, retryable, new_entries, upgrades,
+    stats)``: ``new_entries`` are the records the job added and
+    ``upgrades`` the shipped ones it replaced (re-evaluated to carry raw
+    outputs), so the merge payload follows the work the job did;
+    ``retryable`` classifies a captured failure for the parent's retry
+    layer (the exception object itself cannot cross the process boundary
+    as data).
     """
-    snapshot: Dict[EvaluationKey, object] = pickle.loads(snapshot_blob)
-    store = EvaluationStore(records=snapshot)
+    store = EvaluationStore(records=records)
     try:
         result = execute_job(job, store=store, store_outputs=store_outputs)
     except Exception as exc:
         error, retryable = _capture_failure(job, exc)
-        return None, error, retryable, {}, store.stats
-    new_entries = {
-        key: record for key, record in store.snapshot().items() if key not in snapshot
-    }
-    return result, None, False, new_entries, store.stats
+        return None, error, retryable, {}, {}, store.stats
+    new_entries: Dict[EvaluationKey, object] = {}
+    upgrades: Dict[EvaluationKey, object] = {}
+    for key, record in store.snapshot().items():
+        shipped = records.get(key)
+        if shipped is None:
+            new_entries[key] = record
+        elif record is not shipped:  # replaced through put: an upgrade
+            upgrades[key] = record
+    return result, None, False, new_entries, upgrades, store.stats
 
 
 class ProcessExecutor(Executor):
     """Fans jobs out over worker processes with store merge-back.
 
-    Jobs are dispatched in waves of ``n_jobs``: every wave starts from a
-    fresh snapshot of the shared store, so evaluations contributed by an
-    earlier wave warm-start the later ones (seeds and agents re-visiting the
-    same design points never pay for them twice).
+    At most ``n_jobs`` jobs are in flight.  As each one finishes, its new
+    and upgraded records are merged into the shared store and the next
+    pending job is submitted at once — no job waits for a slower sibling.
+    A submission carries only the store records under that job's own
+    benchmark and seeds, read at submit time, so evaluations contributed
+    by finished jobs warm-start later ones (seeds and agents re-visiting
+    the same design points never pay for them twice) while the cost of a
+    dispatch follows the job, not the store.  ``on_outcome`` and the
+    checkpoint see outcomes as jobs finish; :meth:`run` returns them in
+    job order.
 
-    Crash recovery: a worker dying mid-wave (``BrokenProcessPool``) or a
-    future exceeding the retry policy's per-job timeout never sinks the
-    run — completed outcomes are salvaged, the pool is rebuilt, and only
-    the unfinished jobs re-dispatch.  After ``max_pool_rebuilds`` rebuilds
+    Crash recovery: a worker dying mid-job (``BrokenProcessPool``) or a
+    job exceeding the retry policy's per-job timeout (timed from its own
+    submission) never sinks the run — the jobs still in flight are
+    drained, completed outcomes kept, the pool is rebuilt, and only the
+    unfinished jobs re-dispatch.  After ``max_pool_rebuilds`` rebuilds
     the executor stops trusting process isolation and runs the remaining
     jobs serially in-process (logged at WARNING; a job that keeps killing
     its host will then take the parent down — at that point the crash is
@@ -417,7 +443,7 @@ class ProcessExecutor(Executor):
                 on_outcome(outcome)
 
         #: Unfinished work as (job index, failed attempts so far).
-        pending: List[Tuple[int, int]] = []
+        pending: Deque[Tuple[int, int]] = deque()
         for index, job in enumerate(jobs):
             restored = _restore_from_checkpoint(checkpoint, job)
             if restored is not None:
@@ -427,130 +453,138 @@ class ProcessExecutor(Executor):
             else:
                 pending.append((index, 0))
 
+        #: Submitted work: future -> (job index, failed attempts, submit time).
+        in_flight: Dict[Future, Tuple[int, int, float]] = {}
+        backoff = 0.0
+
+        def end_attempt(index: int, attempts: int, outcome: JobOutcome,
+                        retryable: bool) -> None:
+            """Finalize ``outcome``, or queue a retry while budget remains."""
+            nonlocal backoff
+            if not outcome.ok and retryable and attempts < policy.max_attempts:
+                pending.append((index, attempts))
+                backoff = max(backoff, policy.backoff_s(job_fingerprint(outcome.job),
+                                                        attempts))
+            else:
+                finalize(index, outcome)
+
+        def settle(future: Future, overdue: bool) -> Optional[str]:
+            """Classify one finished or overdue job; returns why the pool
+            must be rebuilt, if it must."""
+            index, failed_attempts, submitted = in_flight.pop(future)
+            job = jobs[index]
+            attempts = failed_attempts + 1
+            duration = time.perf_counter() - submitted
+            if overdue:
+                # The worker is wedged past the per-job budget: abandon the
+                # future and rebuild the pool once the others are drained
+                # (the worker itself cannot be preempted).  Timeouts are
+                # retryable: the delay may have been transient.
+                future.cancel()
+                end_attempt(index, attempts, JobOutcome(
+                    job=job, error=_timeout_error(job, policy.job_timeout_s, attempts),
+                    duration_s=duration, attempts=attempts, timed_out=True,
+                ), retryable=True)
+                return "has a timed-out worker"
+            try:
+                result, error, retryable, new_entries, upgrades, stats = future.result()
+            except BrokenProcessPool:
+                # A worker died; every unfinished future of the pool raises
+                # this.  The job did not fail — the pool did — so it
+                # re-dispatches without consuming a retry attempt (bounded
+                # by max_pool_rebuilds, not max_attempts).
+                pending.append((index, failed_attempts))
+                return "lost a worker"
+            except Exception as exc:
+                # Pickling of arguments/results failed in transit;
+                # future.result() re-raises with the remote traceback
+                # chained in, so the capture keeps both sides.
+                error, retryable = _capture_failure(job, exc)
+                end_attempt(index, attempts, JobOutcome(
+                    job=job, error=error, duration_s=duration, attempts=attempts,
+                ), retryable)
+                return None
+            store.merge(new_entries)
+            for key, record in upgrades.items():
+                store.put(key, record)
+            store.record_external_lookups(stats.hits, stats.misses, stats.upgrades)
+            end_attempt(index, attempts, JobOutcome(
+                job=job, result=result, error=error, duration_s=duration,
+                attempts=attempts,
+            ), retryable)
+            return None
+
         workers = min(self._n_jobs, len(jobs))
         pool: Optional[ProcessPoolExecutor] = None
+        rebuild: Optional[str] = None  # why the pool goes once drained
         rebuilds = 0
         try:
-            while pending:
-                if rebuilds > self._max_pool_rebuilds:
-                    # Degrade to serial: process isolation has failed
-                    # max_pool_rebuilds + 1 times; finish the tail inline.
-                    logger.warning(
-                        "worker pool failed %d times (limit %d); degrading to "
-                        "serial execution for the remaining %d job(s)",
-                        rebuilds, self._max_pool_rebuilds, len(pending),
-                    )
-                    serial = SerialExecutor(retry_policy=policy)
-                    remaining = [jobs[index] for index, _ in pending]
-                    serial_outcomes = serial.run(
-                        remaining, store=store, store_outputs=store_outputs,
-                        on_outcome=on_outcome, checkpoint=checkpoint)
-                    for (index, _), outcome in zip(pending, serial_outcomes):
-                        outcomes[index] = outcome
-                    pending = []
-                    break
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=workers,
-                                               mp_context=self._context(),
-                                               initializer=_pool_worker_init)
-                wave, rest = pending[:workers], pending[workers:]
-                snapshot_blob = pickle.dumps(store.snapshot(),
-                                             protocol=pickle.HIGHEST_PROTOCOL)
-                started = time.perf_counter()
-                futures = [
-                    self._submit(pool, jobs[index], snapshot_blob, store_outputs)
-                    for index, _ in wave
-                ]
-                deadline = (None if policy.job_timeout_s is None
-                            else started + policy.job_timeout_s)
-                pool_broken = False
-                wave_timed_out = False
-                retry_wave: List[Tuple[int, int]] = []
-                max_backoff = 0.0
-
-                for (index, failed_attempts), future in zip(wave, futures):
-                    job = jobs[index]
-                    attempts = failed_attempts + 1
-                    if isinstance(future, str):  # submission failed (see _submit)
-                        finalize(index, JobOutcome(job=job, error=future,
-                                                   attempts=attempts))
-                        continue
-                    timeout = (None if deadline is None
-                               else max(deadline - time.perf_counter(), 0.0))
-                    try:
-                        result, error, retryable, new_entries, stats = \
-                            future.result(timeout=timeout)
-                    except FuturesTimeoutError:
-                        # The worker is wedged past the per-job budget:
-                        # abandon the future and rebuild the pool after the
-                        # wave (the worker itself cannot be preempted).
-                        wave_timed_out = True
-                        future.cancel()
-                        duration = time.perf_counter() - started
-                        if attempts < policy.max_attempts:
-                            retry_wave.append((index, attempts))
-                            max_backoff = max(max_backoff, policy.backoff_s(
-                                job_fingerprint(job), attempts))
-                        else:
-                            finalize(index, JobOutcome(
-                                job=job,
-                                error=_timeout_error(job, policy.job_timeout_s,
-                                                     attempts),
-                                duration_s=duration, attempts=attempts,
-                                timed_out=True,
-                            ))
-                        continue
-                    except BrokenProcessPool:
-                        # A worker died; every future of this wave that had
-                        # not completed raises this.  The job did not fail —
-                        # the pool did — so it re-dispatches without
-                        # consuming a retry attempt (bounded by
-                        # max_pool_rebuilds, not max_attempts).
-                        pool_broken = True
-                        retry_wave.append((index, failed_attempts))
-                        continue
-                    except Exception as exc:
-                        # Pickling of arguments/results failed in transit;
-                        # future.result() re-raises with the remote traceback
-                        # chained in, so the capture keeps both sides.
-                        duration = time.perf_counter() - started
-                        error, retryable = _capture_failure(job, exc)
-                        if retryable and attempts < policy.max_attempts:
-                            retry_wave.append((index, attempts))
-                            max_backoff = max(max_backoff, policy.backoff_s(
-                                job_fingerprint(job), attempts))
-                        else:
-                            finalize(index, JobOutcome(job=job, error=error,
-                                                       duration_s=duration,
-                                                       attempts=attempts))
-                        continue
-                    store.merge(new_entries)
-                    store.record_external_lookups(stats.hits, stats.misses,
-                                                  stats.upgrades)
-                    duration = time.perf_counter() - started
-                    if (error is not None and retryable
-                            and attempts < policy.max_attempts):
-                        retry_wave.append((index, attempts))
-                        max_backoff = max(max_backoff, policy.backoff_s(
-                            job_fingerprint(job), attempts))
-                        continue
-                    finalize(index, JobOutcome(job=job, result=result, error=error,
-                                               duration_s=duration,
-                                               attempts=attempts))
-
-                pending = rest + retry_wave
-                if pool_broken or wave_timed_out:
+            while pending or in_flight:
+                if rebuild is not None and not in_flight:
                     rebuilds += 1
                     logger.warning(
                         "worker pool %s; rebuilding (%d/%d tolerated) with "
                         "%d job(s) unfinished",
-                        "lost a worker" if pool_broken else "has a timed-out worker",
-                        rebuilds, self._max_pool_rebuilds, len(pending),
+                        rebuild, rebuilds, self._max_pool_rebuilds, len(pending),
                     )
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
-                if max_backoff > 0.0 and pending:
-                    time.sleep(max_backoff)
+                    rebuild = None
+                if rebuild is None:
+                    if pool is None and rebuilds > self._max_pool_rebuilds:
+                        # Degrade to serial: process isolation has failed
+                        # max_pool_rebuilds + 1 times; finish the tail inline.
+                        logger.warning(
+                            "worker pool failed %d times (limit %d); degrading to "
+                            "serial execution for the remaining %d job(s)",
+                            rebuilds, self._max_pool_rebuilds, len(pending),
+                        )
+                        serial = SerialExecutor(retry_policy=policy)
+                        remaining = [jobs[index] for index, _ in pending]
+                        serial_outcomes = serial.run(
+                            remaining, store=store, store_outputs=store_outputs,
+                            on_outcome=on_outcome, checkpoint=checkpoint)
+                        for (index, _), outcome in zip(pending, serial_outcomes):
+                            outcomes[index] = outcome
+                        pending.clear()
+                        break
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=workers,
+                                                   mp_context=self._context(),
+                                                   initializer=_pool_worker_init)
+                    while pending and len(in_flight) < workers:
+                        index, failed_attempts = pending.popleft()
+                        try:
+                            future = self._submit(pool, jobs[index], store,
+                                                  store_outputs)
+                        except BrokenProcessPool:
+                            # A worker died since the last collection.
+                            pending.appendleft((index, failed_attempts))
+                            rebuild = "lost a worker"
+                            break
+                        if isinstance(future, str):  # submission failed (see _submit)
+                            finalize(index, JobOutcome(job=jobs[index], error=future,
+                                                       attempts=failed_attempts + 1))
+                        else:
+                            in_flight[future] = (index, failed_attempts,
+                                                 time.perf_counter())
+                if not in_flight:
+                    continue
+                timeout = None
+                if policy.job_timeout_s is not None:
+                    first_deadline = min(submitted for _, _, submitted
+                                         in in_flight.values()) + policy.job_timeout_s
+                    timeout = max(first_deadline - time.perf_counter(), 0.0)
+                wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+                now = time.perf_counter()
+                for future, (_, _, submitted) in list(in_flight.items()):
+                    overdue = (not future.done() and policy.job_timeout_s is not None
+                               and now - submitted >= policy.job_timeout_s)
+                    if future.done() or overdue:
+                        rebuild = settle(future, overdue) or rebuild
+                if backoff > 0.0 and pending:
+                    time.sleep(backoff)
+                backoff = 0.0
         except KeyboardInterrupt:
             # Flush completed work before re-raising so an interrupted
             # campaign resumes instead of restarting: the store holds every
@@ -570,9 +604,15 @@ class ProcessExecutor(Executor):
 
     @staticmethod
     def _submit(pool: ProcessPoolExecutor, job: ExplorationJob,
-                snapshot_blob: bytes, store_outputs: bool):
+                store: EvaluationStore, store_outputs: bool):
+        """Submit ``job`` with its slice of ``store``; a job that cannot be
+        submitted yields its captured error string instead of a future."""
         try:
-            return pool.submit(_run_job_in_worker, job, snapshot_blob, store_outputs)
+            records = store.records_for(benchmark_fingerprint(job.benchmark),
+                                        _job_seeds(job))
+            return pool.submit(_run_job_in_worker, job, records, store_outputs)
+        except BrokenProcessPool:
+            raise  # the pool failed, not the job
         except Exception as exc:  # unpicklable job: captured, does not kill the sweep
             error, _ = _capture_failure(job, exc)
             return error

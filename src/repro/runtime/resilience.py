@@ -9,8 +9,8 @@ half of that recovery story:
 * :class:`RetryPolicy` — a frozen description of *how hard to try*: total
   attempt budget, per-attempt timeout, and exponential backoff whose
   jitter derives deterministically from the job fingerprint (two runs of
-  the same campaign sleep the same schedule; two different jobs of one
-  wave do not stampede in phase).
+  the same campaign sleep the same schedule; two different jobs failing
+  together do not stampede in phase).
 * :func:`is_retryable` — the single classification point deciding whether
   a captured exception is worth a re-run.  Deterministic failures
   (configuration mistakes, contract violations — any

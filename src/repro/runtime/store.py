@@ -9,14 +9,16 @@ workload seed, accuracy mode, design-point key) to the cached
 :class:`~repro.dse.evaluator.EvaluationRecord`, so any evaluator sharing a
 store starts warm with everything its siblings already measured.
 
-The store is process-safe by construction rather than by locking: parallel
-workers receive an immutable :meth:`EvaluationStore.snapshot` of the parent
-store, evaluate against their private copy, and the parent merges the new
-entries back with :meth:`EvaluationStore.merge` once the worker returns.  A
-single writer (the parent process) also owns the optional on-disk backend —
-a sqlite file loaded on construction and written by :meth:`flush` — so
-campaigns can persist their evaluations across runs and later sweeps start
-warm even across process boundaries.
+The store is process-safe by construction rather than by locking: each
+pool job receives only the records under its own benchmark and seeds
+(:meth:`EvaluationStore.records_for`), evaluates against a private store
+built from them, and the parent folds the records it added back with
+:meth:`EvaluationStore.merge` (and applies the ones it upgraded with
+:meth:`EvaluationStore.put`) as soon as that job returns.  A single writer
+(the parent process) also owns the optional on-disk backend — a sqlite
+file loaded on construction and written by :meth:`flush` — so campaigns
+can persist their evaluations across runs and later sweeps start warm even
+across process boundaries.
 
 Consistency contract of the backend:
 
@@ -52,6 +54,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -235,8 +238,9 @@ class EvaluationStore:
         Optional sqlite file backing the store.  Existing entries are loaded
         on construction; :meth:`flush` (or :meth:`close` / the context
         manager) writes back what changed since.  Only one process should
-        own a given path at a time — parallel workers operate on in-memory
-        snapshots and are merged back by the owner.
+        own a given path at a time — pool workers evaluate against the
+        in-memory slices :meth:`records_for` hands them, and the owner
+        merges their results back.
     records:
         Optional initial contents (e.g. a :meth:`snapshot` of another store).
         With a ``path`` they count as changed: the next flush writes them.
@@ -318,6 +322,25 @@ class EvaluationStore:
         not the store.  Never touches the hit/miss counters.
         """
         return tuple(self._context_index().get(context, ()))
+
+    def records_for(self, benchmark: str,
+                    seeds: Iterable[int]) -> Dict[EvaluationKey, "EvaluationRecord"]:
+        """The records cached under one benchmark fingerprint and any of ``seeds``.
+
+        Spans every catalog and accuracy mode of those contexts: the whole
+        slice of the store a job on that benchmark and those seeds can
+        read.  Served from the per-context index, so the cost follows the
+        slice and the context count, not the store.  Never touches the
+        hit/miss counters.
+        """
+        wanted = set(seeds)
+        records = self._records
+        return {
+            key: records[key]
+            for context, keys in self._context_index().items()
+            if context[0] == benchmark and context[2] in wanted
+            for key in keys
+        }
 
     def _context_index(self) -> Dict[_Context, Dict[EvaluationKey, None]]:
         if self._contexts is None:

@@ -5,16 +5,21 @@ The load-bearing guarantees:
 * a ``ProcessExecutor`` campaign is entry-for-entry identical to a
   ``SerialExecutor`` campaign on the same definition;
 * an ``EvaluationStore`` hit is bit-identical to a fresh evaluation;
-* one failing exploration does not kill the sweep.
+* one failing exploration does not kill the sweep;
+* a pool job receives only its own benchmark x seeds slice of the store,
+  and its outcome streams back as soon as it finishes.
 """
 
 from __future__ import annotations
 
+import logging
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.runtime.executor as executor_module
 from repro.agents import QLearningAgent
 from repro.benchmarks import DotProductBenchmark, FirBenchmark, MatMulBenchmark
 from repro.dse import Evaluator
@@ -22,12 +27,17 @@ from repro.errors import ConfigurationError, ExplorationError
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.report import summarize
 from repro.runtime import (
+    FAULT_PLAN_ENV,
     AgentSpec,
     EvaluationKey,
     EvaluationStore,
     ExplorationJob,
+    FaultPlan,
+    FaultRule,
     ProcessExecutor,
+    RetryPolicy,
     SerialExecutor,
+    SweepJob,
     benchmark_fingerprint,
     catalog_fingerprint,
     execute_job,
@@ -328,6 +338,124 @@ class TestExecutors:
             ProcessExecutor(n_jobs=0)
         with pytest.raises(ConfigurationError):
             ProcessExecutor(mp_context="not-a-method")
+
+
+# ---------------------------------------------------------- process data plane
+
+
+def _spy_on_submissions(monkeypatch):
+    """Count, per submitted job, the store records its submission carries."""
+    shipped = {}
+
+    class SpyPool(ProcessPoolExecutor):
+        def submit(self, fn, job, records, *args, **kwargs):
+            shipped[job.describe()] = len(records)
+            return super().submit(fn, job, records, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
+    return shipped
+
+
+def _install_faults(plan, tmp_path, monkeypatch):
+    env = plan.install(tmp_path / "faults")
+    monkeypatch.setenv(FAULT_PLAN_ENV, env[FAULT_PLAN_ENV])
+
+
+class TestProcessDataPlane:
+    def test_submissions_carry_only_the_jobs_own_records(self, monkeypatch):
+        dot = DotProductBenchmark(length=12)
+        store = EvaluationStore()
+        SerialExecutor().run([SweepJob("dot", dot, seed=0, start=0, stop=24)],
+                             store=store)
+        warm = len(store)
+        template = next(iter(store.snapshot().values()))
+        for index in range(10_000):  # another benchmark fingerprint
+            store.put(EvaluationKey("f" * 16, "c" * 16, 0, False, (index, 0, ())),
+                      template)
+        shipped = _spy_on_submissions(monkeypatch)
+        jobs = [
+            SweepJob("dot", dot, seed=0, start=24, stop=48),  # warm context
+            SweepJob("dot", dot, seed=1, start=0, stop=24),
+            SweepJob("matmul", MatMulBenchmark(rows=3, inner=3, cols=3), seed=0,
+                     start=0, stop=24),
+        ]
+        outcomes = ProcessExecutor(n_jobs=2).run(jobs, store=store)
+        assert all(outcome.ok for outcome in outcomes)
+        assert shipped == {jobs[0].describe(): warm, jobs[1].describe(): 0,
+                           jobs[2].describe(): 0}
+        assert len(store) == 10_000 + warm + 3 * 24
+
+    def test_outcomes_stream_back_without_a_barrier(self, tmp_path, monkeypatch):
+        jobs = [ExplorationJob(benchmark_label="dot",
+                               benchmark=DotProductBenchmark(length=12), seed=seed,
+                               agent=AgentSpec("random"), max_steps=10)
+                for seed in range(4)]
+        _install_faults(FaultPlan(rules=(
+            FaultRule(action="delay", delay_s=1.5, match="dot[seed=0,"),
+        )), tmp_path, monkeypatch)
+        seen = []
+        outcomes = ProcessExecutor(n_jobs=2).run(
+            jobs, on_outcome=lambda outcome: seen.append(outcome.job.seed))
+        # The slow job 0 holds one worker; the other runs 1, 2 and 3.
+        assert seen == [1, 2, 3, 0]
+        assert [outcome.job for outcome in outcomes] == jobs
+        assert all(outcome.ok for outcome in outcomes)
+
+    @pytest.mark.parametrize("make_executor", [
+        SerialExecutor, lambda: ProcessExecutor(n_jobs=2),
+    ], ids=["serial", "process"])
+    def test_outputs_run_upgrades_records_cached_without_outputs(self,
+                                                                 make_executor):
+        dot = DotProductBenchmark(length=12)
+        jobs = [SweepJob("dot", dot, seed=0, start=start, stop=start + 8)
+                for start in (0, 8)]
+        store = EvaluationStore()
+        executor = make_executor()
+        executor.run(jobs, store=store, store_outputs=False)
+        assert len(store) == 16
+        assert all(record.outputs is None for record in store.snapshot().values())
+
+        executor.run(jobs, store=store, store_outputs=True)
+        assert len(store) == 16
+        assert all(record.outputs is not None
+                   for record in store.snapshot().values())
+        # Upgraded once, served from then on.
+        before = store.stats
+        executor.run(jobs, store=store, store_outputs=True)
+        assert store.stats.upgrades == before.upgrades
+        assert store.stats.hits == before.hits + 16
+
+    def test_more_workers_than_cores_survive_a_kill(self, tmp_path, monkeypatch,
+                                                   caplog):
+        # 16 per-seed jobs in which agents share contexts, on four workers
+        # (more than the cores of a small host), one of them killed: the
+        # outcomes and the merged store must equal a serial run's.
+        jobs = expand_jobs(
+            {"dot12": DotProductBenchmark(length=12),
+             "dot16": DotProductBenchmark(length=16)},
+            [AgentSpec("q-learning"), AgentSpec("sarsa")],
+            seeds=(0, 1, 2, 3), max_steps=50)
+        assert len(jobs) == 16
+        serial_store = EvaluationStore()
+        serial = SerialExecutor().run(jobs, store=serial_store)
+
+        _install_faults(FaultPlan(rules=(FaultRule(action="kill", after=5),)),
+                        tmp_path, monkeypatch)
+        store = EvaluationStore()
+        executor = ProcessExecutor(n_jobs=4,
+                                   retry_policy=RetryPolicy(job_timeout_s=60))
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.executor"):
+            parallel = executor.run(jobs, store=store)
+        assert "lost a worker" in caplog.text
+        assert len(parallel) == 16
+        for left, right in zip(serial, parallel):
+            assert left.ok and right.ok and right.attempts == 1
+            assert left.job == right.job
+            assert [r.point for r in left.result.records] == \
+                [r.point for r in right.result.records]
+            assert [r.deltas for r in left.result.records] == \
+                [r.deltas for r in right.result.records]
+        assert set(store.keys()) == set(serial_store.keys())
 
 
 # -------------------------------------------------------------------- campaign
