@@ -12,7 +12,8 @@ from scratch:
   operations;
 * :mod:`repro.benchmarks` — Matrix Multiplication, FIR and further
   approximable kernels;
-* :mod:`repro.gymlite` — a minimal Gymnasium-compatible RL substrate;
+* :mod:`repro.gymlite` — the Gymnasium-compatible ``Env`` base class and
+  spaces the exploration environment is built on;
 * :mod:`repro.dse` — the multi-objective design space, thresholds,
   Algorithm-1 reward, environment and exploration driver, plus the
   vectorized Pareto-frontier engine and exhaustive design-space sweeps;

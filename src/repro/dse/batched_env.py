@@ -113,8 +113,7 @@ class BatchedAxcDseEnv:
                  signed_accuracy: bool = False,
                  restrict_to_benchmark_widths: bool = True,
                  store: Optional[EvaluationStore] = None,
-                 store_outputs: bool = True,
-                 compiled: bool = True) -> None:
+                 store_outputs: bool = True) -> None:
         from repro.dse.environment import ACTION_SCHEMES
 
         if action_scheme not in ACTION_SCHEMES:
@@ -150,8 +149,7 @@ class BatchedAxcDseEnv:
                     Evaluator(benchmark, catalog, seed=seed,
                               signed_accuracy=signed_accuracy,
                               restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-                              store=store, store_outputs=store_outputs,
-                              compiled=compiled)
+                              store=store, store_outputs=store_outputs)
                 )
             eval_ids.append(eval_id_by_seed[seed])
         self._eval_ids = np.asarray(eval_ids, dtype=np.int64)

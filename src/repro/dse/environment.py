@@ -67,9 +67,6 @@ class AxcDseEnv(gymlite.Env):
     store_outputs:
         Whether cached evaluation records retain raw output arrays (see
         :class:`~repro.dse.evaluator.Evaluator`).
-    compiled:
-        Evaluate design points on LUT-compiled operator kernels (the
-        bit-identical fast path; see :class:`~repro.dse.evaluator.Evaluator`).
     """
 
     metadata = {"render_modes": ["ansi"]}
@@ -83,8 +80,7 @@ class AxcDseEnv(gymlite.Env):
                  signed_accuracy: bool = False,
                  restrict_to_benchmark_widths: bool = True,
                  store: Optional[EvaluationStore] = None,
-                 store_outputs: bool = True,
-                 compiled: bool = True) -> None:
+                 store_outputs: bool = True) -> None:
         if action_scheme not in ACTION_SCHEMES:
             raise ConfigurationError(
                 f"action_scheme must be one of {ACTION_SCHEMES}, got {action_scheme!r}"
@@ -97,8 +93,7 @@ class AxcDseEnv(gymlite.Env):
         self._evaluator = Evaluator(benchmark, catalog, seed=evaluation_seed,
                                     signed_accuracy=signed_accuracy,
                                     restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-                                    store=store, store_outputs=store_outputs,
-                                    compiled=compiled)
+                                    store=store, store_outputs=store_outputs)
         self._space = self._evaluator.design_space
         self._max_cumulative_reward = float(max_cumulative_reward)
         self._reward_function = reward_function or Algorithm1Reward(
@@ -263,8 +258,3 @@ class AxcDseEnv(gymlite.Env):
             "thresholds": self._thresholds,
         }
 
-
-# Register with the gymlite registry so `gymlite.make("repro/AxcDse-v0", ...)`
-# mirrors how the paper instantiates its Gymnasium environment.
-if "repro/AxcDse-v0" not in gymlite.registry:
-    gymlite.register("repro/AxcDse-v0", AxcDseEnv, max_episode_steps=10_000)

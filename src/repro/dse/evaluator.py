@@ -89,8 +89,10 @@ class Evaluator:
         per-call operand checks, sign decompositions and multi-pass
         analytic models disappear from the per-design-point loop.  Results
         are bit-identical either way — same records, same store keys — so
-        this only changes wall-clock; defaults to on.  Disable to measure
-        or debug the analytic path.
+        this only changes wall-clock; defaults to on.  ``False`` runs the
+        analytic models instead: the reference the tests and
+        ``benchmarks/bench_operator_kernels.py`` compare the compiled path
+        against.  No layer above the evaluator selects it.
     share_equivalent:
         Share measurements between behaviourally equivalent design points.
         A kernel's outputs and operation profile are a pure function of

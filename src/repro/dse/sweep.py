@@ -121,7 +121,6 @@ def _evaluator_for(job: SweepJob, store: EvaluationStore,
         job.seed,
         job.signed_accuracy,
         job.restrict_to_benchmark_widths,
-        job.compiled,
     )
     evaluator = _EVALUATOR_CACHE.get(key)
     if evaluator is None:
@@ -135,7 +134,6 @@ def _evaluator_for(job: SweepJob, store: EvaluationStore,
             restrict_to_benchmark_widths=job.restrict_to_benchmark_widths,
             store=store,
             store_outputs=store_outputs,
-            compiled=job.compiled,
         )
         _EVALUATOR_CACHE[key] = evaluator
     return evaluator.use_store(store, store_outputs=store_outputs)

@@ -392,10 +392,6 @@ class RuntimeSpec:
     store_path: Optional[str] = None
     chunk_size: int = 256
     store_outputs: bool = False
-    #: Evaluate on LUT-compiled operator kernels (bit-identical; results never
-    #: change, only wall-clock — hence runtime, not fingerprint, territory).
-    #: Disable to debug or measure the analytic path.
-    compiled: bool = True
     #: Batched exploration: group same-(benchmark, agent) jobs into batches
     #: of this many seeds stepped in lockstep (bit-identical results; see
     #: :mod:`repro.dse.batched_env`).  ``0`` (the default) auto-sizes the
@@ -451,10 +447,6 @@ class RuntimeSpec:
         if not isinstance(self.store_outputs, bool):
             raise ConfigurationError(
                 f"runtime store_outputs must be a boolean, got {self.store_outputs!r}"
-            )
-        if not isinstance(self.compiled, bool):
-            raise ConfigurationError(
-                f"runtime compiled must be a boolean, got {self.compiled!r}"
             )
         if (not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool)
                 or self.batch_size < 0):
@@ -581,7 +573,6 @@ class RuntimeSpec:
             "store_path": self.store_path,
             "chunk_size": self.chunk_size,
             "store_outputs": self.store_outputs,
-            "compiled": self.compiled,
             "batch_size": self.batch_size,
             "retries": self.retries,
             "job_timeout_s": self.job_timeout_s,
@@ -592,9 +583,18 @@ class RuntimeSpec:
 
     @classmethod
     def from_dict(cls, payload: object) -> "RuntimeSpec":
-        payload = _require_mapping(payload, "runtime spec")
+        payload = dict(_require_mapping(payload, "runtime spec"))
+        # Specs written while the compiled kernels were optional still load;
+        # they are the only evaluation path now, so any other value fails.
+        if "compiled" in payload:
+            legacy = payload.pop("compiled")
+            if legacy is not True:
+                raise ConfigurationError(
+                    f"runtime compiled is no longer an option (evaluation always "
+                    f"uses the compiled kernels); remove the key, got {legacy!r}"
+                )
         allowed = ("executor", "jobs", "store_path", "chunk_size", "store_outputs",
-                   "compiled", "batch_size", "retries", "job_timeout_s",
+                   "batch_size", "retries", "job_timeout_s",
                    "checkpoint_interval", "resume", "remote")
         _check_keys(payload, allowed, "runtime spec")
         return cls(**payload)

@@ -1,10 +1,10 @@
 """A minimal, API-compatible subset of the Gymnasium RL toolkit.
 
 The paper implements its exploration environment on top of Gymnasium.  This
-package provides the part of that API the reproduction needs — the
-:class:`~repro.gymlite.core.Env` base class, observation/action spaces,
-seeding helpers, an environment registry and a handful of wrappers — so the
-library has no dependency beyond NumPy.
+package provides the part of that API the reproduction's one environment,
+:class:`~repro.dse.environment.AxcDseEnv`, needs — the
+:class:`~repro.gymlite.core.Env` base class, its observation/action spaces
+and the seeding helper — so the library has no dependency beyond NumPy.
 
 The public names mirror Gymnasium so code written against this package reads
 exactly like code written against the real library::
@@ -14,32 +14,13 @@ exactly like code written against the real library::
     class MyEnv(gym.Env):
         ...
 
-    env = gym.make("repro/AxcDse-v0", benchmark=..., catalog=...)
+    env = MyEnv()
     observation, info = env.reset(seed=0)
     observation, reward, terminated, truncated, info = env.step(action)
 """
 
 from repro.gymlite import spaces
-from repro.gymlite.core import Env, Wrapper
-from repro.gymlite.registration import EnvSpec, make, pprint_registry, register, registry
+from repro.gymlite.core import Env
 from repro.gymlite.seeding import np_random
-from repro.gymlite.wrappers import (
-    OrderEnforcing,
-    RecordEpisodeStatistics,
-    TimeLimit,
-)
 
-__all__ = [
-    "Env",
-    "Wrapper",
-    "spaces",
-    "np_random",
-    "register",
-    "make",
-    "registry",
-    "pprint_registry",
-    "EnvSpec",
-    "TimeLimit",
-    "OrderEnforcing",
-    "RecordEpisodeStatistics",
-]
+__all__ = ["Env", "spaces", "np_random"]

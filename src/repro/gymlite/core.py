@@ -1,4 +1,4 @@
-"""Core ``Env`` and ``Wrapper`` base classes mirroring Gymnasium."""
+"""The ``Env`` base class, mirroring Gymnasium's step API."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.gymlite.spaces import Space
 ObsType = TypeVar("ObsType")
 ActType = TypeVar("ActType")
 
-__all__ = ["Env", "Wrapper"]
+__all__ = ["Env"]
 
 
 class Env(Generic[ObsType, ActType]):
@@ -24,38 +24,18 @@ class Env(Generic[ObsType, ActType]):
     """
 
     metadata: Dict[str, Any] = {"render_modes": []}
-    render_mode: Optional[str] = None
-    spec: Optional[Any] = None
 
     observation_space: Space
     action_space: Space
 
     _np_random: Optional[np.random.Generator] = None
-    _np_random_seed: Optional[int] = None
 
     @property
     def np_random(self) -> np.random.Generator:
         """Environment-private random generator, lazily created."""
         if self._np_random is None:
-            self._np_random, self._np_random_seed = np_random()
+            self._np_random, _ = np_random()
         return self._np_random
-
-    @np_random.setter
-    def np_random(self, value: np.random.Generator) -> None:
-        self._np_random = value
-        self._np_random_seed = None
-
-    @property
-    def np_random_seed(self) -> Optional[int]:
-        """The seed used to initialise :attr:`np_random`, when known."""
-        if self._np_random is None:
-            self._np_random, self._np_random_seed = np_random()
-        return self._np_random_seed
-
-    @property
-    def unwrapped(self) -> "Env[ObsType, ActType]":
-        """Return the innermost (non-wrapped) environment."""
-        return self
 
     def reset(self, *, seed: Optional[int] = None,
               options: Optional[Dict[str, Any]] = None) -> Tuple[ObsType, Dict[str, Any]]:
@@ -65,7 +45,7 @@ class Env(Generic[ObsType, ActType]):
         environment RNG is re-seeded consistently.
         """
         if seed is not None:
-            self._np_random, self._np_random_seed = np_random(seed)
+            self._np_random, _ = np_random(seed)
         return None, {}  # type: ignore[return-value]
 
     def step(self, action: ActType) -> Tuple[ObsType, float, bool, bool, Dict[str, Any]]:
@@ -87,50 +67,4 @@ class Env(Generic[ObsType, ActType]):
         return False
 
     def __repr__(self) -> str:
-        if self.spec is not None:
-            return f"<{type(self).__name__}<{self.spec.id}>>"
         return f"<{type(self).__name__} instance>"
-
-
-class Wrapper(Env[ObsType, ActType]):
-    """Wraps an environment to modify its behaviour without editing it."""
-
-    def __init__(self, env: Env[ObsType, ActType]) -> None:
-        self.env = env
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(f"accessing private attribute {name!r} through a wrapper is forbidden")
-        return getattr(self.env, name)
-
-    @property
-    def observation_space(self) -> Space:  # type: ignore[override]
-        return self.env.observation_space
-
-    @property
-    def action_space(self) -> Space:  # type: ignore[override]
-        return self.env.action_space
-
-    @property
-    def unwrapped(self) -> Env[ObsType, ActType]:
-        return self.env.unwrapped
-
-    @property
-    def spec(self) -> Optional[Any]:  # type: ignore[override]
-        return self.env.spec
-
-    def reset(self, *, seed: Optional[int] = None,
-              options: Optional[Dict[str, Any]] = None) -> Tuple[ObsType, Dict[str, Any]]:
-        return self.env.reset(seed=seed, options=options)
-
-    def step(self, action: ActType) -> Tuple[ObsType, float, bool, bool, Dict[str, Any]]:
-        return self.env.step(action)
-
-    def render(self) -> Any:
-        return self.env.render()
-
-    def close(self) -> None:
-        self.env.close()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}{self.env!r}>"

@@ -9,14 +9,14 @@ exposes ``dtype``/``shape`` where meaningful.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict as TDict, Iterable, Optional, Sequence, Tuple as TTuple
+from typing import Any, Dict as TDict, Iterable, Optional, Tuple as TTuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gymlite.seeding import np_random
 
-__all__ = ["Space", "Discrete", "MultiBinary", "MultiDiscrete", "Box", "Dict", "Tuple"]
+__all__ = ["Space", "Discrete", "MultiBinary", "Box", "Dict"]
 
 
 class Space:
@@ -123,38 +123,6 @@ class MultiBinary(Space):
         return isinstance(other, MultiBinary) and self.n == other.n
 
 
-class MultiDiscrete(Space):
-    """A vector of discrete values, each with its own cardinality."""
-
-    def __init__(self, nvec: Sequence[int], seed: Optional[int] = None) -> None:
-        nvec_arr = np.asarray(nvec, dtype=np.int64)
-        if nvec_arr.ndim != 1 or nvec_arr.size == 0 or np.any(nvec_arr <= 0):
-            raise ConfigurationError(
-                f"MultiDiscrete nvec must be a non-empty 1-D sequence of positive integers, got {nvec!r}"
-            )
-        super().__init__(shape=(int(nvec_arr.size),), dtype=np.int64, seed=seed)
-        self.nvec = nvec_arr
-
-    def sample(self) -> np.ndarray:
-        return (self.np_random.random(self.nvec.size) * self.nvec).astype(np.int64)
-
-    def contains(self, x: Any) -> bool:
-        arr = np.asarray(x)
-        if arr.shape != self.nvec.shape:
-            return False
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                return False
-            arr = arr.astype(np.int64)
-        return bool(np.all(arr >= 0) and np.all(arr < self.nvec))
-
-    def __repr__(self) -> str:
-        return f"MultiDiscrete({self.nvec.tolist()})"
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, MultiDiscrete) and np.array_equal(self.nvec, other.nvec)
-
-
 class Box(Space):
     """A (possibly unbounded) box in :math:`\\mathbb{R}^n`."""
 
@@ -245,45 +213,3 @@ class Dict(Space):
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, Dict) and self.spaces == other.spaces
 
-
-class Tuple(Space):
-    """A fixed-length tuple of sub-spaces."""
-
-    def __init__(self, spaces: Sequence[Space], seed: Optional[int] = None) -> None:
-        spaces = tuple(spaces)
-        if not spaces:
-            raise ConfigurationError("Tuple space requires at least one sub-space")
-        for space in spaces:
-            if not isinstance(space, Space):
-                raise ConfigurationError(f"Tuple space element is not a Space: {space!r}")
-        super().__init__(seed=None)
-        self.spaces = spaces
-        if seed is not None:
-            self.seed(seed)
-
-    def seed(self, seed: Optional[int] = None) -> int:
-        used = super().seed(seed)
-        sub_seeds = self.np_random.integers(0, 2**31 - 1, size=len(self.spaces))
-        for space, sub_seed in zip(self.spaces, sub_seeds):
-            space.seed(int(sub_seed))
-        return used
-
-    def sample(self) -> TTuple[Any, ...]:
-        return tuple(space.sample() for space in self.spaces)
-
-    def contains(self, x: Any) -> bool:
-        if not isinstance(x, (tuple, list)) or len(x) != len(self.spaces):
-            return False
-        return all(space.contains(item) for space, item in zip(self.spaces, x))
-
-    def __getitem__(self, index: int) -> Space:
-        return self.spaces[index]
-
-    def __len__(self) -> int:
-        return len(self.spaces)
-
-    def __repr__(self) -> str:
-        return f"Tuple({', '.join(repr(space) for space in self.spaces)})"
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, Tuple) and self.spaces == other.spaces

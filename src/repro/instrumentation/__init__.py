@@ -8,14 +8,12 @@ pre-characterised per-operation costs.
 
 :class:`~repro.instrumentation.context.ApproxContext` plays the role of that
 instrumentation: benchmarks route their arithmetic through ``ctx.add`` /
-``ctx.mul`` (or through the :class:`~repro.instrumentation.approx_number.ApproxValue`
-wrapper for scalar code), naming the program variables each operation
-touches; the context dispatches to the exact or approximate unit and keeps
-per-unit operation counts.
+``ctx.mul``, naming the program variables each operation touches; the
+context dispatches to the exact or approximate unit and keeps per-unit
+operation counts.
 """
 
-from repro.instrumentation.approx_number import ApproxValue
 from repro.instrumentation.context import ApproxContext
 from repro.instrumentation.profile import OperationProfile
 
-__all__ = ["ApproxContext", "ApproxValue", "OperationProfile"]
+__all__ = ["ApproxContext", "OperationProfile"]

@@ -83,7 +83,6 @@ def _build_job(unit: PlanUnit, resolver: BenchmarkResolver,
             seed=unit.seed,
             start=unit.start,
             stop=unit.stop,
-            compiled=unit.compiled,
         )
     thresholds = ThresholdSpec.from_dict(json.loads(unit.thresholds))
     return ExplorationJob(
@@ -93,7 +92,7 @@ def _build_job(unit: PlanUnit, resolver: BenchmarkResolver,
         agent=AgentSpec(unit.agent_name, options=json.loads(unit.agent_options),
                         label=agent_label),
         max_steps=unit.max_steps,
-        env_kwargs={**thresholds.env_kwargs(), "compiled": unit.compiled},
+        env_kwargs=thresholds.env_kwargs(),
     )
 
 

@@ -78,7 +78,6 @@ class ExplorationUnit:
     seed: int
     max_steps: int
     thresholds: str
-    compiled: bool
     store_outputs: bool
 
     @property
@@ -91,8 +90,7 @@ class ExplorationUnit:
         return _digest((
             "exploration", self.benchmark_fingerprint, self.catalog_fingerprint,
             self.agent_name, self.agent_options, str(self.seed),
-            str(self.max_steps), self.thresholds, str(self.compiled),
-            str(self.store_outputs),
+            str(self.max_steps), self.thresholds, str(self.store_outputs),
         ))
 
     def describe(self) -> str:
@@ -112,7 +110,6 @@ class SweepChunkUnit:
     seed: int
     start: int
     stop: int
-    compiled: bool
 
     @property
     def context(self) -> Tuple[str, str, int, bool]:
@@ -127,7 +124,7 @@ class SweepChunkUnit:
     def fingerprint(self) -> str:
         return _digest((
             "sweep-chunk", self.benchmark_fingerprint, self.catalog_fingerprint,
-            str(self.seed), str(self.start), str(self.stop), str(self.compiled),
+            str(self.seed), str(self.start), str(self.stop),
         ))
 
     def describe(self) -> str:

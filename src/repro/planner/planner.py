@@ -160,7 +160,6 @@ class QueryPlanner:
                         start=start,
                         stop=min(start + spec.runtime.chunk_size,
                                  resolved.space_size),
-                        compiled=spec.runtime.compiled,
                     )
                     fingerprint = unit.fingerprint()
                     if fingerprint not in units:
@@ -203,7 +202,6 @@ class QueryPlanner:
                         seed=seed,
                         max_steps=spec.max_steps,
                         thresholds=thresholds,
-                        compiled=spec.runtime.compiled,
                         store_outputs=spec.runtime.store_outputs,
                     )
                     fingerprint = unit.fingerprint()

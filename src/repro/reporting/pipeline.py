@@ -124,9 +124,6 @@ class PaperPipeline:
         runs and shared with ``campaign`` / ``sweep`` invocations.
     force:
         Rebuild every artifact even when its manifest entry is up to date.
-    compiled:
-        Evaluate on LUT-compiled operator kernels (bit-identical; disable
-        only to debug the analytic path).
     retries / job_timeout_s:
         Fault tolerance for the underlying campaigns — total attempts a
         failing job may consume and the per-attempt wall-clock budget (see
@@ -143,7 +140,6 @@ class PaperPipeline:
     jobs: int = 1
     store_path: Optional[str] = None
     force: bool = False
-    compiled: bool = True
     retries: int = 1
     job_timeout_s: Optional[float] = None
     checkpoint_interval: int = 0
@@ -172,7 +168,6 @@ class PaperPipeline:
             executor="serial" if jobs <= 1 else "process",
             jobs=max(jobs, 1),
             store_path=self.store_path,
-            compiled=self.compiled,
             retries=self.retries,
             job_timeout_s=self.job_timeout_s,
             checkpoint_interval=self.checkpoint_interval,

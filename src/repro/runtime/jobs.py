@@ -307,7 +307,7 @@ def expand_jobs(benchmarks: Mapping[str, "Benchmark"],
         Step budget per exploration.
     env_kwargs:
         Extra :class:`~repro.dse.environment.AxcDseEnv` keyword arguments
-        (thresholds, ``compiled``, ...), shared by every job.
+        (thresholds, ...), shared by every job.
     random_start:
         Start each exploration from a random design point.
     batch_size:
@@ -409,10 +409,8 @@ class SweepJob:
     start, stop:
         Enumeration index range of the chunk (``stop`` is clamped to the
         space size at execution time).
-    signed_accuracy, restrict_to_benchmark_widths, compiled:
+    signed_accuracy, restrict_to_benchmark_widths:
         Evaluator settings; must match across the chunks of one sweep.
-        ``compiled`` selects the LUT-compiled fast path (bit-identical
-        results, same store keys — it only changes wall-clock).
     """
 
     benchmark_label: str
@@ -422,7 +420,6 @@ class SweepJob:
     stop: int
     signed_accuracy: bool = False
     restrict_to_benchmark_widths: bool = True
-    compiled: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed))

@@ -114,7 +114,6 @@ def job_fingerprint(job) -> str:
             f"range={job.start}:{job.stop}",
             f"signed={job.signed_accuracy}",
             f"restrict={job.restrict_to_benchmark_widths}",
-            f"compiled={job.compiled}",
         ]
     elif isinstance(job, BatchedExplorationJob):
         parts = [

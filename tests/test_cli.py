@@ -372,6 +372,26 @@ class TestPlanAndStore:
         kinds = {node["kind"] for node in payload["nodes"]}
         assert kinds == {"EvaluateJobs", "MergeReports"}
 
+    def test_plan_of_legacy_compiled_spec_matches_current_form(self, capsys, tmp_path):
+        current = self._write_spec(tmp_path, self.SWEEP)
+        legacy = self._write_spec(
+            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, "compiled": True}},
+            name="legacy.json",
+        )
+        assert main(["plan", str(current), "--format", "json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert main(["plan", str(legacy), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+
+    def test_run_refuses_legacy_compiled_false_in_spec_file(self, capsys, tmp_path):
+        spec_path = self._write_spec(
+            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, "compiled": False}}
+        )
+        assert main(["run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime compiled is no longer an option")
+        assert err.count("\n") == 1
+
     def test_plan_missing_store_exits_2(self, capsys, tmp_path):
         spec_path = self._write_spec(tmp_path, self.COMPARE)
         assert main(["plan", str(spec_path), "--store",

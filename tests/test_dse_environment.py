@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
-import repro.gymlite as gym
+from repro import gymlite
 from repro.agents import QLearningAgent, RandomAgent
 from repro.dse import AxcDseEnv, DesignPoint, Explorer, explore
 from repro.errors import ConfigurationError, ExplorationError, InvalidAction, ResetNeeded
@@ -118,13 +120,40 @@ class TestEnvironmentContract:
             0.4 * float(np.mean(np.abs(evaluator.precise_outputs)))
         )
 
-    def test_gym_registry_construction(self, small_matmul):
-        env = gym.make("repro/AxcDse-v0", benchmark=small_matmul, max_episode_steps=5)
-        env.reset(seed=0)
-        truncated = False
-        for _ in range(5):
-            *_, truncated, _ = env.step(0)
-        assert truncated
+    def test_is_a_gymlite_env_with_the_gym_signatures(self, matmul_env):
+        assert isinstance(matmul_env, gymlite.Env)
+        reset = inspect.signature(matmul_env.reset).parameters
+        assert [(name, p.kind) for name, p in reset.items()] == [
+            ("seed", inspect.Parameter.KEYWORD_ONLY),
+            ("options", inspect.Parameter.KEYWORD_ONLY),
+        ]
+        assert list(inspect.signature(matmul_env.step).parameters) == ["action"]
+
+    def test_observation_space_layout(self, matmul_env):
+        space = matmul_env.design_space
+        observation_space = matmul_env.observation_space
+        assert isinstance(observation_space, gymlite.spaces.Dict)
+        assert list(observation_space) == ["adder", "deltas", "multiplier", "variables"]
+        assert observation_space["adder"] == gymlite.spaces.Discrete(space.num_adders, start=1)
+        assert observation_space["multiplier"] == \
+            gymlite.spaces.Discrete(space.num_multipliers, start=1)
+        assert observation_space["variables"] == gymlite.spaces.MultiBinary(space.num_variables)
+        assert observation_space["deltas"] == \
+            gymlite.spaces.Box(low=-np.inf, high=np.inf, shape=(3,))
+
+    @pytest.mark.parametrize("scheme", ["directional", "compact"])
+    def test_random_rollout_stays_in_the_spaces(self, small_matmul, scheme):
+        env = AxcDseEnv(small_matmul, action_scheme=scheme)
+        env.action_space.seed(0)
+        observation, _ = env.reset(seed=0)
+        assert env.observation_space.contains(observation)
+        for _ in range(25):
+            action = env.action_space.sample()
+            assert env.action_space.contains(action)
+            observation, _, terminated, truncated, _ = env.step(action)
+            assert env.observation_space.contains(observation)
+            if terminated or truncated:
+                observation, _ = env.reset()
 
     def test_reproducible_with_same_seed(self, small_matmul):
         def run(seed):

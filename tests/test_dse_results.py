@@ -152,15 +152,25 @@ class TestExplorerTraceFlags:
     def test_truncation_is_distinguishable_from_budget_exhaustion(self, small_matmul):
         from repro.agents import RandomAgent
         from repro.dse import AxcDseEnv, Explorer
-        from repro.gymlite.wrappers import TimeLimit
 
-        environment = TimeLimit(AxcDseEnv(small_matmul, evaluation_seed=0),
-                                max_episode_steps=5)
+        class FiveStepEnv(AxcDseEnv):
+            """Truncates every episode after five steps, like a time limit."""
+
+            def reset(self, *, seed=None, options=None):
+                self.elapsed = 0
+                return super().reset(seed=seed, options=options)
+
+            def step(self, action):
+                observation, reward, terminated, _, info = super().step(action)
+                self.elapsed += 1
+                return observation, reward, terminated, self.elapsed >= 5, info
+
+        environment = FiveStepEnv(small_matmul, evaluation_seed=0)
         agent = RandomAgent(num_actions=environment.action_space.n, seed=0)
         result = Explorer(environment, agent, max_steps=50).run(seed=0)
         assert result.truncated is True
         assert result.terminated is False
-        assert result.num_steps == 6  # baseline + the 5 steps the wrapper allowed
+        assert result.num_steps == 6  # baseline + the 5 steps before truncation
 
 
 class TestPareto:

@@ -1,17 +1,15 @@
 """Tests for environment / agent combinations beyond the defaults.
 
-Covers the alternative reward function, the threshold-aware state encoder,
-gymlite wrappers around the DSE environment, and the termination paths of
-the exploration — configuration variants the ablation benches rely on.
+Covers the alternative reward function, the threshold-aware state encoder
+and the termination paths of the exploration — configuration variants the
+ablation benches rely on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-import repro.gymlite as gym
 from repro.agents import QLearningAgent, ThresholdBucketEncoder
-from repro.benchmarks import DotProductBenchmark
 from repro.dse import (
     AxcDseEnv,
     DesignPoint,
@@ -93,34 +91,3 @@ class TestThresholdBucketEncoder:
         # The Q-table keys carry the three compliance flags.
         some_state = next(iter(agent.q_table))
         assert len(some_state) == 6
-
-
-class TestGymliteIntegration:
-    def test_time_limit_wrapper_truncates_the_dse_env(self):
-        environment = gym.TimeLimit(AxcDseEnv(DotProductBenchmark(length=8)),
-                                    max_episode_steps=7)
-        environment.reset(seed=0)
-        truncated = False
-        steps = 0
-        while not truncated and steps < 20:
-            *_, truncated, _ = environment.step(0)
-            steps += 1
-        assert truncated
-        assert steps == 7
-
-    def test_record_episode_statistics_wrapper(self):
-        environment = gym.RecordEpisodeStatistics(
-            gym.TimeLimit(AxcDseEnv(DotProductBenchmark(length=8)), max_episode_steps=5)
-        )
-        environment.reset(seed=0)
-        info = {}
-        done = False
-        while not done:
-            _, _, terminated, truncated, info = environment.step(2)
-            done = terminated or truncated
-        assert info["episode"]["l"] == 5
-
-    def test_registered_env_with_custom_kwargs(self):
-        environment = gym.make("repro/AxcDse-v0", benchmark=DotProductBenchmark(length=8),
-                               action_scheme="compact", max_episode_steps=3)
-        assert environment.action_space.n == 3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,49 @@ class TestRuntimeSpec:
     def test_round_trip(self):
         spec = RuntimeSpec.from_jobs(2, chunk_size=64)
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
+
+    def test_legacy_compiled_key_still_loads(self):
+        assert RuntimeSpec.from_dict({"compiled": True}) == RuntimeSpec()
+
+    @pytest.mark.parametrize("value", [False, 1, None, "true"],
+                             ids=["false", "one", "none", "string"])
+    def test_legacy_compiled_key_refuses_other_values(self, value):
+        with pytest.raises(ConfigurationError, match="no longer an option") as info:
+            RuntimeSpec.from_dict({"compiled": value})
+        assert "\n" not in str(info.value)
+
+    def test_legacy_compiled_key_is_not_written_back(self):
+        spec = RuntimeSpec.from_dict({"compiled": True, "chunk_size": 64})
+        assert spec == RuntimeSpec(chunk_size=64)
+        assert "compiled" not in spec.to_dict()
+
+    def test_legacy_compiled_key_leaves_the_payload_untouched(self):
+        payload = {"compiled": True, "jobs": 1}
+        RuntimeSpec.from_dict(payload)
+        assert payload == {"compiled": True, "jobs": 1}
+
+    def test_legacy_compiled_key_does_not_hide_unknown_keys(self):
+        with pytest.raises(ConfigurationError, match="colour"):
+            RuntimeSpec.from_dict({"compiled": True, "colour": "blue"})
+
+    def test_legacy_compiled_spec_keeps_its_fingerprint(self):
+        payload = {"kind": "sweep", "benchmarks": ["dotproduct:length=4"],
+                   "seeds": [0], "runtime": {"chunk_size": 64}}
+        legacy = ExperimentSpec.from_dict(
+            {**payload, "runtime": {"chunk_size": 64, "compiled": True}}
+        )
+        current = ExperimentSpec.from_dict(payload)
+        assert legacy.runtime == current.runtime
+        assert legacy.fingerprint() == current.fingerprint()
+
+    def test_cli_refuses_legacy_compiled_override(self, capsys):
+        from repro.cli import main
+
+        example = Path(__file__).resolve().parent.parent / "examples" / "experiment_sweep.json"
+        assert main(["run", str(example), "--set", "runtime.compiled=false"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime compiled is no longer an option")
+        assert err.count("\n") == 1
 
 
 class TestExperimentSpec:

@@ -1,4 +1,4 @@
-"""Tests for the gymlite Env / Wrapper base classes, registry and seeding."""
+"""Tests for the gymlite Env base class and seeding."""
 
 from __future__ import annotations
 
@@ -75,91 +75,35 @@ class TestEnv:
             env.reset()
         # close() is a no-op but the protocol must not raise.
 
-    def test_unwrapped_is_self(self):
+    def test_np_random_is_created_lazily_and_kept(self):
         env = CountingEnv()
-        assert env.unwrapped is env
+        generator = env.np_random
+        assert isinstance(generator, np.random.Generator)
+        assert env.np_random is generator
 
-
-class TestWrappers:
-    def test_time_limit_truncates(self):
-        env = gym.TimeLimit(CountingEnv(limit=100), max_episode_steps=3)
+    def test_reset_without_seed_keeps_the_stream(self):
+        env = CountingEnv()
+        env.reset(seed=3)
+        first = env.np_random.integers(0, 100, 5).tolist()
         env.reset()
-        results = [env.step(0) for _ in range(3)]
-        assert results[-1][3] is True  # truncated on the third step
-        assert results[0][3] is False
+        second = env.np_random.integers(0, 100, 5).tolist()
+        reference, _ = np_random(3)
+        assert first + second == reference.integers(0, 100, 5).tolist() \
+            + reference.integers(0, 100, 5).tolist()
 
-    def test_time_limit_requires_reset(self):
-        env = gym.TimeLimit(CountingEnv(), max_episode_steps=3)
-        from repro.errors import ResetNeeded
+    def test_base_step_must_be_overridden(self):
+        class ResetOnlyEnv(gym.Env):
+            observation_space = spaces.Discrete(1)
+            action_space = spaces.Discrete(1)
 
-        with pytest.raises(ResetNeeded):
+        env = ResetOnlyEnv()
+        assert env.reset(seed=0) == (None, {})
+        with pytest.raises(NotImplementedError):
             env.step(0)
 
-    def test_time_limit_rejects_bad_limit(self):
-        with pytest.raises(ConfigurationError):
-            gym.TimeLimit(CountingEnv(), max_episode_steps=0)
+    def test_render_defaults_to_nothing(self):
+        assert CountingEnv().render() is None
 
-    def test_order_enforcing(self):
-        from repro.errors import ResetNeeded
+    def test_repr_names_the_class(self):
+        assert repr(CountingEnv()) == "<CountingEnv instance>"
 
-        env = gym.OrderEnforcing(CountingEnv())
-        with pytest.raises(ResetNeeded):
-            env.step(0)
-        env.reset()
-        env.step(0)
-
-    def test_record_episode_statistics(self):
-        env = gym.RecordEpisodeStatistics(CountingEnv(limit=3))
-        env.reset()
-        info = {}
-        for _ in range(3):
-            _, _, terminated, _, info = env.step(1)
-        assert terminated
-        assert info["episode"]["l"] == 3
-        assert info["episode"]["r"] == pytest.approx(3.0)
-        assert list(env.return_queue) == [3.0]
-
-    def test_wrapper_delegates_attributes(self):
-        env = gym.TimeLimit(CountingEnv(limit=7), max_episode_steps=10)
-        assert env.limit == 7
-        assert env.unwrapped.limit == 7
-
-
-class TestRegistry:
-    def test_register_and_make(self):
-        env_id = "tests/Counting-v0"
-        if env_id not in gym.registry:
-            gym.register(env_id, CountingEnv, max_episode_steps=4, limit=10)
-        env = gym.make(env_id)
-        env.reset()
-        truncated = False
-        for _ in range(4):
-            *_, truncated, _ = env.step(0)
-        assert truncated
-
-    def test_make_kwargs_override(self):
-        env_id = "tests/Counting-v1"
-        if env_id not in gym.registry:
-            gym.register(env_id, CountingEnv, limit=10)
-        env = gym.make(env_id, limit=2)
-        assert env.limit == 2
-
-    def test_duplicate_registration_raises(self):
-        env_id = "tests/Counting-v2"
-        if env_id not in gym.registry:
-            gym.register(env_id, CountingEnv)
-        with pytest.raises(ConfigurationError):
-            gym.register(env_id, CountingEnv)
-
-    def test_make_unknown_id_raises(self):
-        with pytest.raises(ConfigurationError):
-            gym.make("tests/DoesNotExist-v0")
-
-    def test_pprint_registry_lists_ids(self):
-        env_id = "tests/Counting-v3"
-        if env_id not in gym.registry:
-            gym.register(env_id, CountingEnv)
-        assert env_id in gym.pprint_registry()
-
-    def test_axc_env_is_registered(self):
-        assert "repro/AxcDse-v0" in gym.registry

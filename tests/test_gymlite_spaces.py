@@ -51,6 +51,34 @@ class TestDiscrete:
         second = spaces.Discrete(100, seed=42)
         assert [first.sample() for _ in range(10)] == [second.sample() for _ in range(10)]
 
+    def test_seed_returns_the_seed_and_restarts_the_stream(self):
+        space = spaces.Discrete(100)
+        assert space.seed(5) == 5
+        first = [space.sample() for _ in range(10)]
+        space.seed(5)
+        assert [space.sample() for _ in range(10)] == first
+
+    def test_invalid_start_raises(self):
+        with pytest.raises(ConfigurationError):
+            spaces.Discrete(3, start=True)
+        with pytest.raises(ConfigurationError):
+            spaces.Discrete(3, start=1.5)
+
+    def test_contains_accepts_zero_dim_integer_arrays_only(self):
+        space = spaces.Discrete(4)
+        assert space.contains(np.array(2))
+        assert not space.contains(np.array(2.0))
+        assert not space.contains(np.array([2]))
+
+    def test_in_operator_uses_contains(self):
+        space = spaces.Discrete(3, start=1)
+        assert 3 in space
+        assert 0 not in space
+
+    def test_repr_shows_a_nonzero_start(self):
+        assert repr(spaces.Discrete(4)) == "Discrete(4)"
+        assert repr(spaces.Discrete(3, start=1)) == "Discrete(3, start=1)"
+
 
 class TestMultiBinary:
     def test_sample_shape_and_values(self):
@@ -69,24 +97,21 @@ class TestMultiBinary:
         with pytest.raises(ConfigurationError):
             spaces.MultiBinary(0)
 
+    def test_sample_dtype_is_int8(self):
+        space = spaces.MultiBinary(4, seed=0)
+        assert space.dtype == np.int8
+        assert space.sample().dtype == np.int8
 
-class TestMultiDiscrete:
-    def test_sample_is_contained(self):
-        space = spaces.MultiDiscrete([3, 5, 2], seed=0)
-        for _ in range(50):
-            assert space.contains(space.sample())
+    def test_seeding_is_reproducible(self):
+        first = spaces.MultiBinary(8, seed=3)
+        second = spaces.MultiBinary(8, seed=3)
+        for _ in range(5):
+            np.testing.assert_array_equal(first.sample(), second.sample())
 
-    def test_contains_rejects_wrong_shape_and_range(self):
-        space = spaces.MultiDiscrete([3, 5])
-        assert not space.contains([3, 0])
-        assert not space.contains([0, 0, 0])
-        assert space.contains([2, 4])
-
-    def test_invalid_nvec_raises(self):
-        with pytest.raises(ConfigurationError):
-            spaces.MultiDiscrete([])
-        with pytest.raises(ConfigurationError):
-            spaces.MultiDiscrete([3, 0])
+    def test_equality(self):
+        assert spaces.MultiBinary(3) == spaces.MultiBinary(3)
+        assert spaces.MultiBinary(3) != spaces.MultiBinary(4)
+        assert spaces.MultiBinary(3) != spaces.Discrete(3)
 
 
 class TestBox:
@@ -111,6 +136,32 @@ class TestBox:
     def test_low_greater_than_high_raises(self):
         with pytest.raises(ConfigurationError):
             spaces.Box(low=1.0, high=0.0, shape=(1,))
+
+    def test_bounds_given_as_arrays_set_shape_and_per_element_limits(self):
+        space = spaces.Box(low=[0.0, -1.0], high=[1.0, 1.0])
+        assert space.shape == (2,)
+        assert space.contains(np.array([0.5, -0.5]))
+        assert not space.contains(np.array([-0.5, 0.0]))
+
+    def test_contains_rejects_wrong_shape(self):
+        space = spaces.Box(low=0.0, high=1.0, shape=(2,))
+        assert not space.contains(np.array([0.5]))
+        assert not space.contains(np.array([[0.5, 0.5]]))
+
+    def test_sample_uses_the_space_dtype(self):
+        space = spaces.Box(low=-1.0, high=1.0, shape=(2,), dtype=np.float32, seed=0)
+        assert space.sample().dtype == np.float32
+
+    def test_unbounded_sample_is_finite(self):
+        space = spaces.Box(low=-np.inf, high=np.inf, shape=(3,), seed=0)
+        sample = space.sample()
+        assert np.all(np.isfinite(sample))
+        assert space.contains(sample)
+
+    def test_equality(self):
+        assert spaces.Box(0.0, 1.0, shape=(2,)) == spaces.Box(0.0, 1.0, shape=(2,))
+        assert spaces.Box(0.0, 1.0, shape=(2,)) != spaces.Box(0.0, 2.0, shape=(2,))
+        assert spaces.Box(0.0, 1.0, shape=(2,)) != spaces.Box(0.0, 1.0, shape=(3,))
 
 
 class TestDictSpace:
@@ -145,18 +196,26 @@ class TestDictSpace:
         with pytest.raises(ConfigurationError):
             spaces.Dict({"x": 3})
 
+    def test_keys_are_sorted(self):
+        space = spaces.Dict({"variables": spaces.MultiBinary(3),
+                             "adder": spaces.Discrete(6, start=1)}, seed=0)
+        assert list(space) == ["adder", "variables"]
+        assert list(space.sample()) == ["adder", "variables"]
 
-class TestTupleSpace:
-    def test_sample_and_contains(self):
-        space = spaces.Tuple([spaces.Discrete(3), spaces.MultiBinary(2)], seed=0)
-        sample = space.sample()
-        assert space.contains(sample)
-        assert len(space) == 2
+    def test_seeding_reaches_every_sub_space(self):
+        first, second = self._space(seed=7), self._space(seed=7)
+        for _ in range(5):
+            a, b = first.sample(), second.sample()
+            assert a["adder"] == b["adder"]
+            np.testing.assert_array_equal(a["variables"], b["variables"])
 
-    def test_contains_rejects_wrong_length(self):
-        space = spaces.Tuple([spaces.Discrete(3)])
-        assert not space.contains((1, 2))
+    def test_contains_rejects_non_dicts_and_extra_keys(self):
+        space = self._space()
+        assert not space.contains([1, np.zeros(3)])
+        assert not space.contains({"adder": 1, "variables": np.zeros(3), "extra": 0})
+        assert space.contains({"adder": 1, "variables": np.zeros(3)})
 
-    def test_empty_tuple_raises(self):
-        with pytest.raises(ConfigurationError):
-            spaces.Tuple([])
+    def test_equality(self):
+        assert self._space() == self._space()
+        assert self._space() != spaces.Dict({"adder": spaces.Discrete(6, start=1)})
+

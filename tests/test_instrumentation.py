@@ -1,4 +1,4 @@
-"""Tests for the approximation context, operation profile and ApproxValue."""
+"""Tests for the approximation context and operation profile."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InstrumentationError, OperatorError
-from repro.instrumentation import ApproxContext, ApproxValue, OperationProfile
+from repro.instrumentation import ApproxContext, OperationProfile
 from repro.operators import ExactAdder, ExactMultiplier, OperandTruncationMultiplier, TruncatedAdder
 
 
@@ -217,67 +217,3 @@ class TestTrustedContext:
         assert int(trusted.mul(3, 4)) == 12
         assert int(trusted.sub(9, 4)) == 5
 
-
-class TestApproxValue:
-    def _context(self, exact_units, approx_units, selected=("x",)):
-        exact_adder, exact_multiplier = exact_units
-        approx_adder, approx_multiplier = approx_units
-        return ApproxContext(exact_adder, exact_multiplier, approx_adder, approx_multiplier,
-                             approximate_variables=selected)
-
-    def test_tagged_arithmetic_dispatches_to_context(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        x = ApproxValue(context, "x", 40)
-        y = ApproxValue(context, "y", 3)
-        product = x * y
-        assert context.profile.count("approx_mul") == 1
-        assert isinstance(product, ApproxValue)
-        assert product.variable is None
-
-    def test_untagged_arithmetic_stays_exact(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        y = ApproxValue(context, "y", 40)
-        z = ApproxValue(context, "z", 3)
-        result = y + z
-        assert context.profile.count("exact_add") == 1
-        assert int(result) == 43
-
-    def test_mixing_with_plain_ints(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        x = ApproxValue(context, "x", 10)
-        assert int(x + 5) == 15 or context.profile.count("approx_add") == 1
-        assert int(3 * ApproxValue(context, "y", 4)) == 12
-
-    def test_subtraction_and_negation(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units, selected=())
-        a = ApproxValue(context, "a", 10)
-        b = ApproxValue(context, "b", 4)
-        assert int(a - b) == 6
-        assert int(-b) == -4
-
-    def test_retag(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        value = ApproxValue(context, None, 7).retag("acc")
-        assert value.variable == "acc"
-
-    def test_cross_context_mix_raises(self, exact_units, approx_units):
-        first = self._context(exact_units, approx_units)
-        second = self._context(exact_units, approx_units)
-        with pytest.raises(InstrumentationError):
-            ApproxValue(first, "x", 1) + ApproxValue(second, "x", 2)
-
-    def test_non_integer_value_raises(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        with pytest.raises(InstrumentationError):
-            ApproxValue(context, "x", 1.5)
-
-    def test_scalar_conversion_of_vector_raises(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        vector = ApproxValue(context, "x", np.arange(3))
-        with pytest.raises(InstrumentationError):
-            int(vector)
-
-    def test_array_conversion(self, exact_units, approx_units):
-        context = self._context(exact_units, approx_units)
-        vector = ApproxValue(context, "x", np.arange(3))
-        np.testing.assert_array_equal(np.asarray(vector), np.arange(3))

@@ -307,41 +307,22 @@ class TestEvaluatorEquivalence:
         assert expected.deltas == actual.deltas
         np.testing.assert_array_equal(expected.outputs, actual.outputs)
 
-    def test_runtime_spec_compiled_flag_reaches_experiment_runs(self):
-        from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
-
-        payload = {
-            "kind": "explore",
-            "benchmarks": [{"name": "dotproduct", "params": {"length": 8}}],
-            "agents": [{"name": "random"}],
-            "seeds": [0],
-            "max_steps": 10,
-        }
-        fast_spec = ExperimentSpec.from_dict(payload)
-        slow_spec = fast_spec.with_runtime(RuntimeSpec(compiled=False))
-        assert fast_spec.runtime.compiled and not slow_spec.runtime.compiled
-        # The flag is runtime territory: it must not move the fingerprint,
-        # and it must not move a single result bit.
-        assert fast_spec.fingerprint() == slow_spec.fingerprint()
-        round_tripped = RuntimeSpec.from_dict(slow_spec.runtime.to_dict())
-        assert round_tripped.compiled is False
-        fast_report = run_experiment(fast_spec)
-        slow_report = run_experiment(slow_spec)
-        assert fast_report.entries == slow_report.entries
-
-    def test_sweep_compiled_flag_produces_identical_fronts(self):
-        from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
-
-        fast_spec = ExperimentSpec.from_dict({
-            "kind": "sweep", "benchmarks": ["dotproduct:length=8"], "seeds": [0],
-            "runtime": {"chunk_size": 64},
-        })
-        slow_spec = fast_spec.with_runtime(RuntimeSpec(chunk_size=64, compiled=False))
-        (fast,) = run_experiment(fast_spec).sweep_results()
-        (slow,) = run_experiment(slow_spec).sweep_results()
-        assert fast.evaluations == slow.evaluations == fast.space_size
-        assert [(record.point.key(), record.deltas) for record in fast.front] == \
-            [(record.point.key(), record.deltas) for record in slow.front]
+    def test_analytic_reference_matches_every_point_of_a_space(self):
+        # The analytic models are the oracle for the compiled default: every
+        # point of dotproduct:length=8, through the range path sweeps take.
+        benchmark = registry.create("dotproduct", length=8)
+        analytic = Evaluator(benchmark, compiled=False)
+        compiled = Evaluator(benchmark)
+        space = compiled.design_space
+        assert space.size == 288
+        records = compiled.evaluate_index_range(0, space.size)
+        assert len(records) == space.size
+        for index, actual in enumerate(records):
+            expected = analytic.evaluate(space.point_at(index))
+            assert actual.point == expected.point, index
+            assert actual.deltas == expected.deltas, index
+            assert actual.approx_cost == expected.approx_cost, index
+            np.testing.assert_array_equal(actual.outputs, expected.outputs)
 
     def test_analytic_context_keeps_analytic_kernels(self):
         benchmark = registry.create("matmul", **_SMALL_BENCHMARKS["matmul"])
@@ -351,3 +332,41 @@ class TestEvaluatorEquivalence:
         assert not context.trusted
         assert not isinstance(context._approx_adder, CompiledAdder)
         assert not isinstance(context._approx_multiplier, CompiledMultiplier)
+
+
+class TestOneKernelPath:
+    """Above the evaluator there is one kernel path: the compiled default."""
+
+    @pytest.mark.parametrize("owner", [
+        "repro.experiments.spec:RuntimeSpec",
+        "repro.runtime.jobs:SweepJob",
+        "repro.planner.plan:ExplorationUnit",
+        "repro.planner.plan:SweepChunkUnit",
+        "repro.reporting.pipeline:PaperPipeline",
+        "repro.dse.environment:AxcDseEnv",
+        "repro.dse.batched_env:BatchedAxcDseEnv",
+    ], ids=lambda owner: owner.split(":")[1])
+    def test_no_compiled_parameter_above_the_evaluator(self, owner):
+        import importlib
+        import inspect
+
+        module_name, name = owner.split(":")
+        cls = getattr(importlib.import_module(module_name), name)
+        assert "compiled" not in inspect.signature(cls).parameters
+
+    def test_environments_evaluate_on_compiled_kernels(self):
+        from repro.dse import AxcDseEnv
+        from repro.dse.batched_env import BatchedAxcDseEnv
+
+        benchmark = registry.create("dotproduct", length=8)
+        assert AxcDseEnv(benchmark).evaluator.compiled is True
+        batched = BatchedAxcDseEnv(benchmark, seeds=[0, 1])
+        assert all(evaluator.compiled for evaluator in batched._evaluators)
+
+    def test_sweep_chunks_evaluate_on_compiled_kernels(self):
+        from repro.dse.sweep import _evaluator_for
+        from repro.runtime.jobs import SweepJob
+
+        benchmark = registry.create("dotproduct", length=8)
+        job = SweepJob("dotproduct_8", benchmark, seed=0, start=0, stop=16)
+        assert _evaluator_for(job, EvaluationStore(), store_outputs=False).compiled is True

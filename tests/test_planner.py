@@ -87,7 +87,6 @@ ALTERNATE_RUNTIME_VALUES = {
     "store_path": "elsewhere.sqlite",
     "chunk_size": 7,
     "store_outputs": True,
-    "compiled": False,
     "batch_size": 3,
     "retries": 3,
     "job_timeout_s": 12.5,
@@ -120,6 +119,17 @@ class TestRuntimeFingerprintInvariance:
         spec = _spec("sweep")
         runtime = RuntimeSpec(**ALTERNATE_RUNTIME_VALUES)
         assert spec.with_runtime(runtime).fingerprint() == spec.fingerprint()
+
+    def test_legacy_compiled_key_never_shifts_unit_fingerprints(self):
+        def unit_fingerprints(runtime):
+            specs = [_spec(kind, runtime=runtime) for kind in ("sweep", "campaign")]
+            plan = plan_experiments(specs, store=EvaluationStore())
+            return sorted(unit.fingerprint() for node in plan.evaluate_nodes
+                          for unit in node.units)
+
+        current = unit_fingerprints({"chunk_size": 64})
+        assert current
+        assert unit_fingerprints({"chunk_size": 64, "compiled": True}) == current
 
 
 # --------------------------------------------------------------------------
@@ -405,8 +415,7 @@ class TestOneFrontDoor:
             {bspec.label: bspec.build() for bspec in spec.benchmarks},
             [aspec.to_agent_spec() for aspec in spec.agents],
             seeds=spec.seeds, max_steps=spec.max_steps,
-            env_kwargs={**spec.thresholds.env_kwargs(),
-                        "compiled": spec.runtime.compiled},
+            env_kwargs=spec.thresholds.env_kwargs(),
             batch_size=spec.runtime.effective_batch_size(5),
         )
         assert len(spy.calls) == 1
