@@ -83,16 +83,17 @@ class Evaluator:
         ``True`` for direct users; experiments default it off to keep
         records light (see ``RuntimeSpec.store_outputs``).
     compiled:
-        Run design points through LUT-compiled operator kernels on the
-        trusted context fast path (see :mod:`repro.operators.compiled`).
-        The fixed workload is validated once at construction, so the
-        per-call operand checks, sign decompositions and multi-pass
-        analytic models disappear from the per-design-point loop.  Results
-        are bit-identical either way — same records, same store keys — so
-        this only changes wall-clock; defaults to on.  ``False`` runs the
-        analytic models instead: the reference the tests and
-        ``benchmarks/bench_operator_kernels.py`` compare the compiled path
-        against.  No layer above the evaluator selects it.
+        Run design points through compiled operator kernels on the trusted
+        context fast path (see :mod:`repro.operators.compiled`): table
+        gathers for the 8-bit units, closed forms for the 16-bit adders and
+        32-bit multipliers.  The fixed workload is validated once at
+        construction, so the per-call operand checks, sign decompositions
+        and multi-pass analytic models disappear from the per-design-point
+        loop.  Results are bit-identical either way — same records, same
+        store keys — so this only changes wall-clock; defaults to on.
+        ``False`` runs the analytic models instead: the reference the tests
+        and ``benchmarks/bench_operator_kernels.py`` compare the compiled
+        path against.  No layer above the evaluator selects it.
     share_equivalent:
         Share measurements between behaviourally equivalent design points.
         A kernel's outputs and operation profile are a pure function of

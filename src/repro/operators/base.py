@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _MAX_SAFE_BITS = 62  # int64 headroom for vectorised shifts and products
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class OperatorKind(str, Enum):
@@ -66,8 +67,8 @@ class OperatorCharacterization:
 
 
 def as_int_array(value: ArrayLike, name: str) -> np.ndarray:
-    """Coerce an operand to an ``int64`` NumPy array, rejecting booleans and
-    non-integral floats.
+    """Coerce an operand to an ``int64`` NumPy array, rejecting booleans,
+    non-integral floats and values outside the ``int64`` range.
 
     Integer dtypes short-circuit: ``int64`` input comes back as-is (no copy,
     no full-array scan) and narrower integers are widened without the
@@ -79,8 +80,14 @@ def as_int_array(value: ArrayLike, name: str) -> np.ndarray:
     if arr.dtype == np.bool_:
         raise OperatorError(f"operand {name} must be an integer, got boolean")
     if np.issubdtype(arr.dtype, np.integer):
+        # Only uint64 can hold values int64 cannot; the cast would wrap them.
+        if arr.dtype == np.uint64 and arr.size and int(arr.max()) > _INT64_MAX:
+            raise OperatorError(f"operand {name} is outside the int64 range")
         return arr.astype(np.int64)
     if np.issubdtype(arr.dtype, np.floating) and np.all(np.equal(np.mod(arr, 1), 0)):
+        # The cast would wrap values outside [-2**63, 2**63) to INT64_MIN.
+        if not np.all((arr >= -2.0 ** 63) & (arr < 2.0 ** 63)):
+            raise OperatorError(f"operand {name} is outside the int64 range")
         return arr.astype(np.int64)
     raise OperatorError(f"operand {name} must be integer-valued, got dtype {arr.dtype}")
 

@@ -259,14 +259,15 @@ class OperatorCatalog:
         return self._instances[name]
 
     def compiled_instance(self, name: str) -> Operator:
-        """Like :meth:`instance`, with LUT compilation applied where it helps.
+        """Like :meth:`instance`, as a bit-identical compiled kernel.
 
-        Narrow approximate units come back as bit-identical
-        :mod:`repro.operators.compiled` lookup-table kernels; exact units
-        and units too wide to tabulate come back as the analytic instance
-        itself.  Compiled instances are cached per catalog and their tables
-        are shared process-wide, so repeated evaluators pay the table build
-        once.
+        Every approximate unit of the paper's catalog comes back as a
+        :mod:`repro.operators.compiled` kernel: a lookup-table gather for
+        the 8-bit units, a closed form for the 16-bit adders and 32-bit
+        multipliers.  Exact units, and wide units of a family with no closed
+        form, come back as the analytic instance itself.  Compiled instances
+        are cached per catalog and their tables are shared process-wide, so
+        repeated evaluators pay the table build once.
         """
         if name not in self._compiled_instances:
             from repro.operators.compiled import compile_operator

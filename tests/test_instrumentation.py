@@ -7,7 +7,13 @@ import pytest
 
 from repro.errors import InstrumentationError, OperatorError
 from repro.instrumentation import ApproxContext, OperationProfile
-from repro.operators import ExactAdder, ExactMultiplier, OperandTruncationMultiplier, TruncatedAdder
+from repro.operators import (
+    ExactAdder,
+    ExactMultiplier,
+    OperandTruncationMultiplier,
+    TruncatedAdder,
+    default_catalog,
+)
 
 
 @pytest.fixture
@@ -134,6 +140,42 @@ class TestApproxContext:
         context = ApproxContext(exact_adder, exact_multiplier)
         result = context.sub(10, np.array([2.0, 4.0]))
         np.testing.assert_array_equal(result, np.array([8, 6]))
+
+    @pytest.mark.parametrize("value", [1e20, 2.0 ** 63, -2.0 ** 64], ids=repr)
+    def test_out_of_range_floats_raise_instead_of_wrapping(self, exact_units, value):
+        # Regression: the int64 cast turned these into INT64_MIN, so
+        # add8_6R6.apply(1e20, 1) returned [1] with only a RuntimeWarning.
+        exact_adder, exact_multiplier = exact_units
+        unit = default_catalog().instance("add8_6R6")
+        for a, b in ((value, 1), (1, value), (np.array([2.0, value]), 3)):
+            with pytest.raises(OperatorError):
+                unit.apply(a, b)
+        context = ApproxContext(exact_adder, exact_multiplier, approx_adder=unit,
+                                approximate_variables=("x",))
+        assert not context.trusted
+        for operation in (context.add, context.sub, context.mul):
+            for variables in (("x",), ()):
+                with pytest.raises(OperatorError):
+                    operation(np.array([2.0, value]), 3, variables=variables)
+                with pytest.raises(OperatorError):
+                    operation(3, value, variables=variables)
+
+    def test_int64_min_float_is_still_accepted(self, exact_units):
+        exact_adder, exact_multiplier = exact_units
+        unit = default_catalog().instance("add8_6R6")
+        int64_min = np.iinfo(np.int64).min
+        assert int(unit.apply(-2.0 ** 63, 1)) == int(unit.apply(int64_min, 1))
+        context = ApproxContext(exact_adder, exact_multiplier)
+        np.testing.assert_array_equal(
+            context.add(np.array([-2.0 ** 63, 4.0]), 0), np.array([int64_min, 4]))
+
+    def test_out_of_range_unsigned_integers_raise(self):
+        unit = default_catalog().instance("add8_6R6")
+        with pytest.raises(OperatorError):
+            unit.apply(2 ** 63, 1)
+        with pytest.raises(OperatorError):
+            unit.apply(np.array([1, 2 ** 64 - 1], dtype=np.uint64), 1)
+        assert int(unit.apply(np.uint64(2 ** 63 - 1), 0)) == int(unit.apply(2 ** 63 - 1, 0))
 
     def test_accumulate_counts_chain_of_adds(self, exact_units):
         exact_adder, exact_multiplier = exact_units

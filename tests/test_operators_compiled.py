@@ -1,4 +1,4 @@
-"""Tests for the LUT-compiled operator kernels and the evaluation fast path.
+"""Tests for the compiled operator kernels and the evaluation fast path.
 
 The contract under test is *bit-identity*: compiling an operator, or running
 an evaluator in compiled mode, may only change wall-clock — never a single
@@ -7,14 +7,20 @@ bit of any result, profile, cost or store key.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks import registry
 from repro.dse.design_space import DesignPoint
 from repro.dse.evaluator import Evaluator
 from repro.errors import OperatorError
 from repro.operators import (
+    BrokenArrayMultiplier,
+    CarryCutAdder,
     CompiledAdder,
     CompiledMultiplier,
     DrumMultiplier,
@@ -22,26 +28,37 @@ from repro.operators import (
     ExactMultiplier,
     LogMultiplier,
     LowerOrAdder,
+    OperatorKind,
     TruncatedAdder,
     compile_operator,
     default_catalog,
     is_compilable,
 )
-from repro.operators.base import _MAX_SAFE_BITS
+from repro.operators import compiled as compiled_module
+from repro.operators.base import _MAX_SAFE_BITS, _magnitude_scale
 from repro.operators.compiled import MAX_COMPILED_WIDTH
 from repro.runtime.store import EvaluationStore
 
 
-def _compilable_entries():
+def _approximate_entries(tabulated):
     catalog = default_catalog()
     return [
         entry for entry in list(catalog.adders) + list(catalog.multipliers)
-        if is_compilable(catalog.instance(entry.name))
+        if not catalog.instance(entry.name).is_exact
+        and (entry.width <= MAX_COMPILED_WIDTH) == tabulated
     ]
 
 
+def _tabulated_entries():
+    return _approximate_entries(tabulated=True)
+
+
 def _entry_ids():
-    return [entry.name for entry in _compilable_entries()]
+    return [entry.name for entry in _tabulated_entries()]
+
+
+def _wide_names():
+    return [entry.name for entry in _approximate_entries(tabulated=False)]
 
 
 class TestCompileOperator:
@@ -51,19 +68,49 @@ class TestCompileOperator:
         assert compile_operator(adder) is adder
         assert compile_operator(multiplier) is multiplier
 
-    def test_wide_operators_are_returned_unchanged(self):
-        wide_adder = TruncatedAdder(16, cut=11)
-        wide_multiplier = DrumMultiplier(32, k=7)
-        assert compile_operator(wide_adder) is wide_adder
-        assert compile_operator(wide_multiplier) is wide_multiplier
-        assert not is_compilable(wide_adder)
-        assert not is_compilable(wide_multiplier)
+    def test_wide_catalog_units_compile_to_closed_forms(self, monkeypatch):
+        # Every approximate catalog unit gets a kernel; the wide ones build
+        # no tables, so compiling them adds no table build to a run.
+        monkeypatch.setattr(compiled_module, "_TABLE_CACHE", {})
+        catalog = default_catalog()
+        names = _wide_names()
+        assert len(names) == 10
+        for name in names:
+            base = catalog.instance(name)
+            assert is_compilable(base)
+            kernel = compile_operator(base)
+            assert isinstance(kernel, (CompiledAdder, CompiledMultiplier)), name
+            assert kernel.base is base
+            assert kernel._native_table is None
+        assert compiled_module._TABLE_CACHE == {}
+
+    @pytest.mark.parametrize("unit", [
+        CarryCutAdder(16, segment=4),
+        LogMultiplier(32),
+        BrokenArrayMultiplier(32, omitted=8),
+    ], ids=repr)
+    def test_wide_family_without_closed_form_is_returned_unchanged(self, unit):
+        assert not is_compilable(unit)
+        assert compile_operator(unit) is unit
 
     def test_width_cap_is_respected(self):
+        # max_width bounds the tabulated units.  Above it a family with a
+        # closed form compiles to one; any other unit comes back unchanged.
         narrow = TruncatedAdder(8, cut=3)
-        assert is_compilable(narrow)
-        assert not is_compilable(narrow, max_width=7)
-        assert compile_operator(narrow, max_width=7) is narrow
+        assert compile_operator(narrow)._native_table is not None
+        assert is_compilable(narrow, max_width=7)
+        closed = compile_operator(narrow, max_width=7)
+        assert isinstance(closed, CompiledAdder)
+        assert closed._native_table is None
+        operands = np.arange(-600, 600, 7, dtype=np.int64)
+        np.testing.assert_array_equal(
+            narrow.apply(operands[:, None], operands[None, :]),
+            closed.apply(operands[:, None], operands[None, :]),
+        )
+        carry_cut = CarryCutAdder(8, segment=2)
+        assert is_compilable(carry_cut)
+        assert not is_compilable(carry_cut, max_width=7)
+        assert compile_operator(carry_cut, max_width=7) is carry_cut
 
     def test_compiled_operator_keeps_identity(self):
         base = LowerOrAdder(8, cut=4, name="add8_6R6")
@@ -95,9 +142,9 @@ class TestCompileOperator:
 
 
 class TestExhaustiveEquivalence:
-    """Every compilable catalog operator, over its *entire* native domain."""
+    """Every tabulated catalog operator, over its *entire* native domain."""
 
-    @pytest.mark.parametrize("entry", _compilable_entries(), ids=_entry_ids())
+    @pytest.mark.parametrize("entry", _tabulated_entries(), ids=_entry_ids())
     def test_compute_native_matches_over_full_unsigned_domain(self, entry):
         catalog = default_catalog()
         base = catalog.instance(entry.name)
@@ -111,7 +158,7 @@ class TestExhaustiveEquivalence:
         actual = compiled._compute_native(operands[:, None], operands[None, :])
         np.testing.assert_array_equal(np.asarray(expected), np.asarray(actual))
 
-    @pytest.mark.parametrize("entry", _compilable_entries(), ids=_entry_ids())
+    @pytest.mark.parametrize("entry", _tabulated_entries(), ids=_entry_ids())
     def test_apply_matches_over_full_signed_native_domain(self, entry):
         catalog = default_catalog()
         base = catalog.instance(entry.name)
@@ -122,7 +169,7 @@ class TestExhaustiveEquivalence:
         actual = compiled.apply(operands[:, None], operands[None, :])
         np.testing.assert_array_equal(expected, actual)
 
-    @pytest.mark.parametrize("entry", _compilable_entries(), ids=_entry_ids())
+    @pytest.mark.parametrize("entry", _tabulated_entries(), ids=_entry_ids())
     def test_apply_matches_on_wide_operands(self, entry):
         # Dynamic-range scaling: operands far beyond the native width.
         catalog = default_catalog()
@@ -135,7 +182,7 @@ class TestExhaustiveEquivalence:
             b = rng.integers(-bound, bound, size=4096)
             np.testing.assert_array_equal(base.apply(a, b), compiled.apply(a, b))
 
-    @pytest.mark.parametrize("entry", _compilable_entries(), ids=_entry_ids())
+    @pytest.mark.parametrize("entry", _tabulated_entries(), ids=_entry_ids())
     def test_apply_matches_on_mixed_range_operands(self, entry):
         # In-range and out-of-range elements in one call: per-element shifts.
         catalog = default_catalog()
@@ -149,7 +196,7 @@ class TestExhaustiveEquivalence:
         b = rng.permutation(a)
         np.testing.assert_array_equal(base.apply(a, b), compiled.apply(a, b))
 
-    @pytest.mark.parametrize("entry", _compilable_entries(), ids=_entry_ids())
+    @pytest.mark.parametrize("entry", _tabulated_entries(), ids=_entry_ids())
     def test_scalar_and_broadcast_calls_match(self, entry):
         catalog = default_catalog()
         base = catalog.instance(entry.name)
@@ -182,6 +229,138 @@ class TestExhaustiveEquivalence:
             base.apply(operands[:, None], operands[None, :]),
             compiled.apply(operands[:, None], operands[None, :]),
         )
+
+
+#: +-2**j and +-2**j+-1 for every j <= 31.
+_BOUNDARIES = np.array(sorted({
+    sign * ((1 << j) + delta)
+    for j in range(32) for delta in (-1, 0, 1) for sign in (1, -1)
+}), dtype=np.int64)
+
+_WIDE_OPERANDS = st.integers(-(2 ** 31), 2 ** 31)
+#: Elements inside every wide unit's native budget mixed with elements that
+#: need dynamic-range scaling, in one call.
+_MIXED_OPERANDS = st.one_of(st.integers(-(2 ** 12), 2 ** 12), _WIDE_OPERANDS)
+
+
+def _wide_pair(name):
+    base = default_catalog().instance(name)
+    return base, compile_operator(base)
+
+
+def _outcome(unit, a, b):
+    """The result of one call, or the OperatorError it raised."""
+    try:
+        return unit.apply(a, b)
+    except OperatorError as error:
+        return error
+
+
+def _assert_same_outcome(base, kernel, a, b):
+    expected, actual = _outcome(base, a, b), _outcome(kernel, a, b)
+    if isinstance(expected, OperatorError):
+        assert isinstance(actual, OperatorError), (a, b)
+    else:
+        np.testing.assert_array_equal(expected, actual, err_msg=str((a, b)))
+
+
+class TestWideKernels:
+    """The closed-form kernels of the wide catalog units against the analytic apply."""
+
+    @pytest.mark.parametrize("name", _wide_names())
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.tuples(_MIXED_OPERANDS, _MIXED_OPERANDS), min_size=1, max_size=48))
+    def test_matches_analytic_apply(self, name, pairs):
+        base, kernel = _wide_pair(name)
+        a = np.array([pair[0] for pair in pairs], dtype=np.int64)
+        b = np.array([pair[1] for pair in pairs], dtype=np.int64)
+        expected = base.apply(a, b)
+        np.testing.assert_array_equal(expected, kernel.apply(a, b))
+        np.testing.assert_array_equal(expected, kernel.apply_trusted(a, b))
+
+    @pytest.mark.parametrize("name", _wide_names())
+    def test_matches_on_power_of_two_boundaries(self, name):
+        # One call per peak magnitude 2**j-1, 2**j and 2**j+1, so the
+        # shift-0 path and the scaled path both meet every boundary.
+        base, kernel = _wide_pair(name)
+        multiplier = base.kind is OperatorKind.MULTIPLIER
+        for limit in sorted({abs(int(value)) for value in _BOUNDARIES}):
+            values = _BOUNDARIES[np.abs(_BOUNDARIES) <= limit]
+            a, b = (grid.ravel() for grid in np.meshgrid(values, values))
+            if multiplier:
+                # Products beyond int64 headroom raise: see the overflow test.
+                safe = np.abs(a) * np.abs(b) <= 1 << _MAX_SAFE_BITS
+                a, b = a[safe], b[safe]
+            np.testing.assert_array_equal(base.apply(a, b), kernel.apply(a, b), err_msg=str(limit))
+
+    @pytest.mark.parametrize("name", _wide_names())
+    def test_scalar_and_broadcast_calls_match(self, name):
+        base, kernel = _wide_pair(name)
+        row = np.arange(-(1 << 21), 1 << 21, 40_009, dtype=np.int64)[None, :]
+        column = np.arange(-40_000, 40_000, 997, dtype=np.int64)[:, None]
+        assert int(base.apply(93, -41)) == int(kernel.apply(93, -41))
+        for a, b in ((12_345, row), (row, -(1 << 17)), (column, row), (column, 7)):
+            expected = base.apply(a, b)
+            np.testing.assert_array_equal(expected, kernel.apply(a, b))
+            np.testing.assert_array_equal(expected, kernel.apply_trusted(a, b))
+
+    @pytest.mark.parametrize("name", _wide_names())
+    def test_empty_operands(self, name):
+        base, kernel = _wide_pair(name)
+        empty = np.array([], dtype=np.int64)
+        for a, b in ((empty, empty), (empty, 5), (np.empty((0, 3), dtype=np.int64), np.arange(3))):
+            expected = base.apply(a, b)
+            actual = kernel.apply(a, b)
+            assert actual.shape == expected.shape
+            assert actual.dtype == expected.dtype
+
+    @pytest.mark.parametrize("name", [name for name in _wide_names() if name.startswith("mul")])
+    def test_overflow_regime_raises_like_the_analytic_path(self, name):
+        base, kernel = _wide_pair(name)
+        beyond = np.array([3, (1 << 31) + 1], dtype=np.int64)
+        for a, b in ((beyond, beyond), (1 << 40, 1 << 23), (-(1 << 62), 3)):
+            assert isinstance(_outcome(base, a, b), OperatorError)
+            assert isinstance(_outcome(kernel, a, b), OperatorError)
+
+    @pytest.mark.parametrize("name", _wide_names() + _entry_ids())
+    def test_int64_extremes_take_the_analytic_path(self, name):
+        # Magnitudes beyond 2**62, INT64_MIN included, leave the kernels to
+        # the analytic path, with its values and its errors.
+        base, kernel = _wide_pair(name)
+        info = np.iinfo(np.int64)
+        extremes = [info.min, info.min + 1, -(1 << 62) - 1, -(1 << 62), 1 << 62,
+                    (1 << 62) + 1, info.max, -1, 0, 1, 1 << 20]
+        with np.errstate(over="ignore"):
+            for x in extremes:
+                _assert_same_outcome(base, kernel, np.array([x, 5]), np.array(extremes[:2]))
+                for y in extremes:
+                    _assert_same_outcome(base, kernel, x, y)
+
+
+class TestShiftTable:
+    """The bit-length table behind every per-element dynamic-range shift."""
+
+    def test_matches_magnitude_scale_for_every_budget(self, monkeypatch):
+        monkeypatch.setattr(compiled_module, "_SHIFT_LUT_CACHE", {})
+        magnitudes = np.arange(1 << compiled_module._SHIFT_LUT_BITS, dtype=np.int64)
+        for budget in range(32):
+            table = compiled_module._shift_lut(budget)
+            assert table.dtype == np.int8
+            np.testing.assert_array_equal(table, _magnitude_scale(magnitudes, budget),
+                                          err_msg=str(budget))
+
+    def test_build_allocates_no_large_temporaries(self, monkeypatch):
+        # The table is 1 MiB of int8; building it must not allocate the
+        # int64/float64 scans of its whole domain on the way.
+        monkeypatch.setattr(compiled_module, "_SHIFT_LUT_CACHE", {})
+        for budget in (0, 7, 15, 31):
+            tracemalloc.start()
+            try:
+                compiled_module._shift_lut(budget)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (budget, peak)
 
 
 # Small configurations of every registered benchmark: compiled and analytic
