@@ -13,7 +13,7 @@
   would actually evaluate (``--explain`` for per-unit detail, ``--format
   json`` for the full plan document);
 * ``store stats`` — inspect a persistent evaluation store read-only:
-  per-context record counts, file size and lifetime hit/upgrade counters;
+  per-context record counts, file size and lifetime hit/miss counters;
 * ``serve`` — run the long-lived evaluation daemon (:mod:`repro.service`):
   one shared store, executor and checkpoint journal behind a unix socket
   or localhost TCP port; ``run --remote ADDR`` submits specs to it;
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_stats = store_sub.add_parser(
         "stats",
         help="report per-context record counts, file size and lifetime "
-             "hit/upgrade counters of a store file (read-only)",
+             "hit/miss counters of a store file (read-only)",
     )
     store_stats.add_argument("path", metavar="PATH", help="sqlite store file")
     store_stats.add_argument("--format", choices=("human", "json"), default="human",
@@ -701,8 +701,7 @@ def _command_store(args: argparse.Namespace) -> int:
           f"{info['size_bytes'] / 1024:.1f} KiB")
     lifetime = info["lifetime"]
     print(f"  lifetime: {lifetime['hits']} hit(s) / {lifetime['lookups']} "
-          f"lookup(s) ({100 * lifetime['hit_rate']:.0f} % hit rate), "
-          f"{lifetime['upgrades']} upgrade(s)")
+          f"lookup(s) ({100 * lifetime['hit_rate']:.0f} % hit rate)")
     for context in info["contexts"]:
         signed = "signed" if context["signed"] else "unsigned"
         print(f"  context {context['benchmark']}/{context['catalog']} "

@@ -112,8 +112,7 @@ class BatchedAxcDseEnv:
                  power_fraction: float = 0.5, time_fraction: float = 0.5,
                  signed_accuracy: bool = False,
                  restrict_to_benchmark_widths: bool = True,
-                 store: Optional[EvaluationStore] = None,
-                 store_outputs: bool = True) -> None:
+                 store: Optional[EvaluationStore] = None) -> None:
         from repro.dse.environment import ACTION_SCHEMES
 
         if action_scheme not in ACTION_SCHEMES:
@@ -149,7 +148,7 @@ class BatchedAxcDseEnv:
                     Evaluator(benchmark, catalog, seed=seed,
                               signed_accuracy=signed_accuracy,
                               restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-                              store=store, store_outputs=store_outputs)
+                              store=store)
                 )
             eval_ids.append(eval_id_by_seed[seed])
         self._eval_ids = np.asarray(eval_ids, dtype=np.int64)

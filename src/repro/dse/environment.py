@@ -64,9 +64,6 @@ class AxcDseEnv(gymlite.Env):
     store:
         Optional shared :class:`~repro.runtime.store.EvaluationStore` the
         evaluator caches into (and warm-starts from).
-    store_outputs:
-        Whether cached evaluation records retain raw output arrays (see
-        :class:`~repro.dse.evaluator.Evaluator`).
     """
 
     metadata = {"render_modes": ["ansi"]}
@@ -79,8 +76,7 @@ class AxcDseEnv(gymlite.Env):
                  power_fraction: float = 0.5, time_fraction: float = 0.5,
                  signed_accuracy: bool = False,
                  restrict_to_benchmark_widths: bool = True,
-                 store: Optional[EvaluationStore] = None,
-                 store_outputs: bool = True) -> None:
+                 store: Optional[EvaluationStore] = None) -> None:
         if action_scheme not in ACTION_SCHEMES:
             raise ConfigurationError(
                 f"action_scheme must be one of {ACTION_SCHEMES}, got {action_scheme!r}"
@@ -93,7 +89,7 @@ class AxcDseEnv(gymlite.Env):
         self._evaluator = Evaluator(benchmark, catalog, seed=evaluation_seed,
                                     signed_accuracy=signed_accuracy,
                                     restrict_to_benchmark_widths=restrict_to_benchmark_widths,
-                                    store=store, store_outputs=store_outputs)
+                                    store=store)
         self._space = self._evaluator.design_space
         self._max_cumulative_reward = float(max_cumulative_reward)
         self._reward_function = reward_function or Algorithm1Reward(

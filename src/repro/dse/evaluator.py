@@ -4,7 +4,9 @@ The evaluator owns one fixed workload for its benchmark (generated from a
 seed so explorations are reproducible), runs the precise version once to
 obtain the exact outputs and the precise power / time baseline, and then
 evaluates any design point by executing the corresponding approximate
-version and deriving (Δacc, Δpower, Δtime).
+version and deriving (Δacc, Δpower, Δtime).  The record of a design point
+holds those deltas and the approximate run's cost — the measurements the
+exploration consumes — and not the raw outputs.
 
 Evaluations are cached per design point in an
 :class:`~repro.runtime.store.EvaluationStore`: the exploration may take
@@ -44,18 +46,17 @@ __all__ = ["EvaluationRecord", "Evaluator"]
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """Everything measured for one design point.
+    """Everything the exploration consumes about one design point.
 
-    ``outputs`` is optional: campaigns evaluate thousands of design points
-    and only need the objective deltas, so evaluators constructed with
-    ``store_outputs=False`` cache records without the raw output arrays —
-    light enough to ship across process boundaries by the thousand.
+    The objective deltas and the approximate run's cost — never the raw
+    output arrays, so records stay light enough to ship across process
+    boundaries by the thousand.  ``benchmark.execute(evaluator.context_for(
+    point), evaluator.inputs)`` reproduces the outputs when they are needed.
     """
 
     point: DesignPoint
     deltas: ObjectiveDeltas
     approx_cost: RunCost
-    outputs: Optional[np.ndarray] = None
 
     @property
     def accuracy(self) -> float:
@@ -78,10 +79,6 @@ class Evaluator:
     store:
         Shared :class:`~repro.runtime.store.EvaluationStore`; omitted, the
         evaluator owns a private in-memory store (the historical behaviour).
-    store_outputs:
-        Whether cached records retain the raw output arrays.  Defaults to
-        ``True`` for direct users; experiments default it off to keep
-        records light (see ``RuntimeSpec.store_outputs``).
     compiled:
         Run design points through compiled operator kernels on the trusted
         context fast path (see :mod:`repro.operators.compiled`): table
@@ -113,7 +110,6 @@ class Evaluator:
                  seed: int = 0, signed_accuracy: bool = False,
                  restrict_to_benchmark_widths: bool = True,
                  store: Optional[EvaluationStore] = None,
-                 store_outputs: bool = True,
                  compiled: bool = True,
                  share_equivalent: bool = True) -> None:
         self._benchmark = benchmark
@@ -186,7 +182,6 @@ class Evaluator:
         self._route_masks = self._compile_route_masks()
 
         self._store = store if store is not None else EvaluationStore()
-        self._store_outputs = bool(store_outputs)
         self._served: set = set()  # point keys this evaluator has served
         # Every cached evaluation of this evaluator lives under one context
         # prefix: anything that changes the measurement — the benchmark and
@@ -357,11 +352,7 @@ class Evaluator:
         """Measure (Δacc, Δpower, Δtime) for one design point (cached)."""
         self._space.validate(point)
         key = self.store_key(point)
-        # A cached record without outputs (written by an outputs-dropping
-        # sibling) does not satisfy an evaluator that retains outputs: the
-        # store counts that lookup as an upgrade, not a hit, and we
-        # re-evaluate and upgrade the stored record instead of serving it.
-        record = self._store.lookup(key, require_outputs=self._store_outputs)
+        record = self._store.lookup(key)
         if record is not None:
             self._served.add(key.point)
             return record
@@ -373,11 +364,9 @@ class Evaluator:
                 # A behaviourally equivalent point already ran: replay its
                 # measurement (bit-identical by construction) under this
                 # point's identity.
-                deltas, approx_cost, outputs = shared
-                record = EvaluationRecord(
-                    point=point, deltas=deltas, approx_cost=approx_cost,
-                    outputs=outputs if self._store_outputs else None,
-                )
+                deltas, approx_cost = shared
+                record = EvaluationRecord(point=point, deltas=deltas,
+                                          approx_cost=approx_cost)
                 self._store.put(key, record)
                 self._served.add(key.point)
                 return record
@@ -389,18 +378,16 @@ class Evaluator:
             self._precise_outputs, run.outputs, self._precise_cost, approx_cost,
             signed_accuracy=self._signed_accuracy,
         )
-        record = EvaluationRecord(point=point, deltas=deltas, approx_cost=approx_cost,
-                                  outputs=run.outputs if self._store_outputs else None)
+        record = EvaluationRecord(point=point, deltas=deltas, approx_cost=approx_cost)
         self._store.put(key, record)
         self._served.add(key.point)
         if self._share_equivalent:
             signature = self._note_route_keys(context, point, signature)
             if signature is not None:
-                self._behavior_cache[signature] = (deltas, approx_cost, run.outputs)
+                self._behavior_cache[signature] = (deltas, approx_cost)
         return record
 
-    def use_store(self, store: EvaluationStore,
-                  store_outputs: Optional[bool] = None) -> "Evaluator":
+    def use_store(self, store: EvaluationStore) -> "Evaluator":
         """Rebind this evaluator to another shared store (same context).
 
         The expensive part of an evaluator is its precise baseline run;
@@ -409,8 +396,6 @@ class Evaluator:
         evaluator.  Served-point tracking resets — it is per-store.
         """
         self._store = store
-        if store_outputs is not None:
-            self._store_outputs = bool(store_outputs)
         self._served = set()
         return self
 
@@ -426,9 +411,3 @@ class Evaluator:
     def evaluate_index_range(self, start: int, stop: int) -> List[EvaluationRecord]:
         """Evaluate the enumeration slice ``[start, stop)`` of the space."""
         return self.evaluate_many(self._space.iter_range(start, stop))
-
-    def clear_cache(self) -> None:
-        """Drop this evaluator's cached evaluations (e.g. after changing the workload)."""
-        self._store.clear_context(self._store_context)
-        self._served.clear()
-        self._behavior_cache.clear()

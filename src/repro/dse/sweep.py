@@ -114,8 +114,7 @@ _EVALUATOR_CACHE: Dict[Tuple, Evaluator] = {}
 _EVALUATOR_CACHE_LIMIT = 8
 
 
-def _evaluator_for(job: SweepJob, store: EvaluationStore,
-                   store_outputs: bool) -> Evaluator:
+def _evaluator_for(job: SweepJob, store: EvaluationStore) -> Evaluator:
     key = (
         benchmark_fingerprint(job.benchmark),
         job.seed,
@@ -133,17 +132,14 @@ def _evaluator_for(job: SweepJob, store: EvaluationStore,
             signed_accuracy=job.signed_accuracy,
             restrict_to_benchmark_widths=job.restrict_to_benchmark_widths,
             store=store,
-            store_outputs=store_outputs,
         )
         _EVALUATOR_CACHE[key] = evaluator
-    return evaluator.use_store(store, store_outputs=store_outputs)
+    return evaluator.use_store(store)
 
 
-def execute_sweep_job(job: SweepJob, store: Optional[EvaluationStore] = None,
-                      store_outputs: bool = False) -> SweepChunk:
+def execute_sweep_job(job: SweepJob, store: Optional[EvaluationStore] = None) -> SweepChunk:
     """Evaluate one chunk of the design space and return its local front."""
-    evaluator = _evaluator_for(job, store if store is not None else EvaluationStore(),
-                               store_outputs)
+    evaluator = _evaluator_for(job, store if store is not None else EvaluationStore())
     try:
         space = evaluator.design_space
         if job.start >= space.size:

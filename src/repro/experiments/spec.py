@@ -391,7 +391,6 @@ class RuntimeSpec:
     jobs: int = 1
     store_path: Optional[str] = None
     chunk_size: int = 256
-    store_outputs: bool = False
     #: Batched exploration: group same-(benchmark, agent) jobs into batches
     #: of this many seeds stepped in lockstep (bit-identical results; see
     #: :mod:`repro.dse.batched_env`).  ``0`` (the default) auto-sizes the
@@ -443,10 +442,6 @@ class RuntimeSpec:
             raise ConfigurationError(
                 f"runtime store_path must be a non-empty string or null, "
                 f"got {self.store_path!r}"
-            )
-        if not isinstance(self.store_outputs, bool):
-            raise ConfigurationError(
-                f"runtime store_outputs must be a boolean, got {self.store_outputs!r}"
             )
         if (not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool)
                 or self.batch_size < 0):
@@ -572,7 +567,6 @@ class RuntimeSpec:
             "jobs": self.jobs,
             "store_path": self.store_path,
             "chunk_size": self.chunk_size,
-            "store_outputs": self.store_outputs,
             "batch_size": self.batch_size,
             "retries": self.retries,
             "job_timeout_s": self.job_timeout_s,
@@ -584,16 +578,21 @@ class RuntimeSpec:
     @classmethod
     def from_dict(cls, payload: object) -> "RuntimeSpec":
         payload = dict(_require_mapping(payload, "runtime spec"))
-        # Specs written while the compiled kernels were optional still load;
-        # they are the only evaluation path now, so any other value fails.
-        if "compiled" in payload:
-            legacy = payload.pop("compiled")
-            if legacy is not True:
-                raise ConfigurationError(
-                    f"runtime compiled is no longer an option (evaluation always "
-                    f"uses the compiled kernels); remove the key, got {legacy!r}"
-                )
-        allowed = ("executor", "jobs", "store_path", "chunk_size", "store_outputs",
+        # Specs written while these were options still load when they ask
+        # for the one behaviour left; any other value fails.
+        retired = {
+            "compiled": (True, "evaluation always uses the compiled kernels"),
+            "store_outputs": (False, "records hold measurements, never raw outputs"),
+        }
+        for key, (kept, behaviour) in retired.items():
+            if key in payload:
+                legacy = payload.pop(key)
+                if legacy is not kept:
+                    raise ConfigurationError(
+                        f"runtime {key} is no longer an option ({behaviour}); "
+                        f"remove the key, got {legacy!r}"
+                    )
+        allowed = ("executor", "jobs", "store_path", "chunk_size",
                    "batch_size", "retries", "job_timeout_s",
                    "checkpoint_interval", "resume", "remote")
         _check_keys(payload, allowed, "runtime spec")

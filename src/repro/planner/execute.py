@@ -6,13 +6,13 @@ every experiment, planned alone by
 through it:
 
 * the units of every :class:`~repro.planner.plan.EvaluateJobs` node run in
-  one executor call per ``store_outputs`` group, against the shared store
-  — this is the paid work, and the store receives every new evaluation
-  (merge-back is the executors' existing contract).  Evaluate nodes never
-  have dependencies, so one dispatch keeps every worker of a process
-  executor busy.  Consecutive exploration units of one spec that differ
-  only in seed batch through :func:`~repro.runtime.jobs.expand_jobs` at
-  the spec's :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
+  one executor call, against the shared store — this is the paid work, and
+  the store receives every new evaluation (merge-back is the executors'
+  existing contract).  Evaluate nodes never have dependencies, so one
+  dispatch keeps every worker of a process executor busy.  Consecutive
+  exploration units of one spec that differ only in seed batch through
+  :func:`~repro.runtime.jobs.expand_jobs` at the spec's
+  :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
 * :class:`~repro.planner.plan.ReplayFromStore` nodes then re-run the same
   deterministic job code serially against the now-warm store, so every
   design-point evaluation is a store hit;
@@ -41,7 +41,6 @@ from repro.planner.plan import (
     EntryBinding,
     EvaluateJobs,
     ExperimentPlan,
-    ExplorationUnit,
     MergeReports,
     PlanUnit,
     ReplayFromStore,
@@ -265,7 +264,6 @@ def _merge_report(node: MergeReports, plan: ExperimentPlan, store, executor,
             "size": len(store),
             "hits": stats.hits,
             "misses": stats.misses,
-            "upgrades": stats.upgrades,
             "lookups": stats.lookups,
             "hit_rate": stats.hit_rate,
             "path": None if store.path is None else str(store.path),
@@ -294,9 +292,8 @@ def execute_plan(plan: ExperimentPlan,
     store, executor:
         Runtime pieces; default to an in-memory store and the serial
         executor.  ``executor`` runs the units of every
-        :class:`EvaluateJobs` node, in one call per ``store_outputs``
-        group; replay is always serial (its cost is store lookups, not
-        compute).
+        :class:`EvaluateJobs` node, in one call; replay is always serial
+        (its cost is store lookups, not compute).
     on_outcome:
         Optional progress callback for evaluated exploration outcomes (a
         batched job reports once, with its batched outcome); sweep chunks
@@ -323,22 +320,17 @@ def execute_plan(plan: ExperimentPlan,
     outcomes: Dict[str, object] = {}
     started = time.perf_counter()
     # Evaluate nodes never depend on anything, so their units all run
-    # first, in one executor call per ``store_outputs`` group (a per-run
-    # flag on the executors); every later node only reads their outcomes.
-    paid: Dict[bool, List[PlanUnit]] = {}
-    for node in plan.evaluate_nodes:
-        for unit in node.units:
-            wants_outputs = isinstance(unit, ExplorationUnit) and unit.store_outputs
-            paid.setdefault(wants_outputs, []).append(unit)
-    for store_outputs, units in paid.items():
-        results = executor.run(_batched_jobs(units, plan, resolver, first),
-                               store=store, store_outputs=store_outputs,
+    # first, in one executor call; every later node only reads their
+    # outcomes.
+    paid = [unit for node in plan.evaluate_nodes for unit in node.units]
+    if paid:
+        results = executor.run(_batched_jobs(paid, plan, resolver, first),
+                               store=store,
                                on_outcome=_explorations_only(on_outcome),
                                checkpoint=checkpoint)
-        _record(units, results, outcomes)
+        _record(paid, results, outcomes)
     for node in plan.nodes:
         if isinstance(node, ReplayFromStore):
-            # Replayed units never retain outputs: the planner evaluates those.
             jobs = [_job_for(unit, resolver, first) for unit in node.units]
             _record(node.units, replayer.run(jobs, store=store), outcomes)
         elif isinstance(node, MergeReports):

@@ -78,7 +78,6 @@ class ExplorationUnit:
     seed: int
     max_steps: int
     thresholds: str
-    store_outputs: bool
 
     @property
     def context(self) -> Tuple[str, str, int, bool]:
@@ -90,7 +89,7 @@ class ExplorationUnit:
         return _digest((
             "exploration", self.benchmark_fingerprint, self.catalog_fingerprint,
             self.agent_name, self.agent_options, str(self.seed),
-            str(self.max_steps), self.thresholds, str(self.store_outputs),
+            str(self.max_steps), self.thresholds,
         ))
 
     def describe(self) -> str:

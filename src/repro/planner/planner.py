@@ -202,7 +202,6 @@ class QueryPlanner:
                         seed=seed,
                         max_steps=spec.max_steps,
                         thresholds=thresholds,
-                        store_outputs=spec.runtime.store_outputs,
                     )
                     fingerprint = unit.fingerprint()
                     if fingerprint not in units:
@@ -294,11 +293,7 @@ class QueryPlanner:
             unit = units[fingerprint]
             context = unit.context
             stored = covered.get(context, frozenset())
-            if unit.store_outputs:
-                # Stored records rarely carry raw outputs; a replay would
-                # re-evaluate (an "upgrade") anyway, so plan it honestly.
-                evaluate_units.append(fingerprint)
-            elif len(stored) >= unit.space_size:
+            if len(stored) >= unit.space_size:
                 replay_now_units.append(fingerprint)
             elif context in sweep_by_context:
                 completer = completers.get(context)

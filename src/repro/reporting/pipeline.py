@@ -336,7 +336,7 @@ class PaperPipeline:
     def _store_info(self, reports: Mapping[str, object]) -> Dict[str, object]:
         """Aggregate store statistics of this run (empty when all cached)."""
         if not reports:
-            return {"size": 0, "hits": 0, "misses": 0, "upgrades": 0,
-                    "lookups": 0, "hit_rate": 0.0, "path": self.store_path}
+            return {"size": 0, "hits": 0, "misses": 0, "lookups": 0,
+                    "hit_rate": 0.0, "path": self.store_path}
         last = reports[sorted(reports)[-1]]
         return dict(last.store)

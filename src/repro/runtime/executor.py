@@ -5,8 +5,8 @@ historical behaviour — jobs run inline, one after the other, sharing the
 evaluation store directly.  :class:`ProcessExecutor` fans the same job list
 out over worker processes: each job is submitted with only the store
 records under its own benchmark and seeds, runs against a private store
-built from them, and ships back only the records it added or upgraded,
-which the parent merges as soon as that job finishes — there is no barrier
+built from them, and ships back only the records its slice lacked, which
+the parent merges as soon as that job finishes — there is no barrier
 between jobs.  Because design-point evaluation is fully deterministic
 given (benchmark, catalog, seed), both executors produce identical results
 for the same job list — parallelism changes wall-clock time, never output.
@@ -36,9 +36,10 @@ Both executors are additionally *fault-tolerant* (see
 * a :class:`~repro.runtime.checkpoint.CampaignCheckpoint` restores
   journaled jobs instead of executing them and records outcomes as they
   finalize, so a killed run resumes from its last flush;
-* ``KeyboardInterrupt`` mid-collection flushes completed work into the
-  store (and journal) and shuts the pool down (``cancel_futures=True``)
-  before re-raising — Ctrl-C loses the jobs in flight, not the campaign.
+* ``KeyboardInterrupt`` flushes completed work into the store (and
+  journal) before re-raising, under either executor; the process executor
+  also shuts its pool down (``cancel_futures=True``) — Ctrl-C loses the
+  jobs in flight, not the campaign.
 """
 
 from __future__ import annotations
@@ -187,7 +188,6 @@ class Executor(ABC):
     @abstractmethod
     def run(self, jobs: Sequence[ExplorationJob],
             store: Optional[EvaluationStore] = None,
-            store_outputs: bool = False,
             on_outcome: Optional[OutcomeCallback] = None,
             checkpoint: Optional[object] = None) -> List[JobOutcome]:
         """Execute every job; outcomes are returned in job order.
@@ -225,26 +225,28 @@ class SerialExecutor(Executor):
 
     def run(self, jobs: Sequence[ExplorationJob],
             store: Optional[EvaluationStore] = None,
-            store_outputs: bool = False,
             on_outcome: Optional[OutcomeCallback] = None,
             checkpoint: Optional[object] = None) -> List[JobOutcome]:
         store = store if store is not None else EvaluationStore()
         outcomes: List[JobOutcome] = []
-        for job in jobs:
-            outcome = _restore_from_checkpoint(checkpoint, job)
-            if outcome is None:
-                outcome = self._run_one(job, store, store_outputs)
-                if checkpoint is not None:
-                    checkpoint.record(outcome, store)
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
+        try:
+            for job in jobs:
+                outcome = _restore_from_checkpoint(checkpoint, job)
+                if outcome is None:
+                    outcome = self._run_one(job, store)
+                    if checkpoint is not None:
+                        checkpoint.record(outcome, store)
+                outcomes.append(outcome)
+                if on_outcome is not None:
+                    on_outcome(outcome)
+        except KeyboardInterrupt:
+            _flush_completed_work(store, checkpoint)
+            raise
         if checkpoint is not None:
             checkpoint.flush(store)
         return outcomes
 
-    def _run_one(self, job: ExplorationJob, store: EvaluationStore,
-                 store_outputs: bool) -> JobOutcome:
+    def _run_one(self, job: ExplorationJob, store: EvaluationStore) -> JobOutcome:
         """Execute one job under the retry policy; always returns an outcome."""
         policy = self._retry_policy
         attempts = 0
@@ -252,7 +254,7 @@ class SerialExecutor(Executor):
             attempts += 1
             started = time.perf_counter()
             try:
-                result = execute_job(job, store=store, store_outputs=store_outputs)
+                result = execute_job(job, store=store)
             except Exception as exc:
                 duration = time.perf_counter() - started
                 error, retryable = _capture_failure(job, exc)
@@ -280,6 +282,19 @@ class SerialExecutor(Executor):
                               attempts=attempts)
 
 
+def _flush_completed_work(store: EvaluationStore, checkpoint) -> None:
+    """Persist what an interrupted run completed: the store, then the journal.
+
+    An interrupted campaign then resumes instead of restarting: the store
+    holds every evaluation made or merged so far, the journal every
+    finalized outcome.
+    """
+    if checkpoint is not None:
+        checkpoint.flush(store)
+    else:
+        store.flush()
+
+
 def _pool_worker_init() -> None:
     """Give pool workers default signal dispositions.
 
@@ -304,46 +319,36 @@ def _job_seeds(job: ExplorationJob) -> Tuple[int, ...]:
 
 def _run_job_in_worker(job: ExplorationJob,
                        records: Dict[EvaluationKey, object],
-                       store_outputs: bool) -> Tuple[Optional[object], Optional[str],
-                                                     bool,
-                                                     Dict[EvaluationKey, object],
-                                                     Dict[EvaluationKey, object],
-                                                     "StoreStats"]:
+                       ) -> Tuple[Optional[object], Optional[str], bool,
+                                  Dict[EvaluationKey, object], "StoreStats"]:
     """Worker entry point: run one job against a private store of its records.
 
     ``records`` is the parent store's slice under the job's own benchmark
     and seeds (:meth:`EvaluationStore.records_for`), read when the job was
-    submitted.  Returns ``(result, error, retryable, new_entries, upgrades,
-    stats)``: ``new_entries`` are the records the job added and
-    ``upgrades`` the shipped ones it replaced (re-evaluated to carry raw
-    outputs), so the merge payload follows the work the job did;
+    submitted.  Returns ``(result, error, retryable, new_entries, stats)``:
+    ``new_entries`` are the records the job added — the keys its slice
+    lacked — so the merge payload follows the work the job did;
     ``retryable`` classifies a captured failure for the parent's retry
     layer (the exception object itself cannot cross the process boundary
     as data).
     """
     store = EvaluationStore(records=records)
     try:
-        result = execute_job(job, store=store, store_outputs=store_outputs)
+        result = execute_job(job, store=store)
     except Exception as exc:
         error, retryable = _capture_failure(job, exc)
-        return None, error, retryable, {}, {}, store.stats
-    new_entries: Dict[EvaluationKey, object] = {}
-    upgrades: Dict[EvaluationKey, object] = {}
-    for key, record in store.snapshot().items():
-        shipped = records.get(key)
-        if shipped is None:
-            new_entries[key] = record
-        elif record is not shipped:  # replaced through put: an upgrade
-            upgrades[key] = record
-    return result, None, False, new_entries, upgrades, store.stats
+        return None, error, retryable, {}, store.stats
+    new_entries = {key: record for key, record in store.snapshot().items()
+                   if key not in records}
+    return result, None, False, new_entries, store.stats
 
 
 class ProcessExecutor(Executor):
     """Fans jobs out over worker processes with store merge-back.
 
     At most ``n_jobs`` jobs are in flight.  As each one finishes, its new
-    and upgraded records are merged into the shared store and the next
-    pending job is submitted at once — no job waits for a slower sibling.
+    records are merged into the shared store and the next pending job is
+    submitted at once — no job waits for a slower sibling.
     A submission carries only the store records under that job's own
     benchmark and seeds, read at submit time, so evaluations contributed
     by finished jobs warm-start later ones (seeds and agents re-visiting
@@ -420,7 +425,6 @@ class ProcessExecutor(Executor):
 
     def run(self, jobs: Sequence[ExplorationJob],
             store: Optional[EvaluationStore] = None,
-            store_outputs: bool = False,
             on_outcome: Optional[OutcomeCallback] = None,
             checkpoint: Optional[object] = None) -> List[JobOutcome]:
         jobs = list(jobs)
@@ -429,8 +433,7 @@ class ProcessExecutor(Executor):
         store = store if store is not None else EvaluationStore()
         if self._n_jobs == 1 or len(jobs) == 1:
             return SerialExecutor(retry_policy=self._retry_policy).run(
-                jobs, store=store, store_outputs=store_outputs,
-                on_outcome=on_outcome, checkpoint=checkpoint)
+                jobs, store=store, on_outcome=on_outcome, checkpoint=checkpoint)
 
         policy = self._retry_policy
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
@@ -487,7 +490,7 @@ class ProcessExecutor(Executor):
                 ), retryable=True)
                 return "has a timed-out worker"
             try:
-                result, error, retryable, new_entries, upgrades, stats = future.result()
+                result, error, retryable, new_entries, stats = future.result()
             except BrokenProcessPool:
                 # A worker died; every unfinished future of the pool raises
                 # this.  The job did not fail — the pool did — so it
@@ -505,9 +508,7 @@ class ProcessExecutor(Executor):
                 ), retryable)
                 return None
             store.merge(new_entries)
-            for key, record in upgrades.items():
-                store.put(key, record)
-            store.record_external_lookups(stats.hits, stats.misses, stats.upgrades)
+            store.record_external_lookups(stats.hits, stats.misses)
             end_attempt(index, attempts, JobOutcome(
                 job=job, result=result, error=error, duration_s=duration,
                 attempts=attempts,
@@ -542,8 +543,8 @@ class ProcessExecutor(Executor):
                         serial = SerialExecutor(retry_policy=policy)
                         remaining = [jobs[index] for index, _ in pending]
                         serial_outcomes = serial.run(
-                            remaining, store=store, store_outputs=store_outputs,
-                            on_outcome=on_outcome, checkpoint=checkpoint)
+                            remaining, store=store, on_outcome=on_outcome,
+                            checkpoint=checkpoint)
                         for (index, _), outcome in zip(pending, serial_outcomes):
                             outcomes[index] = outcome
                         pending.clear()
@@ -555,8 +556,7 @@ class ProcessExecutor(Executor):
                     while pending and len(in_flight) < workers:
                         index, failed_attempts = pending.popleft()
                         try:
-                            future = self._submit(pool, jobs[index], store,
-                                                  store_outputs)
+                            future = self._submit(pool, jobs[index], store)
                         except BrokenProcessPool:
                             # A worker died since the last collection.
                             pending.appendleft((index, failed_attempts))
@@ -586,13 +586,7 @@ class ProcessExecutor(Executor):
                     time.sleep(backoff)
                 backoff = 0.0
         except KeyboardInterrupt:
-            # Flush completed work before re-raising so an interrupted
-            # campaign resumes instead of restarting: the store holds every
-            # merged evaluation, the journal every finalized outcome.
-            if checkpoint is not None:
-                checkpoint.flush(store)
-            else:
-                store.flush()
+            _flush_completed_work(store, checkpoint)
             raise
         finally:
             if pool is not None:
@@ -604,13 +598,13 @@ class ProcessExecutor(Executor):
 
     @staticmethod
     def _submit(pool: ProcessPoolExecutor, job: ExplorationJob,
-                store: EvaluationStore, store_outputs: bool):
+                store: EvaluationStore):
         """Submit ``job`` with its slice of ``store``; a job that cannot be
         submitted yields its captured error string instead of a future."""
         try:
             records = store.records_for(benchmark_fingerprint(job.benchmark),
                                         _job_seeds(job))
-            return pool.submit(_run_job_in_worker, job, records, store_outputs)
+            return pool.submit(_run_job_in_worker, job, records)
         except BrokenProcessPool:
             raise  # the pool failed, not the job
         except Exception as exc:  # unpicklable job: captured, does not kill the sweep

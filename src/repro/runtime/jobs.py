@@ -437,14 +437,11 @@ class SweepJob:
 
 def execute_job(job: ExplorationJob,
                 store: Optional["EvaluationStore"] = None,
-                store_outputs: bool = False,
                 on_step: Optional[Callable[["StepRecord"], None]] = None) -> "ExplorationResult":
     """Run one exploration job and return its result.
 
     ``store`` warm-starts the evaluator with previously measured design
-    points and receives every new evaluation; ``store_outputs`` controls
-    whether raw output arrays are retained in the cached records (off by
-    default — campaigns only need the objective deltas).
+    points and receives every new evaluation.
 
     :class:`SweepJob` chunks funnel through here too, so both executors run
     sweeps and explorations interchangeably; they return a
@@ -463,18 +460,15 @@ def execute_job(job: ExplorationJob,
     if isinstance(job, SweepJob):
         from repro.dse.sweep import execute_sweep_job
 
-        return execute_sweep_job(job, store=store, store_outputs=store_outputs)
+        return execute_sweep_job(job, store=store)
 
     if isinstance(job, BatchedExplorationJob):
-        return _execute_batched_job(job, store=store, store_outputs=store_outputs,
-                                    on_step=on_step)
+        return _execute_batched_job(job, store=store, on_step=on_step)
 
     from repro.dse.environment import AxcDseEnv
     from repro.dse.explorer import Explorer
 
-    env_kwargs: Dict[str, object] = {
-        "store": store, "store_outputs": store_outputs, **dict(job.env_kwargs)
-    }
+    env_kwargs: Dict[str, object] = {"store": store, **dict(job.env_kwargs)}
     environment = AxcDseEnv(job.benchmark, evaluation_seed=job.seed, **env_kwargs)
     if job.agent.is_baseline():
         if job.random_start:
@@ -493,7 +487,6 @@ def execute_job(job: ExplorationJob,
 
 def _execute_batched_job(job: BatchedExplorationJob,
                          store: Optional["EvaluationStore"] = None,
-                         store_outputs: bool = False,
                          on_step: Optional[Callable[["StepRecord"], None]] = None,
                          ) -> List["ExplorationResult"]:
     """Run one batched job; returns per-seed results in seed order."""
@@ -505,9 +498,7 @@ def _execute_batched_job(job: BatchedExplorationJob,
     from repro.dse.batched_env import BatchedAxcDseEnv, BatchedExplorer
     from repro.experiments.registry import agent_family
 
-    env_kwargs: Dict[str, object] = {
-        "store": store, "store_outputs": store_outputs, **dict(job.env_kwargs)
-    }
+    env_kwargs: Dict[str, object] = {"store": store, **dict(job.env_kwargs)}
     environment = BatchedAxcDseEnv(job.benchmark, seeds=job.seeds, **env_kwargs)
     family = agent_family(job.agent.name)
     agent = family.vectorized(environment, job.seeds, job.max_steps, job.agent.options)

@@ -13,8 +13,7 @@ The store is process-safe by construction rather than by locking: each
 pool job receives only the records under its own benchmark and seeds
 (:meth:`EvaluationStore.records_for`), evaluates against a private store
 built from them, and the parent folds the records it added back with
-:meth:`EvaluationStore.merge` (and applies the ones it upgraded with
-:meth:`EvaluationStore.put`) as soon as that job returns.  A single writer
+:meth:`EvaluationStore.merge` as soon as that job returns.  A single writer
 (the parent process) also owns the optional on-disk backend — a sqlite
 file loaded on construction and written by :meth:`flush` — so campaigns
 can persist their evaluations across runs and later sweeps start warm even
@@ -32,16 +31,14 @@ Consistency contract of the backend:
   commits the store before it appends the journal lines that claim its
   work, so the journal never claims an evaluation the file does not hold.
 
-A flush writes only what changed since the last successful one (records
-added or upgraded by :meth:`~EvaluationStore.put` /
-:meth:`~EvaluationStore.merge`, keys dropped by
-:meth:`~EvaluationStore.clear_context`), so its cost follows the change,
-not the size of the store.
-
-Keys are content-addressed: two benchmarks with identical kernels and
-parameters share a fingerprint, and any change to the operator catalog,
-workload seed, or accuracy mode changes the key, so a hit is always
-bit-identical to the evaluation it replaces.
+The store is append-only: a flush writes only the records
+:meth:`~EvaluationStore.put` / :meth:`~EvaluationStore.merge` added since
+the last successful one, so its cost follows the change, not the size of
+the store.  Nothing is ever deleted, because nothing needs to be: keys are
+content-addressed — two benchmarks with identical kernels and parameters
+share a fingerprint, and any change to the operator catalog, workload
+seed, or accuracy mode changes the key — so a stale entry can never be
+served and a hit is always bit-identical to the evaluation it replaces.
 """
 
 from __future__ import annotations
@@ -204,22 +201,14 @@ def _decode_key(text: str) -> EvaluationKey:
 
 
 class StoreStats(NamedTuple):
-    """Hit/miss counters of one store (including merged worker counters).
-
-    ``upgrades`` counts lookups that found a record but could not serve it
-    because the caller required raw outputs and the cached record (written
-    by an outputs-dropping sibling) carried none — the caller re-evaluated
-    and upgraded the entry.  Those lookups did not save an evaluation, so
-    they count against the hit rate instead of inflating it.
-    """
+    """Hit/miss counters of one store (including merged worker counters)."""
 
     hits: int
     misses: int
-    upgrades: int = 0
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.misses + self.upgrades
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -260,16 +249,13 @@ class EvaluationStore:
         self._busy_timeout_s = float(busy_timeout_s)
         self._hits = 0
         self._misses = 0
-        self._upgrades = 0
         #: Counters persisted by earlier owners of the backend (see
         #: :attr:`lifetime_stats`); zero for in-memory / fresh stores.
-        self._base_stats = StoreStats(hits=0, misses=0, upgrades=0)
-        #: Keys put, merged or dropped since the last committed flush, in
-        #: insertion order (a dict, so the write order never depends on
-        #: hash seeds).  ``None`` for pathless stores, which never flush.
+        self._base_stats = StoreStats(hits=0, misses=0)
+        #: Keys put or merged since the last committed flush, in insertion
+        #: order (a dict, so the write order never depends on hash seeds).
+        #: ``None`` for pathless stores, which never flush.
         self._pending: Optional[Dict[EvaluationKey, None]] = None
-        #: Set by :meth:`clear`: the next flush rewrites the whole table.
-        self._rewrite = False
         #: Per-context key index, built by the first context query.
         self._contexts: Optional[Dict[_Context, Dict[EvaluationKey, None]]] = None
         if self._path is not None:
@@ -295,20 +281,19 @@ class EvaluationStore:
 
     @property
     def stats(self) -> StoreStats:
-        return StoreStats(hits=self._hits, misses=self._misses, upgrades=self._upgrades)
+        return StoreStats(hits=self._hits, misses=self._misses)
 
     @property
     def lifetime_stats(self) -> StoreStats:
         """This session's counters plus those persisted by earlier owners.
 
         :meth:`flush` writes these to the backend, so a store file carries
-        its cumulative hit/miss/upgrade history across runs — the
-        observability ``repro-axc store stats`` reports.
+        its cumulative hit/miss history across runs — the observability
+        ``repro-axc store stats`` reports.
         """
         return StoreStats(
             hits=self._base_stats.hits + self._hits,
             misses=self._base_stats.misses + self._misses,
-            upgrades=self._base_stats.upgrades + self._upgrades,
         )
 
     @property
@@ -356,22 +341,11 @@ class EvaluationStore:
         """The cached record for ``key``, or ``None`` (counts hits/misses)."""
         return self.lookup(key)
 
-    def lookup(self, key: EvaluationKey,
-               require_outputs: bool = False) -> Optional["EvaluationRecord"]:
-        """Like :meth:`get`, but only serve records the caller can use.
-
-        With ``require_outputs`` a cached record without raw outputs is not
-        served: the lookup counts as an *upgrade* (the caller re-evaluates
-        and overwrites the entry) rather than a hit, so
-        :attr:`StoreStats.hit_rate` only reflects lookups that actually
-        saved an evaluation.
-        """
+    def lookup(self, key: EvaluationKey) -> Optional["EvaluationRecord"]:
+        """The cached record for ``key``, or ``None``; counts a hit or a miss."""
         record = self._records.get(key)
         if record is None:
             self._misses += 1
-            return None
-        if require_outputs and record.outputs is None:
-            self._upgrades += 1
             return None
         self._hits += 1
         return record
@@ -383,27 +357,6 @@ class EvaluationStore:
             self._pending[key] = None
         if self._contexts is not None:
             self._contexts.setdefault(key.context, {})[key] = None
-
-    def clear_context(self, context: _Context) -> int:
-        """Drop every record under one evaluator context; returns the count."""
-        stale = self._context_index().pop(context, {})
-        for key in stale:
-            del self._records[key]
-        if self._pending is not None:
-            self._pending.update(stale)
-        return len(stale)
-
-    def clear(self) -> None:
-        """Drop every record and reset the counters (persisted ones too)."""
-        self._records.clear()
-        self._contexts = None
-        if self._pending is not None:
-            self._pending.clear()
-            self._rewrite = True
-        self._hits = 0
-        self._misses = 0
-        self._upgrades = 0
-        self._base_stats = StoreStats(hits=0, misses=0, upgrades=0)
 
     # -------------------------------------------------- snapshot / merge-back
 
@@ -429,11 +382,10 @@ class EvaluationStore:
                 self._contexts.setdefault(key.context, {})[key] = None
         return len(added)
 
-    def record_external_lookups(self, hits: int, misses: int, upgrades: int = 0) -> None:
+    def record_external_lookups(self, hits: int, misses: int) -> None:
         """Fold the hit/miss counters of a merged worker store into this one."""
         self._hits += int(hits)
         self._misses += int(misses)
-        self._upgrades += int(upgrades)
 
     # ------------------------------------------------------------ persistence
 
@@ -445,7 +397,7 @@ class EvaluationStore:
         ``busy_timeout`` makes every statement wait for a competing writer
         instead of failing instantly with ``database is locked``.  The
         journal mode is a property of the database file, so the first
-        writer upgrades legacy stores in place.
+        writer converts legacy stores in place.
         """
         connection = sqlite3.connect(self._path, timeout=self._busy_timeout_s)
         try:
@@ -483,10 +435,8 @@ class EvaluationStore:
                 f"--store elsewhere"
             ) from error
         if stats_row is not None:
-            self._base_stats = StoreStats(
-                hits=int(stats_row[0]), misses=int(stats_row[1]),
-                upgrades=int(stats_row[2]),
-            )
+            self._base_stats = StoreStats(hits=int(stats_row[0]),
+                                          misses=int(stats_row[1]))
 
     def flush(self) -> int:
         """Commit the changes since the last flush to the sqlite backend.
@@ -494,12 +444,11 @@ class EvaluationStore:
         Returns the number of records the backend holds afterwards (0 for a
         purely in-memory store, which has no backend and does nothing).
         One transaction upserts the records :meth:`put` / :meth:`merge`
-        added or upgraded, deletes the keys :meth:`clear_context` dropped
-        and rewrites the lifetime-counter row, so the file mirrors the
-        in-memory contents exactly and readers only ever see a committed
-        flush.  The whole table is rewritten only after :meth:`clear` or
-        when the file does not exist yet.  The pending changes are dropped
-        once the transaction commits, never before.
+        added and rewrites the lifetime-counter row, so the file mirrors
+        the in-memory contents exactly and readers only ever see a
+        committed flush.  Every record is written when the file does not
+        exist yet.  The pending changes are dropped once the transaction
+        commits, never before.
 
         Lock contention (``sqlite3.OperationalError`` — a concurrent writer
         holding the file past the connection's own busy timeout) is retried
@@ -523,11 +472,9 @@ class EvaluationStore:
 
     def _flush_once(self) -> int:
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        rewrite = self._rewrite or not self._path.exists()
-        changed = self._records if rewrite else self._pending
+        changed = self._pending if self._path.exists() else self._records
         upserts = [(_encode_key(key), _encode_record(self._records[key]))
-                   for key in changed if key in self._records]
-        deletes = [(_encode_key(key),) for key in changed if key not in self._records]
+                   for key in changed]
         connection = self._connect()
         try:
             with connection:  # one transaction; commits on success
@@ -535,28 +482,25 @@ class EvaluationStore:
                     "CREATE TABLE IF NOT EXISTS evaluations "
                     "(key TEXT PRIMARY KEY, record BLOB NOT NULL)"
                 )
-                if rewrite:
-                    connection.execute("DELETE FROM evaluations")
-                connection.executemany("DELETE FROM evaluations WHERE key = ?", deletes)
                 connection.executemany(
                     "INSERT OR REPLACE INTO evaluations (key, record) VALUES (?, ?)",
                     upserts,
                 )
+                # Recreated rather than emptied: older files carry a third
+                # NOT NULL counter column that a two-column insert violates.
+                connection.execute("DROP TABLE IF EXISTS store_stats")
                 connection.execute(
-                    "CREATE TABLE IF NOT EXISTS store_stats "
-                    "(hits INTEGER NOT NULL, misses INTEGER NOT NULL, "
-                    "upgrades INTEGER NOT NULL)"
+                    "CREATE TABLE store_stats "
+                    "(hits INTEGER NOT NULL, misses INTEGER NOT NULL)"
                 )
-                connection.execute("DELETE FROM store_stats")
                 lifetime = self.lifetime_stats
                 connection.execute(
-                    "INSERT INTO store_stats (hits, misses, upgrades) VALUES (?, ?, ?)",
-                    (lifetime.hits, lifetime.misses, lifetime.upgrades),
+                    "INSERT INTO store_stats (hits, misses) VALUES (?, ?)",
+                    (lifetime.hits, lifetime.misses),
                 )
         finally:
             connection.close()
         self._pending.clear()
-        self._rewrite = False
         return len(self._records)
 
     def close(self) -> None:
@@ -573,7 +517,7 @@ class EvaluationStore:
         backend = str(self._path) if self._path else "memory"
         return (
             f"EvaluationStore(entries={len(self._records)}, backend={backend!r}, "
-            f"hits={self._hits}, misses={self._misses}, upgrades={self._upgrades})"
+            f"hits={self._hits}, misses={self._misses})"
         )
 
 
@@ -584,7 +528,7 @@ def _read_stats_row(connection: sqlite3.Connection) -> Optional[Tuple]:
     """The persisted counter row, or ``None`` for legacy stores without one."""
     try:
         return connection.execute(
-            "SELECT hits, misses, upgrades FROM store_stats"
+            "SELECT hits, misses FROM store_stats"
         ).fetchone()
     except sqlite3.Error:
         return None
@@ -627,8 +571,7 @@ def inspect_store(path: Union[str, Path]) -> Dict[str, object]:
             f"({type(error).__name__}: {error}); delete the file or point "
             f"--store elsewhere"
         ) from error
-    lifetime = (StoreStats(hits=int(stats_row[0]), misses=int(stats_row[1]),
-                           upgrades=int(stats_row[2]))
+    lifetime = (StoreStats(hits=int(stats_row[0]), misses=int(stats_row[1]))
                 if stats_row is not None else StoreStats(hits=0, misses=0))
     return {
         "path": str(store_path),
@@ -647,7 +590,6 @@ def inspect_store(path: Union[str, Path]) -> Dict[str, object]:
         "lifetime": {
             "hits": lifetime.hits,
             "misses": lifetime.misses,
-            "upgrades": lifetime.upgrades,
             "lookups": lifetime.lookups,
             "hit_rate": lifetime.hit_rate,
         },

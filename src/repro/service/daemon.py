@@ -483,13 +483,11 @@ class EvaluationDaemon:
                 "size": len(self._store),
                 "hits": stats.hits,
                 "misses": stats.misses,
-                "upgrades": stats.upgrades,
                 "lookups": stats.lookups,
             },
             "lifetime": {
                 "hits": lifetime.hits,
                 "misses": lifetime.misses,
-                "upgrades": lifetime.upgrades,
                 "lookups": lifetime.lookups,
             },
             "checkpoint": checkpoint,

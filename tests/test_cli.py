@@ -372,24 +372,30 @@ class TestPlanAndStore:
         kinds = {node["kind"] for node in payload["nodes"]}
         assert kinds == {"EvaluateJobs", "MergeReports"}
 
-    def test_plan_of_legacy_compiled_spec_matches_current_form(self, capsys, tmp_path):
-        current = self._write_spec(tmp_path, self.SWEEP)
-        legacy = self._write_spec(
-            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, "compiled": True}},
-            name="legacy.json",
-        )
-        assert main(["plan", str(current), "--format", "json"]) == 0
-        expected = json.loads(capsys.readouterr().out)
-        assert main(["plan", str(legacy), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == expected
+    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False)],
+                             ids=["compiled", "store_outputs"])
+    def test_plan_of_legacy_spec_matches_current_form(self, capsys, tmp_path, key, kept):
+        for payload in (self.SWEEP, self.COMPARE):
+            current = self._write_spec(tmp_path, payload)
+            legacy = self._write_spec(
+                tmp_path, {**payload, "runtime": {**payload.get("runtime", {}), key: kept}},
+                name="legacy.json",
+            )
+            assert main(["plan", str(current), "--format", "json"]) == 0
+            expected = json.loads(capsys.readouterr().out)
+            assert main(["plan", str(legacy), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == expected
 
-    def test_run_refuses_legacy_compiled_false_in_spec_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key, refused", [("compiled", False), ("store_outputs", True)],
+                             ids=["compiled", "store_outputs"])
+    def test_run_refuses_other_legacy_values_in_spec_file(self, capsys, tmp_path, key,
+                                                          refused):
         spec_path = self._write_spec(
-            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, "compiled": False}}
+            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, key: refused}}
         )
         assert main(["run", str(spec_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: runtime compiled is no longer an option")
+        assert err.startswith(f"error: runtime {key} is no longer an option")
         assert err.count("\n") == 1
 
     def test_plan_missing_store_exits_2(self, capsys, tmp_path):

@@ -69,11 +69,6 @@ class TestEvaluator:
         assert first is second
         assert matmul_evaluator.cache_size == before
 
-    def test_clear_cache(self, matmul_evaluator):
-        matmul_evaluator.evaluate(matmul_evaluator.design_space.initial_point())
-        matmul_evaluator.clear_cache()
-        assert matmul_evaluator.cache_size == 0
-
     def test_same_seed_same_workload(self, small_matmul):
         first = Evaluator(small_matmul, seed=3)
         second = Evaluator(small_matmul, seed=3)

@@ -28,6 +28,11 @@ from repro.experiments.registry import register_agent
 from repro.runtime import AgentSpec, ProcessExecutor, execute_job
 from repro.runtime.jobs import ExplorationJob
 
+#: Runtime keys of removed options, each with the one value old specs may
+#: still carry (the behaviour that remains).
+LEGACY_RUNTIME_KEYS = [("compiled", True), ("store_outputs", False)]
+LEGACY_IDS = [key for key, _ in LEGACY_RUNTIME_KEYS]
+
 
 def _tiny_campaign_spec(**overrides) -> ExperimentSpec:
     payload = {
@@ -164,47 +169,58 @@ class TestRuntimeSpec:
         spec = RuntimeSpec.from_jobs(2, chunk_size=64)
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
 
-    def test_legacy_compiled_key_still_loads(self):
-        assert RuntimeSpec.from_dict({"compiled": True}) == RuntimeSpec()
+    @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
+    def test_legacy_key_still_loads(self, key, kept):
+        assert RuntimeSpec.from_dict({key: kept}) == RuntimeSpec()
 
-    @pytest.mark.parametrize("value", [False, 1, None, "true"],
-                             ids=["false", "one", "none", "string"])
-    def test_legacy_compiled_key_refuses_other_values(self, value):
+    @pytest.mark.parametrize("key, value", [
+        ("compiled", False), ("compiled", 1), ("compiled", None), ("compiled", "true"),
+        ("store_outputs", True), ("store_outputs", 1), ("store_outputs", "false"),
+    ], ids=["compiled-false", "compiled-one", "compiled-none", "compiled-string",
+            "store_outputs-true", "store_outputs-one", "store_outputs-string"])
+    def test_legacy_key_refuses_other_values(self, key, value):
         with pytest.raises(ConfigurationError, match="no longer an option") as info:
-            RuntimeSpec.from_dict({"compiled": value})
+            RuntimeSpec.from_dict({key: value})
         assert "\n" not in str(info.value)
+        assert str(info.value).startswith(f"runtime {key} is no longer an option")
 
-    def test_legacy_compiled_key_is_not_written_back(self):
-        spec = RuntimeSpec.from_dict({"compiled": True, "chunk_size": 64})
+    @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
+    def test_legacy_key_is_not_written_back(self, key, kept):
+        spec = RuntimeSpec.from_dict({key: kept, "chunk_size": 64})
         assert spec == RuntimeSpec(chunk_size=64)
-        assert "compiled" not in spec.to_dict()
+        assert key not in spec.to_dict()
 
-    def test_legacy_compiled_key_leaves_the_payload_untouched(self):
-        payload = {"compiled": True, "jobs": 1}
+    @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
+    def test_legacy_key_leaves_the_payload_untouched(self, key, kept):
+        payload = {key: kept, "jobs": 1}
         RuntimeSpec.from_dict(payload)
-        assert payload == {"compiled": True, "jobs": 1}
+        assert payload == {key: kept, "jobs": 1}
 
-    def test_legacy_compiled_key_does_not_hide_unknown_keys(self):
+    @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
+    def test_legacy_key_does_not_hide_unknown_keys(self, key, kept):
         with pytest.raises(ConfigurationError, match="colour"):
-            RuntimeSpec.from_dict({"compiled": True, "colour": "blue"})
+            RuntimeSpec.from_dict({key: kept, "colour": "blue"})
 
-    def test_legacy_compiled_spec_keeps_its_fingerprint(self):
+    @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
+    def test_legacy_spec_keeps_its_fingerprint(self, key, kept):
         payload = {"kind": "sweep", "benchmarks": ["dotproduct:length=4"],
                    "seeds": [0], "runtime": {"chunk_size": 64}}
         legacy = ExperimentSpec.from_dict(
-            {**payload, "runtime": {"chunk_size": 64, "compiled": True}}
+            {**payload, "runtime": {"chunk_size": 64, key: kept}}
         )
         current = ExperimentSpec.from_dict(payload)
         assert legacy.runtime == current.runtime
         assert legacy.fingerprint() == current.fingerprint()
 
-    def test_cli_refuses_legacy_compiled_override(self, capsys):
+    @pytest.mark.parametrize("key, refused", [("compiled", "false"), ("store_outputs", "true")],
+                             ids=LEGACY_IDS)
+    def test_cli_refuses_legacy_override(self, capsys, key, refused):
         from repro.cli import main
 
         example = Path(__file__).resolve().parent.parent / "examples" / "experiment_sweep.json"
-        assert main(["run", str(example), "--set", "runtime.compiled=false"]) == 2
+        assert main(["run", str(example), "--set", f"runtime.{key}={refused}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: runtime compiled is no longer an option")
+        assert err.startswith(f"error: runtime {key} is no longer an option")
         assert err.count("\n") == 1
 
 
@@ -219,10 +235,10 @@ class TestExperimentSpec:
          "agents": ["q-learning", "hill-climbing"], "seeds": [0, 1, 2],
          "max_steps": 100,
          "runtime": {"executor": "process", "jobs": 2, "store_path": None,
-                     "chunk_size": 256, "store_outputs": False}},
+                     "chunk_size": 256}},
         {"kind": "sweep", "benchmarks": ["dotproduct"], "seeds": [0, 7],
          "runtime": {"executor": "serial", "jobs": 1, "store_path": "s.sqlite",
-                     "chunk_size": 64, "store_outputs": False}},
+                     "chunk_size": 64}},
     ])
     def test_round_trip_every_kind(self, payload):
         spec = ExperimentSpec.from_dict(payload)
@@ -298,10 +314,6 @@ class TestExperimentSpec:
         })
         with pytest.raises(ConfigurationError, match="rejected its configuration"):
             run_experiment(spec)
-
-    def test_store_outputs_requires_a_boolean(self):
-        with pytest.raises(ConfigurationError, match="store_outputs"):
-            RuntimeSpec(store_outputs="false")
 
     def test_boolean_integers_rejected(self):
         with pytest.raises(ConfigurationError, match="max_steps"):
@@ -534,11 +546,10 @@ class TestRunExperiment:
         spec = ExperimentSpec.from_dict({
             "kind": "sweep", "benchmarks": ["dotproduct:length=12"], "seeds": [0],
             "runtime": {"executor": "serial", "jobs": 1, "store_path": None,
-                        "chunk_size": 96, "store_outputs": False},
+                        "chunk_size": 96},
         })
         report = run_experiment(spec)
-        evaluator = Evaluator(DotProductBenchmark(length=12), seed=0,
-                              store_outputs=False)
+        evaluator = Evaluator(DotProductBenchmark(length=12), seed=0)
         size = evaluator.design_space.size
         front = ParetoArchive(evaluator.evaluate_index_range(0, size)).front()
         entry = report.entries[0]
@@ -581,7 +592,7 @@ class TestRunExperiment:
         spec = _tiny_campaign_spec(
             seeds=[0],
             runtime={"executor": "serial", "jobs": 1, "store_path": store_path,
-                     "chunk_size": 256, "store_outputs": False},
+                     "chunk_size": 256},
         )
         cold = run_experiment(spec)
         warm = run_experiment(spec)

@@ -507,7 +507,14 @@ class TestRuntimeSpecResilience:
 
 
 class TestKeyboardInterrupt:
-    def test_interrupt_flushes_completed_work_before_reraising(self, tmp_path):
+    @pytest.mark.parametrize("journaled", [True, False],
+                             ids=["checkpoint", "no-checkpoint"])
+    @pytest.mark.parametrize("make_executor", [
+        SerialExecutor, lambda: ProcessExecutor(n_jobs=2),
+    ], ids=["serial", "process"])
+    def test_interrupt_flushes_completed_work_before_reraising(self, tmp_path,
+                                                               make_executor,
+                                                               journaled):
         store_path = tmp_path / "evals.sqlite"
         journal = tmp_path / "evals.sqlite.checkpoint.jsonl"
         store = EvaluationStore(path=str(store_path))
@@ -519,14 +526,17 @@ class TestKeyboardInterrupt:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            ProcessExecutor(n_jobs=2).run(
+            make_executor().run(
                 _jobs(6), store=store,
                 on_outcome=interrupt_after_two,
-                checkpoint=CampaignCheckpoint(journal))
-        # Ctrl-C lost the wave in flight, not the campaign: the journal
-        # and the persisted store both hold the completed jobs.
-        assert len(CampaignCheckpoint(journal)) >= 2
-        assert len(EvaluationStore(path=str(store_path))) > 0
+                checkpoint=CampaignCheckpoint(journal) if journaled else None)
+        # Ctrl-C lost the jobs in flight, not the campaign: the persisted
+        # store holds every evaluation the run completed or merged, and
+        # the journal (when there is one) the completed jobs.
+        assert len(store) > 0
+        assert len(EvaluationStore(path=str(store_path))) == len(store)
+        if journaled:
+            assert len(CampaignCheckpoint(journal)) >= 2
 
 
 #: Driver for kill-and-resume tests: runs a tiny campaign through

@@ -86,7 +86,6 @@ ALTERNATE_RUNTIME_VALUES = {
     "jobs": 4,
     "store_path": "elsewhere.sqlite",
     "chunk_size": 7,
-    "store_outputs": True,
     "batch_size": 3,
     "retries": 3,
     "job_timeout_s": 12.5,
@@ -120,7 +119,9 @@ class TestRuntimeFingerprintInvariance:
         runtime = RuntimeSpec(**ALTERNATE_RUNTIME_VALUES)
         assert spec.with_runtime(runtime).fingerprint() == spec.fingerprint()
 
-    def test_legacy_compiled_key_never_shifts_unit_fingerprints(self):
+    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False)],
+                             ids=["compiled", "store_outputs"])
+    def test_legacy_key_never_shifts_unit_fingerprints(self, key, kept):
         def unit_fingerprints(runtime):
             specs = [_spec(kind, runtime=runtime) for kind in ("sweep", "campaign")]
             plan = plan_experiments(specs, store=EvaluationStore())
@@ -129,7 +130,7 @@ class TestRuntimeFingerprintInvariance:
 
         current = unit_fingerprints({"chunk_size": 64})
         assert current
-        assert unit_fingerprints({"chunk_size": 64, "compiled": True}) == current
+        assert unit_fingerprints({"chunk_size": 64, key: kept}) == current
 
 
 # --------------------------------------------------------------------------

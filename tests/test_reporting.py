@@ -270,8 +270,8 @@ class TestPaperPipeline:
         after = {f.name: f.read_bytes() for f in Path(out_dir).iterdir()}
         assert before == after
         # The store summary keeps the same shape whether anything ran or not.
-        assert set(second.store) >= {"size", "hits", "misses", "upgrades",
-                                     "lookups", "hit_rate", "path"}
+        assert set(second.store) >= {"size", "hits", "misses", "lookups",
+                                     "hit_rate", "path"}
 
     def test_deleted_file_marks_artifact_stale(self, first_run):
         out_dir, _ = first_run

@@ -16,7 +16,6 @@ import logging
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 import repro.runtime.executor as executor_module
@@ -24,7 +23,6 @@ from repro.agents import QLearningAgent
 from repro.benchmarks import DotProductBenchmark, FirBenchmark, MatMulBenchmark
 from repro.dse import Evaluator
 from repro.errors import ConfigurationError, ExplorationError
-from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.report import summarize
 from repro.runtime import (
     FAULT_PLAN_ENV,
@@ -116,7 +114,6 @@ class TestEvaluationStore:
             assert served is warm_source.evaluate(point)
             assert served.deltas == expected.deltas
             assert served.approx_cost == expected.approx_cost
-            np.testing.assert_array_equal(served.outputs, expected.outputs)
 
     def test_different_seed_or_benchmark_never_shares_entries(self, small_matmul):
         store = EvaluationStore()
@@ -140,66 +137,75 @@ class TestEvaluationStore:
     def test_sqlite_round_trip(self, tmp_path, small_matmul):
         path = tmp_path / "evaluations.sqlite"
         store = EvaluationStore(path=path)
-        evaluator = Evaluator(small_matmul, seed=0, store=store, store_outputs=False)
+        evaluator = Evaluator(small_matmul, seed=0, store=store)
         expected = evaluator.evaluate(evaluator.design_space.most_aggressive_point())
         assert store.flush() == 1
 
         reloaded = EvaluationStore(path=path)
         assert len(reloaded) == 1
-        # An outputs-retaining evaluator cannot be served the outputs-less
-        # record: that lookup is an upgrade (re-evaluation), not a hit.
         warmed = Evaluator(MatMulBenchmark(rows=4, inner=4, cols=4), seed=0, store=reloaded)
         served = warmed.evaluate(warmed.design_space.most_aggressive_point())
-        assert served.deltas == expected.deltas
-        assert served.approx_cost == expected.approx_cost
-        assert reloaded.stats.hits == 0
-        assert reloaded.stats.upgrades == 1
-        # A sibling that also drops outputs is satisfied by the upgraded
-        # entry: a genuine hit.
-        lighter = Evaluator(MatMulBenchmark(rows=4, inner=4, cols=4), seed=0,
-                            store=reloaded, store_outputs=False)
-        lighter.evaluate(lighter.design_space.most_aggressive_point())
-        assert reloaded.stats.hits == 1
-
-    def test_flush_after_clear_does_not_resurrect_records(self, tmp_path, small_matmul):
-        path = tmp_path / "evaluations.sqlite"
-        store = EvaluationStore(path=path)
-        evaluator = Evaluator(small_matmul, seed=0, store=store)
-        evaluator.evaluate(evaluator.design_space.initial_point())
-        store.flush()
-        store.clear()
-        assert store.flush() == 0
-        assert len(EvaluationStore(path=path)) == 0
-
-    def test_outputs_retaining_evaluator_upgrades_outputs_less_records(self, small_matmul):
-        store = EvaluationStore()
-        dropper = Evaluator(small_matmul, seed=0, store=store, store_outputs=False)
-        point = dropper.design_space.most_aggressive_point()
-        assert dropper.evaluate(point).outputs is None
-        keeper = Evaluator(MatMulBenchmark(rows=4, inner=4, cols=4), seed=0, store=store)
-        upgraded = keeper.evaluate(point)
-        assert upgraded.outputs is not None  # re-evaluated, not served stale
-        assert store.get(keeper.store_key(point)).outputs is not None
+        assert served == expected
+        assert (reloaded.stats.hits, reloaded.stats.misses) == (1, 0)
 
     def test_cache_size_counts_only_own_lookups(self, small_matmul):
         store = EvaluationStore()
-        first = Evaluator(small_matmul, seed=0, store=store, store_outputs=False)
+        first = Evaluator(small_matmul, seed=0, store=store)
         first.evaluate(first.design_space.initial_point())
         first.evaluate(first.design_space.most_aggressive_point())
-        sibling = Evaluator(small_matmul, seed=0, store=store, store_outputs=False)
+        sibling = Evaluator(small_matmul, seed=0, store=store)
         sibling.evaluate(sibling.design_space.initial_point())
         assert first.cache_size == 2
         assert sibling.cache_size == 1  # warm entries don't inflate the count
 
-    def test_clear_context_only_drops_one_evaluator(self, small_matmul):
-        store = EvaluationStore()
-        first = Evaluator(small_matmul, seed=0, store=store)
-        second = Evaluator(small_matmul, seed=1, store=store)
-        first.evaluate(first.design_space.initial_point())
-        second.evaluate(second.design_space.initial_point())
-        first.clear_cache()
-        assert first.cache_size == 0
-        assert second.cache_size == 1
+
+class TestRecordsHoldMeasurementsOnly:
+    """A record is what the explorer consumes; no layer keeps raw outputs."""
+
+    @pytest.mark.parametrize("owner", [
+        "repro.dse.evaluator:Evaluator",
+        "repro.dse.evaluator:Evaluator.use_store",
+        "repro.dse.environment:AxcDseEnv",
+        "repro.dse.batched_env:BatchedAxcDseEnv",
+        "repro.runtime.jobs:execute_job",
+        "repro.runtime.jobs:_execute_batched_job",
+        "repro.dse.sweep:execute_sweep_job",
+        "repro.dse.sweep:_evaluator_for",
+        "repro.runtime.executor:SerialExecutor.run",
+        "repro.runtime.executor:SerialExecutor._run_one",
+        "repro.runtime.executor:ProcessExecutor.run",
+        "repro.runtime.executor:ProcessExecutor._submit",
+        "repro.runtime.executor:_run_job_in_worker",
+        "repro.runtime.store:EvaluationStore.lookup",
+        "repro.runtime.store:EvaluationStore.record_external_lookups",
+        "repro.experiments.spec:RuntimeSpec",
+        "repro.planner.plan:ExplorationUnit",
+    ], ids=lambda owner: owner.split(":")[1])
+    def test_no_layer_takes_an_outputs_knob(self, owner):
+        import importlib
+        import inspect
+
+        module_name, path = owner.split(":")
+        target = importlib.import_module(module_name)
+        for name in path.split("."):
+            target = getattr(target, name)
+        parameters = inspect.signature(target).parameters
+        assert not {"store_outputs", "require_outputs", "upgrades"} & set(parameters)
+
+    def test_record_and_counters_hold_measurements_only(self):
+        import dataclasses
+
+        from repro.dse import EvaluationRecord
+        from repro.runtime import StoreStats
+
+        fields = tuple(field.name for field in dataclasses.fields(EvaluationRecord))
+        assert fields == ("point", "deltas", "approx_cost")
+        assert StoreStats._fields == ("hits", "misses")
+
+    def test_store_is_append_only(self):
+        assert not hasattr(EvaluationStore, "clear")
+        assert not hasattr(EvaluationStore, "clear_context")
+        assert not hasattr(Evaluator, "clear_cache")
 
 
 # ------------------------------------------------------------------------ jobs
@@ -404,25 +410,22 @@ class TestProcessDataPlane:
     @pytest.mark.parametrize("make_executor", [
         SerialExecutor, lambda: ProcessExecutor(n_jobs=2),
     ], ids=["serial", "process"])
-    def test_outputs_run_upgrades_records_cached_without_outputs(self,
+    def test_second_run_is_served_entirely_from_the_merged_store(self,
                                                                  make_executor):
         dot = DotProductBenchmark(length=12)
         jobs = [SweepJob("dot", dot, seed=0, start=start, stop=start + 8)
                 for start in (0, 8)]
         store = EvaluationStore()
         executor = make_executor()
-        executor.run(jobs, store=store, store_outputs=False)
+        executor.run(jobs, store=store)
         assert len(store) == 16
-        assert all(record.outputs is None for record in store.snapshot().values())
+        first = store.snapshot()
 
-        executor.run(jobs, store=store, store_outputs=True)
-        assert len(store) == 16
-        assert all(record.outputs is not None
-                   for record in store.snapshot().values())
-        # Upgraded once, served from then on.
+        # Every record the first run merged back serves the second.
         before = store.stats
-        executor.run(jobs, store=store, store_outputs=True)
-        assert store.stats.upgrades == before.upgrades
+        executor.run(jobs, store=store)
+        assert store.snapshot() == first
+        assert store.stats.misses == before.misses
         assert store.stats.hits == before.hits + 16
 
     def test_more_workers_than_cores_survive_a_kill(self, tmp_path, monkeypatch,
@@ -462,17 +465,6 @@ class TestProcessDataPlane:
 
 
 class TestCampaignRuntime:
-    def test_campaign_drops_outputs_from_cached_records_by_default(self):
-        spec = ExperimentSpec.from_dict({
-            "kind": "campaign", "benchmarks": ["dotproduct:length=12"],
-            "agents": ["random"], "seeds": [0], "max_steps": 15,
-        })
-        store = EvaluationStore()
-        run_experiment(spec, store=store)
-        records = list(store.snapshot().values())
-        assert records
-        assert all(record.outputs is None for record in records)
-
     def test_campaign_run_reports_all_failures_after_running_everything(self):
         jobs = expand_jobs({"dot": DotProductBenchmark(length=12)},
                            [AgentSpec.from_factory(_crashing_factory),

@@ -10,7 +10,7 @@ sharing one daemon must observe a single consistent evaluation history —
 * overlapping (not identical) specs dedup at the evaluation level: the
   store performs exactly the union's worth of evaluations;
 * the lifetime store counters stay consistent
-  (hits + misses + upgrades == lookups) and survive the drain flush.
+  (hits + misses == lookups) and survive the drain flush.
 
 Clients are real subprocesses hammering a real daemon subprocess over a
 unix socket — genuine multi-process contention, not threads.
@@ -136,12 +136,11 @@ class TestCounterConsistency:
 
         for section in ("store", "lifetime"):
             counters = stats[section]
-            assert counters["hits"] + counters["misses"] + counters["upgrades"] \
-                == counters["lookups"], section
+            assert counters["hits"] + counters["misses"] == counters["lookups"], section
 
         # The drain flushed the store: the persisted lifetime counters on
         # disk match what the daemon reported over the wire.
         persisted = inspect_store(store_path)["lifetime"]
         assert persisted["lookups"] == stats["lifetime"]["lookups"]
         assert persisted["hits"] == stats["lifetime"]["hits"]
-        assert persisted["upgrades"] == stats["lifetime"]["upgrades"]
+        assert persisted["misses"] == stats["lifetime"]["misses"]

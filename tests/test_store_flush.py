@@ -1,9 +1,8 @@
 """The store's flush contract: incremental, transactional, single-writer.
 
 A flush commits only what changed since the last committed flush (records
-put, merged or upgraded; keys dropped by ``clear_context``), rewriting the
-whole table only after ``clear()`` or into a file that does not exist yet.
-The contract readers rely on —
+put, merged or overwritten), writing every record only into a file that
+does not exist yet.  The contract readers rely on —
 
 * after every flush, a fresh ``EvaluationStore(path)`` holds exactly the
   writer's mapping;
@@ -25,7 +24,6 @@ import sqlite3
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -38,20 +36,18 @@ from repro.runtime import EvaluationKey, EvaluationStore
 from repro.runtime import store as store_module
 
 
-def _record(key: EvaluationKey, value: int, with_outputs: bool) -> EvaluationRecord:
+def _record(key: EvaluationKey, value: int, power_mw: float = 1.0) -> EvaluationRecord:
     adder, multiplier, variables = key.point
     return EvaluationRecord(
         point=DesignPoint(adder, multiplier, variables),
-        deltas=ObjectiveDeltas(accuracy=float(value), power_mw=1.0, time_ns=2.0),
+        deltas=ObjectiveDeltas(accuracy=float(value), power_mw=power_mw, time_ns=2.0),
         approx_cost=RunCost(power_mw=3.0, time_ns=4.0, operation_count=value),
-        outputs=np.array([value, value + 1], dtype=np.int64) if with_outputs else None,
     )
 
 
 def _view(record: EvaluationRecord):
     """What a record persists, in a form ``==`` can compare."""
-    outputs = None if record.outputs is None else record.outputs.tobytes()
-    return (record.deltas, record.approx_cost, outputs)
+    return (record.deltas, record.approx_cost)
 
 
 def _read(path: Path):
@@ -64,7 +60,7 @@ def _stats_row(path: Path):
     connection = sqlite3.connect(path)
     try:
         return connection.execute(
-            "SELECT hits, misses, upgrades FROM store_stats").fetchone()
+            "SELECT hits, misses FROM store_stats").fetchone()
     finally:
         connection.close()
 
@@ -85,7 +81,7 @@ def grown_store_path(tmp_path):
     path = tmp_path / "evals.sqlite"
     store = EvaluationStore(path=path)
     for index, key in enumerate(_keys(2000)):
-        store.put(key, _record(key, index, with_outputs=False))
+        store.put(key, _record(key, index))
     assert store.flush() == 2000
     return path
 
@@ -109,12 +105,12 @@ class TestIncrementalFlush:
         store = EvaluationStore(path=grown_store_path)
         assert len(store) == 2000 and not encoded  # loading writes nothing
         [fresh] = _keys(2001)[2000:]
-        store.put(fresh, _record(fresh, 7, with_outputs=True))
+        store.put(fresh, _record(fresh, 7))
         assert store.flush() == 2001
         assert len(encoded) == 1
         reader = _read(grown_store_path)
         assert len(reader) == 2001
-        assert reader[fresh] == _view(_record(fresh, 7, with_outputs=True))
+        assert reader[fresh] == _view(_record(fresh, 7))
 
     def test_flush_with_nothing_pending_encodes_none_but_commits_counters(
             self, grown_store_path, encoded):
@@ -126,26 +122,37 @@ class TestIncrementalFlush:
         assert not encoded
         lifetime = store.lifetime_stats
         assert (lifetime.hits, lifetime.misses) == (1, 1)
-        assert _stats_row(grown_store_path) == (1, 1, 0)
+        assert _stats_row(grown_store_path) == (1, 1)
 
-    def test_upgrade_and_clear_context_write_only_their_keys(self, grown_store_path,
-                                                             encoded):
+    def test_overwrite_writes_only_its_keys(self, grown_store_path, encoded):
         store = EvaluationStore(path=grown_store_path)
         [first, *_] = store.keys()
-        store.put(first, _record(first, 0, with_outputs=True))  # outputs upgrade
+        store.put(first, _record(first, 0, power_mw=5.0))  # a changed delta
         other = EvaluationKey("bench", "catalog", 1, False, first.point)
-        store.put(other, _record(other, 1, with_outputs=False))
+        store.put(other, _record(other, 1))
         assert store.flush() == 2001
         assert len(encoded) == 2
-        assert store.clear_context(first.context) == 2000
-        assert store.flush() == 1
-        assert len(encoded) == 2  # deletes pickle nothing
-        assert set(_read(grown_store_path)) == {other}
+        reader = _read(grown_store_path)
+        assert len(reader) == 2001
+        assert reader[first] == _view(_record(first, 0, power_mw=5.0))
+        assert reader[other] == _view(_record(other, 1))
+
+    def test_flush_into_a_missing_file_writes_every_record(self, grown_store_path,
+                                                           encoded):
+        store = EvaluationStore(path=grown_store_path)
+        for suffix in ("", "-wal", "-shm"):
+            Path(f"{grown_store_path}{suffix}").unlink(missing_ok=True)
+        [fresh] = _keys(2001)[2000:]
+        store.put(fresh, _record(fresh, 7))
+        assert store.flush() == 2001
+        assert len(encoded) == 2001
+        assert _read(grown_store_path) == {
+            key: _view(record) for key, record in store.snapshot().items()}
 
     def test_records_passed_with_a_path_start_pending(self, grown_store_path, encoded):
         [fresh] = _keys(2001)[2000:]
         store = EvaluationStore(path=grown_store_path,
-                                records={fresh: _record(fresh, 5, with_outputs=False)})
+                                records={fresh: _record(fresh, 5)})
         assert store.flush() == 2001
         assert len(encoded) == 1
         assert fresh in _read(grown_store_path)
@@ -158,8 +165,9 @@ class TestIncrementalFlush:
         store = EvaluationStore(path=grown_store_path, busy_timeout_s=0.01)
         [stale, *_] = store.keys()
         fresh = EvaluationKey("bench", "catalog", 1, False, stale.point)
-        store.put(fresh, _record(fresh, 9, with_outputs=False))
-        assert store.clear_context(stale.context) == 2000
+        store.put(fresh, _record(fresh, 9))
+        store.put(stale, _record(stale, 0, power_mw=5.0))
+        committed = _read(grown_store_path)
         holder = sqlite3.connect(grown_store_path)
         try:
             holder.execute("BEGIN IMMEDIATE")
@@ -168,9 +176,11 @@ class TestIncrementalFlush:
         finally:
             holder.rollback()
             holder.close()
-        assert len(_read(grown_store_path)) == 2000  # nothing committed
-        assert store.flush() == 1
-        assert set(_read(grown_store_path)) == {fresh}
+        assert _read(grown_store_path) == committed  # nothing committed
+        assert store.flush() == 2001
+        reader = _read(grown_store_path)
+        assert reader == {key: _view(record) for key, record in store.snapshot().items()}
+        assert reader[stale] == _view(_record(stale, 0, power_mw=5.0))
 
 
 # ------------------------------------------------- the contract, property-tested
@@ -188,7 +198,7 @@ _keys_st = st.builds(
     point=st.tuples(st.integers(1, 2), st.integers(1, 2),
                     st.tuples(st.booleans(), st.booleans())),
 )
-_entries_st = st.tuples(_keys_st, st.integers(0, 1000), st.booleans())
+_entries_st = st.tuples(_keys_st, st.integers(0, 1000))
 
 
 class StoreFlushMachine(RuleBasedStateMachine):
@@ -207,40 +217,27 @@ class StoreFlushMachine(RuleBasedStateMachine):
 
     @rule(entry=_entries_st)
     def put(self, entry):
-        key, value, with_outputs = entry
-        record = _record(key, value, with_outputs)
+        key, value = entry
+        record = _record(key, value)
         self.store.put(key, record)
         self.model[key] = _view(record)
 
-    @precondition(lambda self: any(view[2] is None for view in self.model.values()))
+    @precondition(lambda self: bool(self.model))
     @rule(data=st.data())
-    def upgrade_outputs(self, data):
-        key = data.draw(st.sampled_from(
-            sorted(key for key, view in self.model.items() if view[2] is None)))
-        record = _record(key, int(self.model[key][0].accuracy), with_outputs=True)
+    def overwrite(self, data):
+        key = data.draw(st.sampled_from(sorted(self.model)))
+        deltas = self.model[key][0]
+        record = _record(key, int(deltas.accuracy), power_mw=deltas.power_mw + 1.0)
         self.store.put(key, record)
         self.model[key] = _view(record)
 
     @rule(entries=st.lists(_entries_st, max_size=4))
     def merge(self, entries):
-        incoming = {key: _record(key, value, with_outputs)
-                    for key, value, with_outputs in entries}
+        incoming = {key: _record(key, value) for key, value in entries}
         added = [key for key in incoming if key not in self.model]
         assert self.store.merge(incoming) == len(added)
         for key in added:
             self.model[key] = _view(incoming[key])
-
-    @rule(context=st.sampled_from(_CONTEXTS))
-    def clear_context(self, context):
-        dropped = [key for key in self.model if key.context == context]
-        assert self.store.clear_context(context) == len(dropped)
-        for key in dropped:
-            del self.model[key]
-
-    @rule()
-    def clear(self):
-        self.store.clear()
-        self.model.clear()
 
     @rule()
     def flush(self):

@@ -6,6 +6,8 @@ wrong results into a report —
 
 * a truncated / non-sqlite / corrupt-record store file raises
   :class:`~repro.errors.ConfigurationError` naming the file and the fix;
+* a store file in the older format (a three-column counter table, records
+  pickled with raw outputs) still loads, serves hits, flushes and inspects;
 * a transient ``sqlite3.OperationalError`` on flush is retried with
   bounded exponential backoff (the backend additionally opens in WAL
   mode with a busy-handler budget), then propagates;
@@ -18,7 +20,9 @@ wrong results into a report —
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import sqlite3
 from pathlib import Path
 
@@ -35,6 +39,7 @@ from repro.runtime import (
     ExplorationJob,
     SerialExecutor,
 )
+from repro.runtime.store import inspect_store
 
 
 def _job(seed=0, max_steps=10):
@@ -107,6 +112,72 @@ class TestCorruptStoreFiles:
         assert len(reloaded) == len(store) == 1
         [key] = store.keys()
         assert reloaded.get(key).deltas == store.get(key).deltas
+
+
+def _write_older_store(path: Path, evaluator: Evaluator, points) -> None:
+    """A store file in the format written before records lost their outputs.
+
+    Its counter table has a third ``NOT NULL`` column, and every record is
+    pickled with a raw ``outputs`` array beside its measurements.
+    """
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute(
+            "CREATE TABLE evaluations (key TEXT PRIMARY KEY, record BLOB NOT NULL)")
+        connection.execute(
+            "CREATE TABLE store_stats (hits INTEGER NOT NULL, "
+            "misses INTEGER NOT NULL, upgrades INTEGER NOT NULL)")
+        connection.execute("INSERT INTO store_stats VALUES (5, 3, 2)")
+        for point in points:
+            record = dataclasses.replace(evaluator.evaluate(point))
+            outputs = evaluator.benchmark.execute(evaluator.context_for(point),
+                                                  evaluator.inputs).outputs
+            object.__setattr__(record, "outputs", outputs)
+            key = evaluator.store_key(point)
+            mask = "".join("1" if flag else "0" for flag in point.variables)
+            text = (f"{key.benchmark}|{key.catalog}|{key.seed}|{int(key.signed)}"
+                    f"|{point.adder_index}:{point.multiplier_index}:{mask}")
+            connection.execute("INSERT INTO evaluations VALUES (?, ?)",
+                               (text, pickle.dumps(record)))
+    connection.close()
+
+
+class TestOlderStoreFiles:
+    def test_older_file_loads_serves_flushes_and_inspects(self, tmp_path, capsys):
+        path = tmp_path / "older.sqlite"
+        fresh = Evaluator(DotProductBenchmark(length=12), seed=0)
+        space = fresh.design_space
+        points = [space.point_at(index) for index in range(4)]
+        _write_older_store(path, Evaluator(DotProductBenchmark(length=12), seed=0),
+                           points)
+        assert inspect_store(path)["lifetime"] == {
+            "hits": 5, "misses": 3, "lookups": 8, "hit_rate": 5 / 8}
+
+        store = EvaluationStore(path=str(path))
+        assert len(store) == 4
+        warm = Evaluator(DotProductBenchmark(length=12), seed=0, store=store)
+        for point in points:
+            assert warm.evaluate(point) == fresh.evaluate(point)
+        assert (store.stats.hits, store.stats.misses) == (4, 0)
+
+        # A put and a flush into the older counter table: no NOT NULL
+        # violation loses the run's evaluations.
+        extra = space.point_at(space.size - 1)
+        warm.evaluate(extra)
+        assert store.flush() == 5
+
+        reloaded = EvaluationStore(path=str(path))
+        assert len(reloaded) == 5
+        assert tuple(reloaded.lifetime_stats) == (5 + 4, 3 + 1)
+        assert reloaded.get(warm.store_key(extra)) == fresh.evaluate(extra)
+        info = inspect_store(path)
+        assert info["records"] == 5
+        assert info["lifetime"] == {"hits": 9, "misses": 4, "lookups": 13,
+                                    "hit_rate": 9 / 13}
+        assert main(["store", "stats", str(path)]) == 0
+        output = capsys.readouterr().out
+        assert "5 record(s)" in output
+        assert "9 hit(s) / 13 lookup(s)" in output
 
 
 class TestFlushBackoff:

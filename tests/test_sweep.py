@@ -77,7 +77,7 @@ class TestEvaluateMany:
 class TestEvaluatorReuse:
     def test_use_store_redirects_evaluations(self, small_matmul):
         first, second = EvaluationStore(), EvaluationStore()
-        evaluator = Evaluator(small_matmul, seed=0, store=first, store_outputs=False)
+        evaluator = Evaluator(small_matmul, seed=0, store=first)
         evaluator.evaluate(evaluator.design_space.initial_point())
         evaluator.use_store(second)
         assert evaluator.cache_size == 0  # served tracking is per-store
@@ -129,8 +129,7 @@ class TestSweepJobs:
         chunk = execute_sweep_job(job, store=store)
         assert isinstance(chunk, SweepChunk)
         assert chunk.evaluated == 64 == len(store)
-        evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store,
-                              store_outputs=False)
+        evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store)
         expected = ParetoArchive(evaluator.evaluate_index_range(0, 64)).front()
         assert _front_identity(chunk.front) == _front_identity(expected)
 
@@ -145,8 +144,7 @@ class TestRunSweep:
         store = EvaluationStore()
         (result,) = _sweep_results(50, store=store)
         assert result.evaluations == result.space_size == 288 == len(store)
-        evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store,
-                              store_outputs=False)
+        evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store)
         expected = ParetoArchive(
             evaluator.evaluate_index_range(0, evaluator.design_space.size)
         ).front()
@@ -179,7 +177,6 @@ class TestRunSweep:
         stats = reloaded.stats
         assert stats.hits == cold.space_size  # everything served from disk
         assert stats.misses == 0
-        assert stats.upgrades == 0
 
     def test_failed_chunk_reports_and_raises(self, tiny_benchmarks):
         jobs = [SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=0, stop=288)]
