@@ -163,17 +163,14 @@ def test_campaign_runtime_speedup(benchmark, paper_scale, exploration_budget):
 def _trace_fingerprint(entries):
     """Everything the bit-identity check needs, per per-seed outcome.
 
-    Keeps the (shared, deduplicated) delta objects and the solution point
-    instead of pinning a million step records between timed runs — the
-    records of one run would otherwise distort the memory behaviour of
-    the next.
+    The results themselves: a result is a few flat columns over a table
+    of its distinct points, and result equality compares every column
+    and field.  Nothing builds per-step records, which would pin about a
+    million objects between timed runs and distort the memory behaviour
+    of the next.
     """
-    return [
-        (entry.job.benchmark_label, entry.job.seed,
-         [record.deltas for record in entry.result.records],
-         entry.result.solution.point)
-        for entry in entries
-    ]
+    return [(entry.job.benchmark_label, entry.job.seed, entry.result)
+            for entry in entries]
 
 
 def _run_at_batch_size(seeds, max_steps, batch_size):
@@ -196,11 +193,11 @@ def test_batched_exploration_speedup(benchmark, smoke):
         measurements = []
         reference = None
         for batch_size in batch_sizes:
-            # Timed regions run with the cyclic collector off: a campaign
-            # allocates ~1M acyclic step records, and the collections those
-            # allocations trigger would rescan the whole growing heap —
-            # charging every run for its own (and any surviving) garbage.
-            # Refcounting still frees everything promptly.
+            # Timed regions run with the cyclic collector off: collections
+            # triggered by a run's allocations would rescan the whole
+            # growing heap — charging every run for its own (and any
+            # surviving) objects.  Refcounting still frees everything
+            # promptly.
             gc.collect()
             gc.disable()
             try:
@@ -209,7 +206,7 @@ def test_batched_exploration_speedup(benchmark, smoke):
                 gc.enable()
             steps = sum(entry.result.num_steps for entry in entries)
             fingerprint = _trace_fingerprint(entries)
-            del entries  # free the step records before the next timed run
+            del entries  # free the outcomes before the next timed run
             if reference is None:
                 reference = fingerprint
             else:
@@ -217,8 +214,7 @@ def test_batched_exploration_speedup(benchmark, smoke):
                 assert len(fingerprint) == len(reference)
                 for left, right in zip(reference, fingerprint):
                     assert left[:2] == right[:2]  # (benchmark_label, seed)
-                    assert left[2] == right[2]  # per-step objective deltas
-                    assert left[3] == right[3]  # solution design point
+                    assert left[2] == right[2]  # every trace column and field
             measurements.append({
                 "batch_size": batch_size,
                 "wall_clock_s": elapsed,

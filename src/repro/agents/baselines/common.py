@@ -12,11 +12,11 @@ reporting helper works on them unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.dse.design_space import DesignPoint
 from repro.dse.evaluator import EvaluationRecord, Evaluator
-from repro.dse.results import ExplorationResult, StepRecord
+from repro.dse.results import ExplorationResult, TraceBuilder
 from repro.dse.reward import Algorithm1Reward
 from repro.dse.thresholds import ExplorationThresholds, derive_thresholds
 from repro.metrics.deltas import ObjectiveDeltas
@@ -55,7 +55,7 @@ def default_thresholds(evaluator: Evaluator, accuracy_factor: float = 0.4,
 
 
 class BaselineRecorder:
-    """Collects per-evaluation step records in the same shape as the RL trace."""
+    """Collects per-evaluation steps in the same columns as the RL trace."""
 
     def __init__(self, evaluator: Evaluator, thresholds: ExplorationThresholds,
                  agent_name: str) -> None:
@@ -63,15 +63,14 @@ class BaselineRecorder:
         self._thresholds = thresholds
         self._agent_name = agent_name
         self._reward = Algorithm1Reward()
-        self._records: List[StepRecord] = []
-        self._cumulative = 0.0
+        self._trace = TraceBuilder()
 
     @property
     def num_evaluations(self) -> int:
-        return len(self._records)
+        return len(self._trace)
 
     def evaluate(self, point: DesignPoint, is_baseline: bool = False) -> EvaluationRecord:
-        """Evaluate a point and append the corresponding step record.
+        """Evaluate a point and append the corresponding step.
 
         ``is_baseline`` marks the do-nothing starting configuration a search
         seeds itself with (hill climbing and simulated annealing start at
@@ -81,49 +80,22 @@ class BaselineRecorder:
         record = self._evaluator.evaluate(point)
         outcome = self._reward(point, record.deltas, self._thresholds,
                                self._evaluator.design_space)
-        self._cumulative += outcome.reward
-        self._records.append(
-            StepRecord(
-                step=len(self._records),
-                action=None,
-                point=point,
-                deltas=record.deltas,
-                reward=outcome.reward,
-                cumulative_reward=self._cumulative,
-                constraint_violated=outcome.constraint_violated,
-                is_baseline=is_baseline,
-            )
-        )
+        self._trace.append(point, record.deltas, None, outcome.reward,
+                           outcome.constraint_violated, is_baseline)
         return record
 
     def result(self, best_point: Optional[DesignPoint] = None,
                terminated: bool = False) -> ExplorationResult:
         """Package the recorded trace as an :class:`ExplorationResult`.
 
-        When ``best_point`` is given, a final record for it is appended (if
+        When ``best_point`` is given, a final step for it is appended (if
         it is not already last) so ``ExplorationResult.solution`` reports the
         point the baseline actually returns.
         """
-        records = list(self._records)
-        if best_point is not None and (not records or records[-1].point != best_point):
-            record = self._evaluator.evaluate(best_point)
-            outcome = self._reward(best_point, record.deltas, self._thresholds,
-                                   self._evaluator.design_space)
-            self._cumulative += outcome.reward
-            records.append(
-                StepRecord(
-                    step=len(records),
-                    action=None,
-                    point=best_point,
-                    deltas=record.deltas,
-                    reward=outcome.reward,
-                    cumulative_reward=self._cumulative,
-                    constraint_violated=outcome.constraint_violated,
-                )
-            )
-        return ExplorationResult(
+        if best_point is not None and self._trace.last_point != best_point:
+            self.evaluate(best_point)
+        return self._trace.build(
             benchmark_name=self._evaluator.benchmark.name,
-            records=records,
             thresholds=self._thresholds,
             precise_cost=self._evaluator.precise_cost,
             agent_name=self._agent_name,

@@ -12,21 +12,26 @@ The classes here hold one dense Q-array of shape ``(episodes, states,
 actions)`` — states are the design-space enumeration indices of
 :meth:`~repro.dse.design_space.DesignSpace.point_at`, exactly what the
 default :class:`~repro.agents.base.ConfigurationEncoder` keys densify to —
-and apply the Bellman updates as gather/scatter over that array.
+and apply the Bellman updates as gather/scatter over that array.  Action
+selection and SARSA's on-policy bootstrap gather every episode's greedy
+row at once; only the RNG draws walk the episodes one by one.
 
 Bit-identity with the serial agents is a hard contract, not an
 approximation.  Each episode keeps its own ``np.random.Generator`` seeded
 exactly as the serial agent's, and every method call consumes the streams
 in the serial order: ``rng.random()`` for the epsilon test, then either
 ``rng.integers(num_actions)`` (explore) or ``rng.choice(best)`` over the
-tied argmax set (exploit).  The one deliberate shortcut — skipping the
-``rng.choice`` call when the argmax is unique — is stream-neutral:
+tied argmax set (exploit).  The deliberate shortcuts are stream-neutral:
 ``Generator.choice`` over a single-element array returns that element
-without advancing the bit generator (asserted in the test suite), so the
-per-episode streams stay aligned with the serial agents bit for bit.  The
-Q-update itself is evaluated in the serial expression order
-(``current + lr * ((reward + discount * future) - current)``), which makes
-the float64 results IEEE-identical, not merely close.
+without advancing the bit generator, and over a larger one draws exactly
+``integers(0, n)`` (both asserted in the test suite), so a unique argmax
+skips the call and a tie draws ``integers`` directly.  SARSA bootstraps
+from a greedy row's maximum, which every tied action holds, and still
+makes the tie-break draw.  The per-episode streams stay aligned with the
+serial agents bit for bit.  The Q-update itself is evaluated in the
+serial expression order (``current + lr * ((reward + discount * future)
+- current)``), which makes the float64 results IEEE-identical, not merely
+close.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ class VectorizedAgent:
         # hot path, and attribute lookups on 256 generators per step add up.
         self._random = [rng.random for rng in self._rngs]
         self._integers = [rng.integers for rng in self._rngs]
-        self._choice = [rng.choice for rng in self._rngs]
 
     def select_actions(self, active: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Choose one action per active episode (``states`` aligned with ``active``)."""
@@ -138,54 +142,50 @@ class _VectorizedValueAgent(VectorizedAgent):
         return self._q.copy()
 
     def select_actions(self, active: np.ndarray, states: np.ndarray) -> np.ndarray:
-        episodes = active.tolist()
-        chosen = [0] * len(episodes)
-        greedy_slots: List[int] = []
+        # One gather resolves every greedy candidate; the per-episode pass
+        # then makes the epsilon draw and, to explore or to break a tie,
+        # the second draw.
+        _, ties, counts = _greedy(self._q[active, states])
+        first_best = ties.argmax(axis=1).tolist()
+        chosen = []
         steps = self._steps
         epsilon_values = self._epsilon_values
         horizon = -1 if epsilon_values is None else len(epsilon_values)
         random = self._random
         integers = self._integers
         num_actions = self.num_actions
-        for slot, episode in enumerate(episodes):
+        for slot, episode in enumerate(active.tolist()):
             step = steps[episode]
             steps[episode] = step + 1
             epsilon = (
                 epsilon_values[step] if step < horizon else self.epsilon_schedule(step)
             )
             if random[episode]() < epsilon:
-                chosen[slot] = integers[episode](num_actions)
-            else:
-                greedy_slots.append(slot)
-        if greedy_slots:
-            slots = np.asarray(greedy_slots, dtype=np.int64)
-            rows = self._q[active[slots], states[slots]]
-            ties = rows == rows.max(axis=1, keepdims=True)
-            tie_counts = ties.sum(axis=1)
-            first_best = ties.argmax(axis=1).tolist()
-            if (tie_counts == 1).all():
-                # Unique argmaxes: the serial agent's rng.choice over a
+                chosen.append(integers[episode](num_actions))
+            elif counts[slot] == 1:
+                # Unique argmax: the serial agent's rng.choice over a
                 # one-element candidate set returns it without touching the
-                # stream, so skipping the calls is bit-identical.
-                for position, slot in enumerate(greedy_slots):
-                    chosen[slot] = first_best[position]
+                # stream, so skipping the call is bit-identical.
+                chosen.append(first_best[slot])
             else:
-                counts = tie_counts.tolist()
-                tie_rows = ties.tolist()
-                integers = self._integers
-                for position, slot in enumerate(greedy_slots):
-                    if counts[position] == 1:
-                        chosen[slot] = first_best[position]
-                    else:
-                        # ``Generator.choice`` without weights draws exactly
-                        # ``integers(0, n)`` from the stream; indexing the
-                        # tied set directly is bit-identical and an order of
-                        # magnitude cheaper than the ``choice`` call.
-                        row = tie_rows[position]
-                        best = [action for action, tied in enumerate(row) if tied]
-                        pick = integers[episodes[slot]](counts[position])
-                        chosen[slot] = best[pick]
+                chosen.append(self._tie_break(episode, ties[slot], counts[slot]))
         return np.asarray(chosen, dtype=np.int64)
+
+    def _tie_break(self, episode: int, tied: np.ndarray, count: int) -> int:
+        """``rng.choice`` over the tied actions of one episode's greedy row.
+
+        ``Generator.choice`` without weights draws exactly ``integers(0,
+        n)`` from the stream; indexing the tied set directly is
+        bit-identical and an order of magnitude cheaper than the call.
+        """
+        return int(tied.nonzero()[0][self._integers[episode](count)])
+
+
+def _greedy(rows: np.ndarray):
+    """Row maxima, the tied-argmax mask and the per-row tie counts."""
+    best = rows.max(axis=1, keepdims=True)
+    ties = rows == best
+    return best[:, 0], ties, ties.sum(axis=1).tolist()
 
 
 class VectorizedQLearningAgent(_VectorizedValueAgent):
@@ -212,9 +212,10 @@ class VectorizedQLearningAgent(_VectorizedValueAgent):
 class VectorizedSarsaAgent(_VectorizedValueAgent):
     """Batched epsilon-greedy tabular SARSA (on-policy).
 
-    The bootstrap action is drawn from each episode's own policy (and RNG
-    stream), so the update walks the active episodes — the Bellman step
-    itself still lands in the shared dense Q-array.
+    The bootstrap action is drawn from each episode's own policy and RNG
+    stream.  One gather resolves every greedy row and its ties, a pass
+    over the episodes makes the draws in the serial order, and the
+    Bellman step lands as one scatter into the shared dense Q-array.
     """
 
     name = "sarsa"
@@ -223,29 +224,25 @@ class VectorizedSarsaAgent(_VectorizedValueAgent):
                rewards: np.ndarray, next_states: np.ndarray,
                terminated: np.ndarray) -> None:
         q = self._q
-        for slot in range(active.size):
-            episode = active[slot]
-            if terminated[slot]:
-                future = 0.0
-            else:
-                # On-policy: bootstrap from the action the current policy
-                # would take, consuming the episode's RNG stream exactly as
-                # SarsaAgent._policy_action does.
-                rng = self._rngs[episode]
-                epsilon = self._epsilon_at(int(self._steps[episode]))
-                next_state = next_states[slot]
-                if rng.random() < epsilon:
-                    next_action = int(rng.integers(self.num_actions))
-                else:
-                    values = q[episode, next_state]
-                    best = np.flatnonzero(values == values.max())
-                    next_action = int(best[0]) if best.size == 1 else int(rng.choice(best))
-                future = float(q[episode, next_state, next_action])
-            target = rewards[slot] + self.discount * future
-            current = q[episode, states[slot], actions[slot]]
-            q[episode, states[slot], actions[slot]] = (
-                current + self.learning_rate * (target - current)
-            )
+        rows = q[active, next_states]
+        # Every tied greedy action holds the row maximum, so the maximum is
+        # the greedy bootstrap value; a tied row still makes its tie-break
+        # draw, keeping the stream aligned with SarsaAgent._policy_action.
+        future, ties, counts = _greedy(rows)
+        steps = self._steps
+        random = self._random
+        integers = self._integers
+        epsilon_at = self._epsilon_at
+        for slot, (episode, done) in enumerate(zip(active.tolist(), terminated.tolist())):
+            if done:
+                future[slot] = 0.0
+            elif random[episode]() < epsilon_at(steps[episode]):
+                future[slot] = rows[slot, integers[episode](self.num_actions)]
+            elif counts[slot] > 1:
+                self._tie_break(episode, ties[slot], counts[slot])
+        target = rewards + self.discount * future
+        current = q[active, states, actions]
+        q[active, states, actions] = current + self.learning_rate * (target - current)
 
 
 class VectorizedRandomAgent(VectorizedAgent):

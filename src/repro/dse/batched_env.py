@@ -2,40 +2,44 @@
 
 :class:`~repro.dse.explorer.Explorer` steps one episode at a time through
 dict observations, per-step reward objects and per-state dict lookups.
-With the LUT-compiled kernels (PR 4) making design-point evaluation cheap
-— and the evaluation store collapsing the thousands of steps of an episode
-onto a few hundred distinct design points — that per-step Python dispatch
-is what dominates a Table-III campaign.  This module replaces it with
+With the compiled kernels making design-point evaluation cheap — and the
+evaluation store collapsing the thousands of steps of an episode onto a
+few hundred distinct design points — that per-step Python dispatch is
+what dominates a Table-III campaign.  This module replaces it with
 array-at-a-time batch stepping:
 
 * :class:`BatchedAxcDseEnv` holds the state of every episode as arrays —
   current design-point *enumeration indices* (the dense state of
-  :meth:`~repro.dse.design_space.DesignSpace.point_at`), cumulative
-  rewards, evaluation caches — and applies actions through a precomputed
-  ``(space size, num actions)`` transition table.  Design points are
-  evaluated once per (workload, point) through
-  :meth:`~repro.dse.evaluator.Evaluator.evaluate_many` on the compiled
-  fast path and their objective deltas are cached in dense arrays, so the
-  steady-state per-step work is pure vectorized gathers.
+  :meth:`~repro.dse.design_space.DesignSpace.point_at`) and cumulative
+  rewards — and applies actions through a precomputed ``(space size,
+  num actions)`` transition table.  A design point is evaluated once per
+  (workload, point) through :meth:`~repro.dse.evaluator.Evaluator.
+  evaluate_many`, and the environment's reward function is called on it
+  right then; its reward, terminate and violation flags land in dense
+  per-workload tables over the space, so a step's outcome is three
+  gathers.
 * :class:`BatchedExplorer` drives a vectorized agent
   (:mod:`repro.agents.vectorized`) through the batched environment in
-  lockstep and materialises one :class:`~repro.dse.results.
-  ExplorationResult` per episode at the end.
+  lockstep, recording only each step's state and action.  After the loop
+  it gathers every trace's rewards and flags from those tables and hands
+  each episode's columns to its :class:`~repro.dse.results.
+  ExplorationResult` directly.
 
 Bit-identity contract
 ---------------------
 For every episode seed ``s``, the emitted ``ExplorationResult`` is equal —
-record for record, float for float — to what ``Explorer.run(seed=s)``
+column for column, float for float — to what ``Explorer.run(seed=s)``
 produces against a fresh ``AxcDseEnv(benchmark, evaluation_seed=s)``.
 Each episode keeps its own environment RNG (seeded exactly like
 ``AxcDseEnv.reset(seed=s)``) and its own agent RNG, and the batch loop
-consumes each stream in the serial call order.  Reward arithmetic,
-cumulative-reward accumulation and termination tests are evaluated in the
-serial expression order, so the float64 traces are IEEE-identical.  The
-test suite asserts this per agent per benchmark.
+consumes each stream in the serial call order.  Reward functions are pure
+(see :class:`~repro.dse.reward.RewardFunction`), so one call per (workload,
+point) gives every visit the serial outcome, and cumulative rewards add in
+step order, so the float64 traces are IEEE-identical.  The test suite
+asserts this per agent per benchmark.
 
 The one observable difference is bookkeeping, not results: the dense
-delta caches serve repeat visits without consulting the shared
+tables serve repeat visits without consulting the shared
 :class:`~repro.runtime.store.EvaluationStore`, so store hit/lookup
 *statistics* differ from a serial run (the stored records themselves are
 identical).
@@ -50,7 +54,7 @@ import numpy as np
 from repro.benchmarks.base import Benchmark
 from repro.dse.design_space import DesignPoint, DesignSpace
 from repro.dse.evaluator import EvaluationRecord, Evaluator
-from repro.dse.results import ExplorationResult, StepRecord
+from repro.dse.results import NO_ACTION, ExplorationResult
 from repro.dse.reward import Algorithm1Reward, RewardFunction
 from repro.dse.thresholds import ExplorationThresholds, derive_thresholds
 from repro.errors import ConfigurationError, ExplorationError, InvalidAction, ResetNeeded
@@ -153,6 +157,8 @@ class BatchedAxcDseEnv:
             eval_ids.append(eval_id_by_seed[seed])
         self._eval_ids = np.asarray(eval_ids, dtype=np.int64)
         self._space = self._evaluators[0].design_space
+        # Row offset of each episode's workload in the flat outcome tables.
+        self._offsets = self._eval_ids * self._space.size
 
         self._thresholds_by_eval: List[ExplorationThresholds] = []
         for evaluator in self._evaluators:
@@ -169,15 +175,6 @@ class BatchedAxcDseEnv:
                         time_fraction=time_fraction,
                     )
                 )
-        self._thr_accuracy = np.array(
-            [self._thresholds_by_eval[e].accuracy for e in eval_ids], dtype=np.float64
-        )
-        self._thr_power = np.array(
-            [self._thresholds_by_eval[e].power_mw for e in eval_ids], dtype=np.float64
-        )
-        self._thr_time = np.array(
-            [self._thresholds_by_eval[e].time_ns for e in eval_ids], dtype=np.float64
-        )
 
         self._transitions = _transition_table(self._space)
         self._num_actions = (
@@ -185,15 +182,15 @@ class BatchedAxcDseEnv:
         )
 
         num_evaluators = len(self._evaluators)
-        size = self._space.size
-        # Dense per-evaluator objective caches: one row per workload, one
-        # column per design point.  ``_known`` gates them; ``_records``
-        # keeps the full EvaluationRecord for trace materialisation and
-        # custom reward functions.
-        self._acc = np.empty((num_evaluators, size), dtype=np.float64)
-        self._power = np.empty((num_evaluators, size), dtype=np.float64)
-        self._time = np.empty((num_evaluators, size), dtype=np.float64)
-        self._known = np.zeros((num_evaluators, size), dtype=bool)
+        cells = num_evaluators * self._space.size
+        # Dense per-workload step outcomes, flat: workload ``w``'s design
+        # point ``i`` is cell ``w * size + i``.  A cell is filled when its
+        # point is first evaluated and gated by ``_known``; ``_records``
+        # keeps the full EvaluationRecord for the result's point table.
+        self._known = np.zeros(cells, dtype=bool)
+        self._rewards = np.zeros(cells, dtype=np.float64)
+        self._terminate = np.zeros(cells, dtype=bool)
+        self._violated = np.zeros(cells, dtype=bool)
         self._records: List[Dict[int, EvaluationRecord]] = [
             {} for _ in range(num_evaluators)
         ]
@@ -205,11 +202,6 @@ class BatchedAxcDseEnv:
         self._rngs: Optional[List[np.random.Generator]] = None
         self._state_idx: Optional[np.ndarray] = None
         self._cumulative = np.zeros(len(seeds), dtype=np.float64)
-        # Per-episode visited bitmap over the enumerated space plus a count,
-        # replacing per-episode Python sets on the hot path; the count is
-        # what the serial evaluator reports as ``cache_size``.
-        self._seen = np.zeros((len(seeds), size), dtype=bool)
-        self._visit_counts = np.zeros(len(seeds), dtype=np.int64)
 
     # ------------------------------------------------------------ properties
 
@@ -242,11 +234,6 @@ class BatchedAxcDseEnv:
         """Per-episode accumulated rewards (live view)."""
         return self._cumulative
 
-    @property
-    def current_indices(self) -> Optional[np.ndarray]:
-        """Per-episode current design-point indices (copy), or None before reset."""
-        return None if self._state_idx is None else self._state_idx.copy()
-
     def evaluator_for(self, episode: int) -> Evaluator:
         """The evaluator owning the given episode's workload."""
         return self._evaluators[self._eval_ids[episode]]
@@ -255,17 +242,15 @@ class BatchedAxcDseEnv:
         """The constraint thresholds of the given episode."""
         return self._thresholds_by_eval[self._eval_ids[episode]]
 
-    def record_for(self, episode: int, index: int) -> EvaluationRecord:
-        """The cached evaluation record of one design point of one episode."""
-        return self._records[self._eval_ids[episode]][int(index)]
-
     def records_map_for(self, episode: int) -> Dict[int, EvaluationRecord]:
         """The episode's live index -> record mapping (treat as read-only)."""
         return self._records[self._eval_ids[episode]]
 
-    def evaluations_for(self, episode: int) -> int:
-        """Distinct design points the episode has visited (== serial ``cache_size``)."""
-        return int(self._visit_counts[episode])
+    def outcomes_for(self, episode: int,
+                     indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rewards and violation flags of visiting evaluated ``indices``."""
+        cells = self._offsets[episode] + indices
+        return self._rewards[cells], self._violated[cells]
 
     def index_of(self, point: DesignPoint) -> int:
         """The enumeration index of a design point (inverse of ``point_at``)."""
@@ -298,10 +283,7 @@ class BatchedAxcDseEnv:
             # The initial point (adder 1, multiplier 1, nothing approximated)
             # enumerates to index 0.
             starts = np.zeros(batch, dtype=np.int64)
-        self._ensure_evaluated(starts, self._eval_ids)
-        self._seen[:] = False
-        self._seen[np.arange(batch), starts] = True
-        self._visit_counts[:] = 1
+        self._ensure_evaluated(self._offsets + starts)
         self._cumulative = np.zeros(batch, dtype=np.float64)
         self._state_idx = starts.copy()
         return starts.copy()
@@ -318,21 +300,15 @@ class BatchedAxcDseEnv:
             raise ResetNeeded("call reset_batch() before step_batch()")
         actions = np.asarray(actions, dtype=np.int64)
         next_idx = self._apply_actions(actions, active)
-        eval_ids = self._eval_ids[active]
-        self._ensure_evaluated(next_idx, eval_ids)
-        rewards, terminate, violated = self._compute_rewards(next_idx, active, eval_ids)
+        cells = self._offsets[active] + next_idx
+        self._ensure_evaluated(cells)
+        rewards = self._rewards[cells]
 
-        self._cumulative[active] += rewards
-        terminated = terminate | (
-            self._cumulative[active] >= self._max_cumulative_reward
-        )
+        cumulative = self._cumulative[active] + rewards
+        self._cumulative[active] = cumulative
+        terminated = self._terminate[cells] | (cumulative >= self._max_cumulative_reward)
         self._state_idx[active] = next_idx
-        unseen = ~self._seen[active, next_idx]
-        if unseen.any():
-            first_timers = active[unseen]
-            self._seen[first_timers, next_idx[unseen]] = True
-            self._visit_counts[first_timers] += 1
-        return next_idx, rewards, terminated, violated
+        return next_idx, rewards, terminated, self._violated[cells]
 
     # ----------------------------------------------------------- transitions
 
@@ -369,18 +345,18 @@ class BatchedAxcDseEnv:
 
     # ------------------------------------------------------------ evaluation
 
-    def _ensure_evaluated(self, indices: np.ndarray, eval_ids: np.ndarray) -> None:
-        known = self._known[eval_ids, indices]
-        if known.all():
+    def _ensure_evaluated(self, cells: np.ndarray) -> None:
+        known = self._known[cells]
+        # count_nonzero: a fraction of ``known.all()``'s cost on small batches.
+        if np.count_nonzero(known) == known.size:
             return
-        pending: Dict[int, List[int]] = {}
-        for slot in np.flatnonzero(~known):
-            eval_id = int(eval_ids[slot])
-            index = int(indices[slot])
-            bucket = pending.setdefault(eval_id, [])
-            if index not in self._records[eval_id] and index not in bucket:
-                bucket.append(index)
         space = self._space
+        pending: Dict[int, List[int]] = {}
+        for cell in cells[~known].tolist():
+            eval_id, index = divmod(cell, space.size)
+            bucket = pending.setdefault(eval_id, [])
+            if index not in bucket:
+                bucket.append(index)
         points_cache = self._points
         for eval_id, bucket in pending.items():
             points = []
@@ -391,60 +367,16 @@ class BatchedAxcDseEnv:
                     points_cache[index] = point
                 points.append(point)
             records = self._evaluators[eval_id].evaluate_many(points)
-            acc, power, time_ = self._acc[eval_id], self._power[eval_id], self._time[eval_id]
+            thresholds = self._thresholds_by_eval[eval_id]
             for index, record in zip(bucket, records):
-                deltas = record.deltas
-                acc[index] = deltas.accuracy
-                power[index] = deltas.power_mw
-                time_[index] = deltas.time_ns
+                outcome = self._reward_function(record.point, record.deltas,
+                                                thresholds, space)
+                cell = eval_id * space.size + index
+                self._rewards[cell] = outcome.reward
+                self._terminate[cell] = outcome.terminate
+                self._violated[cell] = outcome.constraint_violated
+                self._known[cell] = True
                 self._records[eval_id][index] = record
-                self._known[eval_id, index] = True
-
-    # ---------------------------------------------------------------- reward
-
-    def _compute_rewards(self, indices: np.ndarray, active: np.ndarray,
-                         eval_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                        np.ndarray]:
-        reward_function = self._reward_function
-        accuracy = self._acc[eval_ids, indices]
-        if type(reward_function) is Algorithm1Reward:
-            # Vectorized Algorithm 1: pure threshold comparisons and
-            # constant selection — identical branch structure, evaluated
-            # for the whole batch at once.
-            accuracy_ok = accuracy <= self._thr_accuracy[active]
-            most_aggressive = indices == self._space.size - 1
-            gains_ok = (
-                (self._power[eval_ids, indices] >= self._thr_power[active])
-                & (self._time[eval_ids, indices] >= self._thr_time[active])
-            )
-            rewards = np.where(
-                accuracy_ok,
-                np.where(
-                    most_aggressive,
-                    reward_function.max_reward,
-                    np.where(gains_ok, reward_function.positive_reward,
-                             reward_function.negative_reward),
-                ),
-                -reward_function.max_reward,
-            )
-            terminate = accuracy_ok & most_aggressive
-            violated = ~accuracy_ok
-            return rewards, terminate, violated
-
-        # Custom reward functions fall back to the serial per-episode call.
-        rewards = np.empty(active.size, dtype=np.float64)
-        terminate = np.empty(active.size, dtype=bool)
-        violated = np.empty(active.size, dtype=bool)
-        for slot in range(active.size):
-            record = self._records[int(eval_ids[slot])][int(indices[slot])]
-            outcome = reward_function(
-                record.point, record.deltas,
-                self._thresholds_by_eval[int(eval_ids[slot])], self._space,
-            )
-            rewards[slot] = outcome.reward
-            terminate[slot] = outcome.terminate
-            violated[slot] = outcome.constraint_violated
-        return rewards, terminate, violated
 
 
 class BatchedExplorer:
@@ -490,106 +422,68 @@ class BatchedExplorer:
 
         starts = environment.reset_batch(random_start=random_start)
 
-        trace_states = np.zeros((batch, max_steps + 1), dtype=np.int64)
-        trace_actions = np.zeros((batch, max_steps + 1), dtype=np.int64)
-        trace_rewards = np.zeros((batch, max_steps + 1), dtype=np.float64)
-        trace_cumulative = np.zeros((batch, max_steps + 1), dtype=np.float64)
-        trace_violated = np.zeros((batch, max_steps + 1), dtype=bool)
-        lengths = np.zeros(batch, dtype=np.int64)
+        # Step-major traces: each step writes one contiguous row.
+        trace_states = np.zeros((max_steps + 1, batch), dtype=np.int64)
+        trace_actions = np.full((max_steps + 1, batch), NO_ACTION, dtype=np.int8)
+        lengths = np.full(batch, max_steps, dtype=np.int64)
         terminated_flags = np.zeros(batch, dtype=bool)
 
-        trace_states[:, 0] = starts
-        states = starts.copy()
+        trace_states[0] = starts
         # Episodes drop out of ``active`` permanently on termination, so the
         # index array only needs rebuilding on steps where someone finished.
         active = np.arange(batch, dtype=np.int64)
 
         for step in range(1, max_steps + 1):
-            if active.size == 0:
-                break
-            previous = states[active]
+            previous = trace_states[step - 1][active]
             actions = agent.select_actions(active, previous)
-            next_idx, rewards, terminated, violated = environment.step_batch(
-                actions, active
-            )
+            next_idx, rewards, terminated, _ = environment.step_batch(actions, active)
             agent.update(active, previous, actions, rewards, next_idx, terminated)
 
-            states[active] = next_idx
-            trace_states[active, step] = next_idx
-            trace_actions[active, step] = actions
-            trace_rewards[active, step] = rewards
-            trace_cumulative[active, step] = environment.cumulative_rewards[active]
-            trace_violated[active, step] = violated
-            lengths[active] = step
-            if terminated.any():
-                terminated_flags[active[terminated]] = True
+            trace_states[step][active] = next_idx
+            trace_actions[step][active] = actions
+            if np.count_nonzero(terminated):
+                finished = active[terminated]
+                terminated_flags[finished] = True
+                lengths[finished] = step
                 active = active[~terminated]
+                if active.size == 0:
+                    break
 
         return [
-            self._materialize(
-                episode, trace_states, trace_actions, trace_rewards,
-                trace_cumulative, trace_violated, int(lengths[episode]),
-                bool(terminated_flags[episode]),
-            )
+            self._result(episode, trace_states[:lengths[episode] + 1, episode],
+                         trace_actions[:lengths[episode] + 1, episode].copy(),
+                         bool(terminated_flags[episode]))
             for episode in range(batch)
         ]
 
-    def _materialize(self, episode: int, trace_states: np.ndarray,
-                     trace_actions: np.ndarray, trace_rewards: np.ndarray,
-                     trace_cumulative: np.ndarray, trace_violated: np.ndarray,
-                     length: int, terminated: bool) -> ExplorationResult:
+    def _result(self, episode: int, states: np.ndarray, actions: np.ndarray,
+                terminated: bool) -> ExplorationResult:
+        """One episode's result: its visited points as the table, the rest gathered."""
         environment = self._environment
-        # One bulk tolist() per trace row: Python scalars from here on, so
-        # the record loop does dict lookups and constructor calls only.
-        states_row = trace_states[episode, :length + 1].tolist()
-        actions_row = trace_actions[episode, :length + 1].tolist()
-        rewards_row = trace_rewards[episode, :length + 1].tolist()
-        cumulative_row = trace_cumulative[episode, :length + 1].tolist()
-        violated_row = trace_violated[episode, :length + 1].tolist()
+        visited, first, inverse = np.unique(states, return_index=True,
+                                            return_inverse=True)
+        order = np.argsort(first)
+        rows = np.empty(order.size, dtype=np.int32)
+        rows[order] = np.arange(order.size, dtype=np.int32)
         point_records = environment.records_map_for(episode)
-        pairs = {
-            index: (record.point, record.deltas)
-            for index, record in point_records.items()
-        }
-        start_point, start_deltas = pairs[states_row[0]]
-        records = [
-            StepRecord(
-                step=0,
-                action=None,
-                point=start_point,
-                deltas=start_deltas,
-                reward=0.0,
-                cumulative_reward=0.0,
-                is_baseline=True,
-            )
-        ]
-        append = records.append
-        # Millions of records are materialised per campaign, so the per-step
-        # records bypass the frozen dataclass's guarded __init__ (each field
-        # assignment goes through object.__setattr__ there) and fill the
-        # instance dict directly — same objects, a fraction of the cost.
-        new_record = StepRecord.__new__
-        step = 0
-        for state, action, reward, cumulative, violated in zip(
-                states_row[1:], actions_row[1:], rewards_row[1:],
-                cumulative_row[1:], violated_row[1:]):
-            step += 1
-            point, deltas = pairs[state]
-            step_record = new_record(StepRecord)
-            fields = step_record.__dict__
-            fields["step"] = step
-            fields["action"] = action
-            fields["point"] = point
-            fields["deltas"] = deltas
-            fields["reward"] = reward
-            fields["cumulative_reward"] = cumulative
-            fields["constraint_violated"] = violated
-            fields["is_baseline"] = False
-            append(step_record)
+        table = [point_records[index] for index in visited[order].tolist()]
+        rewards, violated = environment.outcomes_for(episode, states)
+        # Step 0 is the synthetic baseline: no action led there and it
+        # earns nothing.
+        rewards[0] = 0.0
+        violated[0] = False
+        baseline = np.zeros(states.size, dtype=bool)
+        baseline[0] = True
         evaluator = environment.evaluator_for(episode)
         return ExplorationResult(
             benchmark_name=evaluator.benchmark.name,
-            records=records,
+            points=[record.point for record in table],
+            deltas=[record.deltas for record in table],
+            point_ids=rows[inverse],
+            actions=actions,
+            rewards=rewards,
+            violated=violated,
+            baseline=baseline,
             thresholds=environment.thresholds_for(episode),
             precise_cost=evaluator.precise_cost,
             agent_name=self._agent.name,
@@ -599,6 +493,6 @@ class BatchedExplorer:
                 "max_steps": self._max_steps,
                 "action_scheme": environment.action_scheme,
                 "design_space_size": environment.design_space.size,
-                "evaluations": environment.evaluations_for(episode),
+                "evaluations": len(table),
             },
         )

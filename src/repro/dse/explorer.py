@@ -7,10 +7,10 @@ analysis layer can regenerate the paper's tables and figures from the trace.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dse.environment import AxcDseEnv
-from repro.dse.results import ExplorationResult, StepRecord
+from repro.dse.results import ExplorationResult, TraceBuilder
 from repro.errors import ExplorationError
 
 if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.agents
@@ -18,27 +18,17 @@ if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.agent
 
 __all__ = ["Explorer", "explore"]
 
-#: Per-step progress callback; receives every recorded step as it happens.
-StepCallback = Callable[[StepRecord], None]
-
 
 class Explorer:
-    """Drives one agent through one environment and records the trace.
+    """Drives one agent through one environment and records the trace."""
 
-    ``on_step`` is an optional progress callback invoked with every
-    :class:`StepRecord` as it is recorded (including the initial step 0),
-    so long explorations can report progress or stream their trace without
-    waiting for the episode to finish.
-    """
-
-    def __init__(self, environment: AxcDseEnv, agent: "Agent", max_steps: int = 10_000,
-                 on_step: Optional[StepCallback] = None) -> None:
+    def __init__(self, environment: AxcDseEnv, agent: "Agent",
+                 max_steps: int = 10_000) -> None:
         if max_steps <= 0:
             raise ExplorationError(f"max_steps must be positive, got {max_steps}")
         self._environment = environment
         self._agent = agent
         self._max_steps = int(max_steps)
-        self._on_step = on_step
 
     @property
     def environment(self) -> AxcDseEnv:
@@ -52,87 +42,35 @@ class Explorer:
     def max_steps(self) -> int:
         return self._max_steps
 
-    def run(self, seed: Optional[int] = None, random_start: bool = False,
-            on_step: Optional[StepCallback] = None) -> ExplorationResult:
-        """Run one exploration episode and return its full trace.
-
-        ``on_step`` overrides the constructor's progress callback for this
-        episode.
-        """
+    def run(self, seed: Optional[int] = None, random_start: bool = False) -> ExplorationResult:
+        """Run one exploration episode and return its full trace."""
         environment = self._environment
         agent = self._agent
-        callback = on_step if on_step is not None else self._on_step
 
         observation, info = environment.reset(
             seed=seed, options={"random_start": random_start}
         )
         agent.start_episode(observation)
 
-        records = []
-        records.append(
-            StepRecord(
-                step=0,
-                action=None,
-                point=info["design_point"],
-                deltas=info["deltas"],
-                reward=0.0,
-                cumulative_reward=info["cumulative_reward"],
-                is_baseline=True,
-            )
-        )
-        if callback is not None:
-            callback(records[-1])
+        trace = TraceBuilder()
+        trace.append(info["design_point"], info["deltas"], baseline=True)
+        append = trace.append
 
         terminated = False
         truncated = False
-        # The callback test is hoisted out of the hot loop: the common
-        # no-callback episode pays nothing per step, the callback episode
-        # runs an otherwise identical loop with the notification inline.
-        if callback is None:
-            for step in range(1, self._max_steps + 1):
-                action = agent.select_action(observation)
-                next_observation, reward, terminated, truncated, info = environment.step(action)
-                agent.update(observation, action, reward, next_observation, terminated)
-                observation = next_observation
+        for _ in range(self._max_steps):
+            action = agent.select_action(observation)
+            next_observation, reward, terminated, truncated, info = environment.step(action)
+            agent.update(observation, action, reward, next_observation, terminated)
+            observation = next_observation
 
-                records.append(
-                    StepRecord(
-                        step=step,
-                        action=int(action),
-                        point=info["design_point"],
-                        deltas=info["deltas"],
-                        reward=float(reward),
-                        cumulative_reward=float(info["cumulative_reward"]),
-                        constraint_violated=bool(info["constraint_violated"]),
-                    )
-                )
-                if terminated or truncated:
-                    break
-        else:
-            for step in range(1, self._max_steps + 1):
-                action = agent.select_action(observation)
-                next_observation, reward, terminated, truncated, info = environment.step(action)
-                agent.update(observation, action, reward, next_observation, terminated)
-                observation = next_observation
+            append(info["design_point"], info["deltas"], int(action), float(reward),
+                   bool(info["constraint_violated"]))
+            if terminated or truncated:
+                break
 
-                records.append(
-                    StepRecord(
-                        step=step,
-                        action=int(action),
-                        point=info["design_point"],
-                        deltas=info["deltas"],
-                        reward=float(reward),
-                        cumulative_reward=float(info["cumulative_reward"]),
-                        constraint_violated=bool(info["constraint_violated"]),
-                    )
-                )
-                callback(records[-1])
-                if terminated or truncated:
-                    break
-
-        return ExplorationResult(
+        return trace.build(
             benchmark_name=environment.evaluator.benchmark.name,
-            records=records,
             thresholds=environment.thresholds,
             precise_cost=environment.evaluator.precise_cost,
             agent_name=agent.name,

@@ -33,7 +33,13 @@ class RewardOutcome:
 
 
 class RewardFunction(ABC):
-    """Maps one evaluated design point to a reward."""
+    """Maps one evaluated design point to a reward.
+
+    A reward function must be a pure function of its arguments: no state,
+    no randomness.  The batched engine (:mod:`repro.dse.batched_env`) calls
+    it once per workload and design point, when the point is first
+    evaluated, and replays that outcome on every later visit.
+    """
 
     @abstractmethod
     def __call__(self, point: DesignPoint, deltas: ObjectiveDeltas,

@@ -42,8 +42,10 @@ from repro.errors import ConfigurationError
 __all__ = ["CampaignCheckpoint"]
 
 #: Journal line schema version (bump on incompatible change; old versions
-#: are treated as corrupt and fall back to re-evaluation).
-JOURNAL_VERSION = 1
+#: are treated as corrupt and fall back to re-evaluation).  Version 2:
+#: exploration results hold columns, and a version-1 payload would
+#: unpickle into the older one-record-per-step layout.
+JOURNAL_VERSION = 2
 
 
 class CampaignCheckpoint:

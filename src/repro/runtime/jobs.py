@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError, ExplorationError
 if TYPE_CHECKING:  # imported lazily at run time to keep import edges acyclic
     from repro.benchmarks.base import Benchmark
     from repro.dse.environment import AxcDseEnv
-    from repro.dse.results import ExplorationResult, StepRecord
+    from repro.dse.results import ExplorationResult
     from repro.runtime.store import EvaluationStore
 
 __all__ = [
@@ -436,8 +436,7 @@ class SweepJob:
 
 
 def execute_job(job: ExplorationJob,
-                store: Optional["EvaluationStore"] = None,
-                on_step: Optional[Callable[["StepRecord"], None]] = None) -> "ExplorationResult":
+                store: Optional["EvaluationStore"] = None) -> "ExplorationResult":
     """Run one exploration job and return its result.
 
     ``store`` warm-starts the evaluator with previously measured design
@@ -449,8 +448,7 @@ def execute_job(job: ExplorationJob,
 
     Baseline agent specs (``hill-climbing``, ``simulated-annealing``,
     ``genetic``, ``exhaustive``) run their own search loop against the
-    environment's evaluator and thresholds; ``on_step`` only applies to the
-    step-loop (RL) families.
+    environment's evaluator and thresholds.
     """
     from repro.runtime.faults import inject_faults
 
@@ -463,7 +461,7 @@ def execute_job(job: ExplorationJob,
         return execute_sweep_job(job, store=store)
 
     if isinstance(job, BatchedExplorationJob):
-        return _execute_batched_job(job, store=store, on_step=on_step)
+        return _execute_batched_job(job, store=store)
 
     from repro.dse.environment import AxcDseEnv
     from repro.dse.explorer import Explorer
@@ -481,20 +479,14 @@ def execute_job(job: ExplorationJob,
         )
         return explorer.run()
     agent = job.agent.build(environment, job.seed, job.max_steps)
-    explorer = Explorer(environment, agent, max_steps=job.max_steps, on_step=on_step)
+    explorer = Explorer(environment, agent, max_steps=job.max_steps)
     return explorer.run(seed=job.seed, random_start=job.random_start)
 
 
 def _execute_batched_job(job: BatchedExplorationJob,
                          store: Optional["EvaluationStore"] = None,
-                         on_step: Optional[Callable[["StepRecord"], None]] = None,
                          ) -> List["ExplorationResult"]:
     """Run one batched job; returns per-seed results in seed order."""
-    if on_step is not None:
-        raise ConfigurationError(
-            f"{job.describe()}: per-step callbacks are not supported by the "
-            f"batched engine; run with batch_size=1 to stream step records"
-        )
     from repro.dse.batched_env import BatchedAxcDseEnv, BatchedExplorer
     from repro.experiments.registry import agent_family
 

@@ -172,9 +172,9 @@ def _synthetic_result(catalog) -> "ExplorationResult":
             constraint_violated=violated,
             is_baseline=index == 0,
         ))
-    return ExplorationResult(
+    return ExplorationResult.from_records(
+        records,
         benchmark_name="synthetic",
-        records=records,
         thresholds=ExplorationThresholds(accuracy=5.0, power_mw=200.0,
                                          time_ns=100.0),
         precise_cost=RunCost(power_mw=300.0, time_ns=120.0, operation_count=10),
@@ -223,10 +223,10 @@ class TestRenderingGolden:
 
     def test_render_comparison_without_feasible_steps_golden(self, catalog):
         result = _synthetic_result(catalog)
-        infeasible = result.__class__(
+        infeasible = result.__class__.from_records(
+            [record for record in result.records
+             if record.is_baseline or record.deltas.accuracy > 5.0],
             benchmark_name=result.benchmark_name,
-            records=[record for record in result.records
-                     if record.is_baseline or record.deltas.accuracy > 5.0],
             thresholds=result.thresholds,
             precise_cost=result.precise_cost,
             agent_name="random",

@@ -19,6 +19,7 @@ import pytest
 from repro.benchmarks.registry import available, create
 from repro.cli import main
 from repro.dse import Evaluator
+from repro.dse.reward import ScalarizedReward
 from repro.dse.thresholds import ExplorationThresholds
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentSpec, run_experiment
@@ -112,6 +113,40 @@ class TestBitIdentity:
         assert len(lengths) > 1, "expected episodes to stop at different steps"
         for seed, result in zip(seeds, batched):
             assert result == _serial_result(benchmark, seed, steps=120,
+                                            env_kwargs=env_kwargs)
+
+    def test_sarsa_mid_batch_termination_keeps_survivors_identical(self):
+        # SARSA bootstraps from a drawn next action: episodes that stop must
+        # drop out of the gathered draws without shifting anyone's stream.
+        benchmark = create("dotproduct", length=8)
+        env_kwargs = {
+            "thresholds": ExplorationThresholds(
+                accuracy=2.0, power_mw=0.0, time_ns=0.0
+            ),
+            "max_cumulative_reward": 20.0,
+        }
+        seeds = (0, 1, 2, 3)
+        batched = _batched_results(benchmark, seeds, agent="sarsa", steps=120,
+                                   env_kwargs=env_kwargs)
+        assert any(result.terminated for result in batched)
+        assert not all(result.terminated for result in batched)
+        for seed, result in zip(seeds, batched):
+            assert result == _serial_result(benchmark, seed, agent="sarsa", steps=120,
+                                            env_kwargs=env_kwargs)
+
+    @pytest.mark.parametrize("agent", ["q-learning", "sarsa", "random"])
+    @pytest.mark.parametrize("scheme", ["directional", "compact"])
+    def test_batched_equals_serial_under_a_custom_reward(self, agent, scheme):
+        # A reward function other than Algorithm 1 fills the same
+        # per-(workload, point) outcome tables, one call per point.
+        benchmark = create("dotproduct", length=8)
+        env_kwargs = {"reward_function": ScalarizedReward(weight_accuracy=0.5),
+                      "action_scheme": scheme}
+        batched = _batched_results(benchmark, SEEDS, agent=agent, steps=80,
+                                   env_kwargs=env_kwargs)
+        for seed, result in zip(SEEDS, batched):
+            assert not set(result.rewards.tolist()) <= {0.0, 1.0, -1.0, 100.0, -100.0}
+            assert result == _serial_result(benchmark, seed, agent=agent, steps=80,
                                             env_kwargs=env_kwargs)
 
     def test_random_start_matches_serial(self):
@@ -248,14 +283,6 @@ class TestExpandJobsBatching:
                 benchmark_label="dot", benchmark=create("dotproduct", length=8),
                 seeds=(0, 1), agent=AgentSpec("hill-climbing"),
             )
-
-    def test_batched_job_rejects_on_step_callbacks(self):
-        job = BatchedExplorationJob(
-            benchmark_label="dot", benchmark=create("dotproduct", length=8),
-            seeds=(0, 1), agent=AgentSpec("q-learning"), max_steps=10,
-        )
-        with pytest.raises(ConfigurationError, match="batch_size=1"):
-            execute_job(job, on_step=lambda record: None)
 
 
 def _module_level_factory(environment, seed):

@@ -27,9 +27,9 @@ def _record(step, accuracy, power, time, reward=0.0, cumulative=0.0, adder=1, mu
 
 
 def _result(records, accuracy_threshold=10.0):
-    return ExplorationResult(
+    return ExplorationResult.from_records(
+        records,
         benchmark_name="synthetic",
-        records=records,
         thresholds=ExplorationThresholds(accuracy=accuracy_threshold, power_mw=5.0, time_ns=5.0),
         precise_cost=RunCost(power_mw=100.0, time_ns=100.0, operation_count=10),
     )

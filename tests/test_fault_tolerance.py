@@ -22,6 +22,7 @@ import dataclasses
 import json
 import logging
 import os
+import pickle
 import sqlite3
 import subprocess
 import sys
@@ -31,8 +32,9 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarks import DotProductBenchmark
+from repro.dse.results import ExplorationResult
 from repro.errors import ConfigurationError, TransientError
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.spec import RuntimeSpec
 from repro.runtime import (
     FAULT_PLAN_ENV,
@@ -77,6 +79,23 @@ def _jobs(count, **kwargs):
 def _install(plan, tmp_path, monkeypatch):
     env = plan.install(tmp_path / "faults")
     monkeypatch.setenv(FAULT_PLAN_ENV, env[FAULT_PLAN_ENV])
+
+
+def _record_list_layout(result):
+    """``result`` as the one-record-per-step layout it pickled to before columns."""
+    legacy = object.__new__(ExplorationResult)
+    legacy.__dict__.update(
+        benchmark_name=result.benchmark_name,
+        records=list(result.records),
+        thresholds=result.thresholds,
+        precise_cost=result.precise_cost,
+        agent_name=result.agent_name,
+        terminated=result.terminated,
+        truncated=result.truncated,
+        metadata=result.metadata,
+        _cache={},
+    )
+    return legacy
 
 
 def _result_signature(outcome):
@@ -456,6 +475,39 @@ class TestCampaignCheckpoint:
         assert len(checkpoint) == 1
         assert checkpoint.result_for(_job()) is None  # falls back, never lies
         assert len(checkpoint) == 0 and checkpoint.restored == 0
+
+    def test_version_1_lines_rerun_their_jobs(self, tmp_path):
+        # A journal written while exploration results were one record per
+        # step: its payloads unpickle into that layout, with no columns.
+        # Such lines are foreign, so their jobs re-run and the report keeps
+        # its bytes.
+        store_path = str(tmp_path / "evals.sqlite")
+
+        def spec(resume):
+            return ExperimentSpec.from_dict({
+                "kind": "campaign", "benchmarks": ["dotproduct:length=12"],
+                "agents": ["random"], "seeds": [0, 1], "max_steps": 10,
+                "runtime": {"executor": "serial", "batch_size": 1,
+                            "store_path": store_path, "checkpoint_interval": 1,
+                            "resume": resume},
+            })
+
+        reference = run_experiment(spec(False)).canonical_json()
+        journal = Path(store_path + ".checkpoint.jsonl")
+        lines = []
+        for line in journal.read_text(encoding="utf-8").splitlines():
+            entry = json.loads(line)
+            result = pickle.loads(base64.b64decode(entry["result"]))
+            entry["v"] = 1
+            entry["result"] = base64.b64encode(
+                pickle.dumps(_record_list_layout(result))).decode("ascii")
+            lines.append(json.dumps(entry, sort_keys=True))
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(lines) == 2
+        assert len(CampaignCheckpoint(journal)) == 0
+
+        assert run_experiment(spec(True)).canonical_json() == reference
+        assert len(CampaignCheckpoint(journal)) == 2  # re-run and re-journaled
 
     def test_clear_discards_the_journal(self, tmp_path):
         journal = self._journal(tmp_path)

@@ -107,9 +107,10 @@ class TestParetoArchive:
 
     def test_streaming_equals_batch_on_exploration_trace(self, matmul_env):
         agent = RandomAgent(num_actions=matmul_env.action_space.n, seed=0)
+        result = Explorer(matmul_env, agent, max_steps=60).run(seed=0)
         streamed = ParetoArchive()
-        result = Explorer(matmul_env, agent, max_steps=60,
-                          on_step=streamed.add).run(seed=0)
+        for record in result.records:
+            streamed.add(record)
         assert streamed.front() == ParetoArchive(result.records).front()
 
     @pytest.mark.parametrize("name", sorted(available()))

@@ -477,16 +477,6 @@ class TestCampaignRuntime:
     def test_summarize_empty_entries_returns_empty_dict(self):
         assert summarize([]) == {}
 
-    def test_explorer_progress_callback_sees_every_step(self, dot_benchmark):
-        from repro.dse import AxcDseEnv, Explorer
-
-        environment = AxcDseEnv(dot_benchmark, evaluation_seed=0)
-        seen = []
-        result = Explorer(environment, _qlearning_factory(environment, 0), max_steps=12,
-                          on_step=seen.append).run(seed=0)
-        assert len(seen) == result.num_steps
-        assert [record.step for record in seen] == [record.step for record in result.records]
-
 
 # ------------------------------------------------------------------------- cli
 
