@@ -77,7 +77,7 @@ def _run_campaign(executor, store, paper_scale, max_steps):
     seeds = (0, 1, 2)
     # The batch size a campaign spec on this many workers would use.
     workers = getattr(executor, "n_jobs", 1)
-    batch_size = RuntimeSpec.from_jobs(workers).effective_batch_size(len(seeds))
+    batch_size = RuntimeSpec(jobs=workers).effective_batch_size(len(seeds))
     return _run_jobs(executor, store, paper_benchmark_suite(paper_scale), seeds,
                      max_steps, batch_size)
 

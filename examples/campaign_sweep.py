@@ -47,12 +47,12 @@ def main() -> None:
         "agents": ["q-learning"],
         "seeds": list(range(args.seeds)),
         "max_steps": args.steps,
-    }).with_runtime(RuntimeSpec.from_jobs(
-        args.jobs, store_path=None if args.store is None else str(args.store)))
+    }).with_runtime(RuntimeSpec(
+        jobs=args.jobs, store_path=None if args.store is None else str(args.store)))
     store = spec.runtime.build_store()
 
     print(f"Running {len(spec.benchmarks)} benchmarks x {args.seeds} seeds "
-          f"x {args.steps} steps on {max(args.jobs, 1)} process(es)"
+          f"x {args.steps} steps on {spec.runtime.jobs} process(es)"
           + (f", store warm with {len(store)} evaluations" if len(store) else "") + " ...")
     report = run_experiment(spec, store=store)
 

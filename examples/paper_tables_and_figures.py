@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro import RuntimeSpec
 from repro.reporting import PaperPipeline, paper_artifacts
 
 
@@ -42,7 +43,7 @@ def main() -> None:
     scale_name = ("paper" if args.paper_scale
                   else "smoke" if args.smoke else "default")
     pipeline = PaperPipeline(paper_artifacts(scale_name), out_dir=args.out,
-                             jobs=args.jobs, force=args.force)
+                             runtime=RuntimeSpec(jobs=args.jobs), force=args.force)
     result = pipeline.run()
 
     for status in result.statuses:

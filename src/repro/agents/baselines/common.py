@@ -100,5 +100,5 @@ class BaselineRecorder:
             precise_cost=self._evaluator.precise_cost,
             agent_name=self._agent_name,
             terminated=terminated,
-            metadata={"evaluations": self._evaluator.cache_size},
+            metadata={"evaluations": self._trace.num_points},
         )

@@ -33,6 +33,10 @@
   :mod:`repro.devtools`);
 * ``list-benchmarks`` / ``list-agents`` — show the registries.
 
+``run``, ``serve``, ``campaign``, ``sweep`` and ``paper`` take the same
+runtime flags: one per flagged row of
+:class:`~repro.experiments.spec.RuntimeSpec`'s field table.
+
 ``explore``, ``compare``, ``campaign`` and ``sweep`` are thin builders:
 each constructs an :class:`~repro.experiments.spec.ExperimentSpec` and
 calls the same :func:`~repro.experiments.runner.run_experiment` facade
@@ -48,6 +52,7 @@ agents, malformed specs — print a one-line error and exit with status 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -115,26 +120,23 @@ def _benchmark_argument(text: str) -> str:
     return text
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flag set shared by run/campaign/sweep/paper."""
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="total attempts a failing job may consume; only "
-                             "retryable failures (lost workers, timeouts, "
-                             "transient store errors) spend extra attempts "
-                             "(default: 1 = no retry)")
-    parser.add_argument("--job-timeout", type=float, default=None, metavar="SECONDS",
-                        dest="job_timeout",
-                        help="per-attempt wall-clock budget; a wedged worker is "
-                             "abandoned and its pool rebuilt (default: unbounded)")
-    parser.add_argument("--checkpoint-interval", type=int, default=0, metavar="N",
-                        help="journal finished jobs every N jobs next to the "
-                             "store for killed-run resume; requires --store "
-                             "(default: 0 = no checkpoint)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint journal of an earlier "
-                             "(killed) run instead of starting fresh; requires "
-                             "--store, and implies a checkpoint journal; the "
-                             "resumed report is identical to an uninterrupted run")
+def _runtime_flags() -> List[dataclasses.Field]:
+    """The :class:`RuntimeSpec` fields whose table row declares a CLI flag."""
+    return [item for item in dataclasses.fields(RuntimeSpec)
+            if item.metadata["flag"] is not None]
+
+
+def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
+    """The runtime flags of every executing subcommand, one per flagged row."""
+    for item in _runtime_flags():
+        row = item.metadata
+        if isinstance(item.default, bool):
+            parser.add_argument(row["flag"], dest=item.name, action="store_true",
+                                help=row["help"])
+            continue
+        kind = float if row["number"] else str if item.default is None else type(item.default)
+        parser.add_argument(row["flag"], dest=item.name, default=item.default,
+                            type=kind, metavar=row["metavar"], help=row["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--set benchmarks.0.params.rows=20); repeatable")
     run_cmd.add_argument("--out", default=None, metavar="PATH",
                          help="write the full experiment report as JSON")
-    run_cmd.add_argument("--store", default=None, metavar="PATH",
-                         help="existing evaluation store to plan reuse against "
-                              "(must exist; overrides runtime.store_path — use "
-                              "--set runtime.store_path=... to create a new one)")
     run_cmd.add_argument("--explain", action="store_true",
                          help="print the execution plan (what the store answers "
                               "vs. what evaluates) before running")
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(unix-socket path or host:port; see 'serve') "
                               "instead of executing locally; the report is "
                               "byte-identical to a local run")
-    _add_resilience_arguments(run_cmd)
+    _add_runtime_arguments(run_cmd)
 
     plan_cmd = subparsers.add_parser(
         "plan",
@@ -223,18 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="listen on localhost TCP port N (0 = pick a "
                                "free port; the chosen port is printed on the "
                                "ready line)")
-    serve.add_argument("--store", default=None, metavar="PATH",
-                       help="sqlite file persisting the shared evaluation "
-                            "store (default: in-memory for the daemon's "
-                            "lifetime)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for evaluation batches "
-                            "(1 = serial execution)")
-    serve.add_argument("--batch-size", type=int, default=0,
-                       help="seeds stepped in lockstep per exploration job "
-                            "(0 = auto; 1 = per-seed jobs, the finest "
-                            "checkpoint granularity; results are identical)")
-    _add_resilience_arguments(serve)
+    _add_runtime_arguments(serve)
 
     explore_cmd = subparsers.add_parser(
         "explore", help="run one exploration and print its Table-III summary"
@@ -273,15 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=list(agent_names()), help="agent families to run")
     campaign.add_argument("--steps", type=int, default=1000,
                           help="exploration steps per run")
-    campaign.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (1 = serial execution)")
-    campaign.add_argument("--batch-size", type=int, default=0,
-                          help="seeds stepped in lockstep per batched exploration "
-                               "job (0 = auto: spread seeds over the workers; "
-                               "1 = per-seed serial jobs; results are identical)")
-    campaign.add_argument("--store", default=None, metavar="PATH",
-                          help="sqlite file persisting the evaluation store across runs")
-    _add_resilience_arguments(campaign)
+    _add_runtime_arguments(campaign)
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -292,15 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"benchmarks to sweep exhaustively ({_benchmark_choices()})")
     sweep.add_argument("--seeds", nargs="+", type=int, default=[0],
                        help="workload seeds to sweep each benchmark under")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = serial execution)")
-    sweep.add_argument("--chunk-size", type=int, default=256,
-                       help="design points per sweep chunk job")
-    sweep.add_argument("--store", default=None, metavar="PATH",
-                       help="sqlite file persisting the evaluation store across runs")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help="write the true fronts as JSON")
-    _add_resilience_arguments(sweep)
+    _add_runtime_arguments(sweep)
 
     paper = subparsers.add_parser(
         "paper",
@@ -315,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "10000-step explorations)")
     scale.add_argument("--smoke", action="store_true",
                        help="CI-sized artifacts: tiny benchmarks, tens of steps")
-    paper.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for experiment expansion "
-                            "(results are identical to serial)")
-    paper.add_argument("--store", default=None, metavar="PATH",
-                       help="sqlite file persisting the evaluation store across runs")
     paper.add_argument("--out", default="artifacts", metavar="DIR",
                        help="output directory for the rendered artifacts and "
                             "manifest.json (default: artifacts/)")
@@ -328,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "up to date")
     paper.add_argument("--list", action="store_true", dest="list_artifacts",
                        help="list the declared artifacts and exit")
-    _add_resilience_arguments(paper)
+    _add_runtime_arguments(paper)
 
     lint = subparsers.add_parser(
         "lint",
@@ -560,48 +528,22 @@ def _open_existing_store(path_text: str):
     return EvaluationStore(path=store_path)
 
 
-def _resilient_runtime(runtime: RuntimeSpec, args: argparse.Namespace,
-                       store_path: Optional[str] = None) -> RuntimeSpec:
-    """Fold the fault-tolerance flags into a runtime (defaults are a no-op).
+def _runtime_from_args(args: argparse.Namespace,
+                       base: RuntimeSpec = RuntimeSpec()) -> RuntimeSpec:
+    """``base`` with every runtime flag given off its default applied.
 
-    ``store_path`` supplies a fallback store location (``run``'s ``--store``)
-    when the checkpoint knobs need one and the spec document names none.
+    A flag at its default keeps the base's value (``run``'s spec document).
     """
-    import dataclasses
-
-    updates = {}
-    if args.retries != 1:
-        updates["retries"] = args.retries
-    if args.job_timeout is not None:
-        updates["job_timeout_s"] = args.job_timeout
-    if args.checkpoint_interval != 0:
-        updates["checkpoint_interval"] = args.checkpoint_interval
-    if args.resume:
-        updates["resume"] = True
-    if not updates:
-        return runtime
-    if ((args.resume or args.checkpoint_interval)
-            and runtime.store_path is None and store_path is not None):
-        updates["store_path"] = store_path
-    return dataclasses.replace(runtime, **updates)
+    changes = {item.name: getattr(args, item.name) for item in _runtime_flags()
+               if getattr(args, item.name) != item.default}
+    return dataclasses.replace(base, **changes)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.service import EvaluationDaemon
 
-    daemon = EvaluationDaemon(
-        store_path=args.store,
-        socket_path=args.socket,
-        port=args.port,
-        jobs=args.jobs,
-        batch_size=args.batch_size,
-        retries=args.retries,
-        job_timeout_s=args.job_timeout,
-        # The daemon journals every finished job by default: a killed
-        # daemon restarted with --resume replays them instead of re-running.
-        checkpoint_interval=args.checkpoint_interval or 1,
-        resume=args.resume,
-    )
+    daemon = EvaluationDaemon(runtime=_runtime_from_args(args),
+                              socket_path=args.socket, port=args.port)
     return daemon.serve()
 
 
@@ -641,12 +583,11 @@ def _command_run(args: argparse.Namespace) -> int:
     remote = args.remote if args.remote is not None else spec.runtime.remote
     if remote is not None:
         return _command_run_remote(args, spec, remote)
-    spec = spec.with_runtime(_resilient_runtime(spec.runtime, args,
-                                                store_path=args.store))
+    spec = spec.with_runtime(_runtime_from_args(args, spec.runtime))
     spec_path = Path(args.spec)
 
-    if args.store is not None:
-        store = _open_existing_store(args.store)
+    if args.store_path is not None:
+        store = _open_existing_store(args.store_path)
     else:
         store = spec.runtime.build_store()
     header = f"Experiment {spec.kind} {spec.fingerprint()} from {spec_path}"
@@ -739,12 +680,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
         agents=tuple(ExperimentAgentSpec(name) for name in dict.fromkeys(args.agents)),
         seeds=tuple(dict.fromkeys(args.seeds)),
         max_steps=args.steps,
-        runtime=RuntimeSpec.from_jobs(args.jobs, store_path=args.store,
-                                      batch_size=args.batch_size,
-                                      retries=args.retries,
-                                      job_timeout_s=args.job_timeout,
-                                      checkpoint_interval=args.checkpoint_interval,
-                                      resume=args.resume),
+        runtime=_runtime_from_args(args),
     )
     store = spec.runtime.build_store()
     print(f"Campaign: {_expansion_summary(spec, store)}")
@@ -757,12 +693,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         benchmarks=tuple(BenchmarkSpec.parse(text)
                          for text in dict.fromkeys(args.benchmarks)),
         seeds=tuple(dict.fromkeys(args.seeds)),
-        runtime=RuntimeSpec.from_jobs(args.jobs, store_path=args.store,
-                                      chunk_size=args.chunk_size,
-                                      retries=args.retries,
-                                      job_timeout_s=args.job_timeout,
-                                      checkpoint_interval=args.checkpoint_interval,
-                                      resume=args.resume),
+        runtime=_runtime_from_args(args),
     )
     store = spec.runtime.build_store()
     print(f"Exhaustive sweep: {_expansion_summary(spec, store)}")
@@ -802,14 +733,11 @@ def _command_paper(args: argparse.Namespace) -> int:
             f"cannot create artifact directory {out_dir}: {exc}"
         ) from exc
 
-    pipeline = PaperPipeline(artifacts, out_dir=out_dir, jobs=args.jobs,
-                             store_path=args.store, force=args.force,
-                             retries=args.retries,
-                             job_timeout_s=args.job_timeout,
-                             checkpoint_interval=args.checkpoint_interval,
-                             resume=args.resume)
+    runtime = _runtime_from_args(args)
+    pipeline = PaperPipeline(artifacts, out_dir=out_dir, runtime=runtime,
+                             force=args.force)
     print(f"Paper artifacts at {scale} scale -> {out_dir}"
-          + (f" ({args.jobs} worker processes)" if args.jobs > 1 else ""))
+          + (f" ({runtime.jobs} worker processes)" if runtime.jobs > 1 else ""))
     result = pipeline.run()
 
     for status in result.statuses:

@@ -80,7 +80,7 @@ class Explorer:
                 "max_steps": self._max_steps,
                 "action_scheme": environment.action_scheme,
                 "design_space_size": environment.design_space.size,
-                "evaluations": environment.evaluator.cache_size,
+                "evaluations": trace.num_points,
             },
         )
 

@@ -390,6 +390,11 @@ class TraceBuilder:
         return len(self._ids)
 
     @property
+    def num_points(self) -> int:
+        """Distinct points recorded so far: the trace's own evaluations."""
+        return len(self._points)
+
+    @property
     def last_point(self) -> Optional[DesignPoint]:
         """The point of the latest step (``None`` before the first)."""
         return self._points[self._ids[-1]] if self._ids else None

@@ -9,14 +9,19 @@ it on.  The spec is
 * **frozen** — safe to share, hash by content, and pass across processes;
 * **lossless** — ``ExperimentSpec.from_dict(spec.to_dict()) == spec`` for
   every kind, so a JSON file fully reconstructs the experiment;
-* **validated** — unknown kinds, agents, benchmarks or keys raise precise
-  :class:`~repro.errors.ConfigurationError` /
+* **validated** — unknown kinds, agents, benchmarks or keys, and values
+  outside a field's rule (NaN and infinities included), raise precise
+  one-line :class:`~repro.errors.ConfigurationError` /
   :class:`~repro.errors.UnknownBenchmarkError` messages at construction
   time, not halfway through a sweep;
 * **fingerprinted** — :meth:`ExperimentSpec.fingerprint` hashes exactly the
   result-determining fields (kind, benchmarks, agents, seeds, budget,
   thresholds), so two specs with the same fingerprint produce bit-identical
   results no matter which executor or store they run on.
+
+:class:`ThresholdSpec` and :class:`RuntimeSpec` declare each field once, as a
+row of a field table (:func:`_row`) that generates their validation,
+``to_dict``/``from_dict`` and the CLI's runtime flags.
 
 String shorthands are accepted wherever a sub-spec appears: benchmarks
 parse ``"matmul"``, ``"matmul:rows=50,inner=50,cols=50"`` and the paper's
@@ -26,10 +31,13 @@ labels (``"matmul_50x50"``); agents parse ``"q-learning"`` and
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, field, fields
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Type, TypeVar)
 
 from repro.errors import ConfigurationError, UnknownBenchmarkError
 
@@ -78,8 +86,8 @@ def _parse_kv(text: str, context: str) -> Dict[str, object]:
     return params
 
 
-def _check_keys(payload: Mapping[str, object], allowed: Sequence[str],
-                context: str) -> None:
+def _check_keys(payload: Mapping[str, object], cls: type, context: str) -> None:
+    allowed = [item.name for item in fields(cls)]
     unknown = sorted(set(payload) - set(allowed))
     if unknown:
         raise ConfigurationError(
@@ -95,22 +103,121 @@ def _require_mapping(payload: object, context: str) -> Mapping[str, object]:
     return payload
 
 
-def _require_json_values(params: Mapping[str, object], context: str) -> None:
-    """Reject parameter values the JSON document could not carry.
+def _require_params(payload: object, field_name: str, context: str) -> Dict[str, object]:
+    """A copy of a parameter mapping, its names and values checked.
 
     Specs promise a lossless round trip and a stable fingerprint; both break
     at *use* time for values like schedule objects, so they are rejected at
     construction time instead (use the runtime :class:`AgentSpec` directly
-    for non-serializable agent options).
+    for non-serializable agent options).  So are NaN and infinities, which
+    the wire protocol cannot carry.
     """
+    params = dict(_require_mapping(payload, field_name))
     for key, value in params.items():
+        if not isinstance(key, str) or not key:
+            raise ConfigurationError(
+                f"{context} names must be non-empty strings, got {key!r}"
+            )
         try:
-            json.dumps(value)
+            json.dumps(value, allow_nan=False)
         except (TypeError, ValueError):
             raise ConfigurationError(
-                f"{context} {key!r} must be JSON-serializable "
-                f"(number/string/bool/null/list/dict), got {type(value).__name__}"
+                f"{context} {key!r} must be JSON-serializable (finite "
+                f"number/string/bool/null/list/dict), got {type(value).__name__}"
             ) from None
+    return params
+
+
+def _named_spec_from_dict(cls: Any, payload: object, context: str) -> Any:
+    """A benchmark or agent from its string shorthand or its mapping."""
+    if isinstance(payload, str):
+        return cls.parse(payload)
+    payload = _require_mapping(payload, context)
+    _check_keys(payload, cls, context)
+    if "name" not in payload:
+        raise ConfigurationError(f"{context} requires a 'name'")
+    return cls(**payload)
+
+
+# ---------------------------------------------------------------- field table
+
+
+def _row(default: object, check: Callable[[Any], bool], rule: str, *,
+         number: bool = False, nullable: bool = False, flag: Optional[str] = None,
+         help: Optional[str] = None, metavar: Optional[str] = None) -> Any:
+    """Declare one field as a row of its class's table (the field's metadata).
+
+    ``check`` is the value rule and ``rule`` the phrase naming it in errors;
+    a ``number`` must be a finite real before ``check`` runs, and is stored
+    as a ``float``; ``nullable`` admits ``None``; ``flag`` (with ``help`` and
+    ``metavar``) makes the field an option of the executing subcommands.
+    """
+    return field(default=default, metadata=dict(
+        check=check, rule=rule, number=number, nullable=nullable, flag=flag,
+        help=help, metavar=metavar))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+_NON_NEGATIVE = "a finite non-negative number"
+
+_T = TypeVar("_T", bound="_FieldTable")
+
+
+class _FieldTable:
+    """Validation and documents generated from a dataclass's field table.
+
+    Every field is declared with :func:`_row`; ``_CONTEXT`` prefixes error
+    messages and document names, and ``_RETIRED`` maps each key of a removed
+    option to the one value old documents may still carry (others fail).
+    """
+
+    _CONTEXT = ""
+    _RETIRED: Mapping[str, Tuple[object, str]] = {}
+
+    def _check_rows(self) -> None:
+        """Check every row, storing number rows as floats; call in ``__post_init__``."""
+        for item in fields(self):
+            row, value = item.metadata, getattr(self, item.name)
+            if value is None and row["nullable"]:
+                continue
+            if not ((not row["number"] or _is_finite(value)) and row["check"](value)):
+                null = " or null" if row["nullable"] else ""
+                raise ConfigurationError(
+                    f"{self._CONTEXT} {item.name} must be {row['rule']}{null}, "
+                    f"got {value!r}"
+                )
+            if row["number"]:
+                object.__setattr__(self, item.name, float(value))
+
+    def to_dict(self) -> Dict[str, object]:
+        return {item.name: getattr(self, item.name) for item in fields(self)}
+
+    @classmethod
+    def from_dict(cls: Type[_T], payload: object) -> _T:
+        context = f"{cls._CONTEXT} spec"
+        payload = dict(_require_mapping(payload, context))
+        for key, (kept, behaviour) in cls._RETIRED.items():
+            if key in payload:
+                legacy = payload.pop(key)
+                if legacy is not kept:
+                    raise ConfigurationError(
+                        f"{cls._CONTEXT} {key} is no longer an option "
+                        f"({behaviour}); remove the key, got {legacy!r}"
+                    )
+        _check_keys(payload, cls, context)
+        return cls(**payload)
 
 
 # ------------------------------------------------------------ benchmark spec
@@ -131,13 +238,7 @@ class BenchmarkSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        params = dict(_require_mapping(self.params, "benchmark params"))
-        for key in params:
-            if not isinstance(key, str) or not key:
-                raise ConfigurationError(
-                    f"benchmark parameter names must be non-empty strings, got {key!r}"
-                )
-        _require_json_values(params, "benchmark parameter")
+        params = _require_params(self.params, "benchmark params", "benchmark parameter")
         object.__setattr__(self, "params", params)
         from repro.benchmarks.registry import available
 
@@ -197,21 +298,11 @@ class BenchmarkSpec:
             ) from exc
 
     def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "params": dict(self.params), "label": self.label}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: object) -> "BenchmarkSpec":
-        if isinstance(payload, str):
-            return cls.parse(payload)
-        payload = _require_mapping(payload, "benchmark spec")
-        _check_keys(payload, ("name", "params", "label"), "benchmark spec")
-        if "name" not in payload:
-            raise ConfigurationError("benchmark spec requires a 'name'")
-        return cls(
-            name=payload["name"],
-            params=_require_mapping(payload.get("params", {}), "benchmark params"),
-            label=payload.get("label"),
-        )
+        return _named_spec_from_dict(cls, payload, "benchmark spec")
 
 
 # ----------------------------------------------------------------- agent spec
@@ -232,14 +323,9 @@ class ExperimentAgentSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        hyperparams = dict(_require_mapping(self.hyperparams, "agent hyperparams"))
-        for key in hyperparams:
-            if not isinstance(key, str) or not key:
-                raise ConfigurationError(
-                    f"agent hyperparameter names must be non-empty strings, got {key!r}"
-                )
-        _require_json_values(hyperparams, "agent hyperparameter")
-        object.__setattr__(self, "hyperparams", hyperparams)
+        object.__setattr__(self, "hyperparams",
+                           _require_params(self.hyperparams, "agent hyperparams",
+                                           "agent hyperparameter"))
         from repro.experiments.registry import agent_family
 
         agent_family(self.name)  # raises ConfigurationError for unknown names
@@ -267,30 +353,18 @@ class ExperimentAgentSpec:
         return AgentSpec(self.name, options=self.hyperparams, label=self.label)
 
     def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "hyperparams": dict(self.hyperparams),
-                "label": self.label}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: object) -> "ExperimentAgentSpec":
-        if isinstance(payload, str):
-            return cls.parse(payload)
-        payload = _require_mapping(payload, "agent spec")
-        _check_keys(payload, ("name", "hyperparams", "label"), "agent spec")
-        if "name" not in payload:
-            raise ConfigurationError("agent spec requires a 'name'")
-        return cls(
-            name=payload["name"],
-            hyperparams=_require_mapping(payload.get("hyperparams", {}),
-                                         "agent hyperparams"),
-            label=payload.get("label"),
-        )
+        return _named_spec_from_dict(cls, payload, "agent spec")
 
 
 # ------------------------------------------------------------- threshold spec
 
 
 @dataclass(frozen=True)
-class ThresholdSpec:
+class ThresholdSpec(_FieldTable):
     """Constraint levels: derivation fractions, or explicit values.
 
     By default thresholds are derived from the precise run exactly as the
@@ -299,22 +373,20 @@ class ThresholdSpec:
     ``power_mw`` and ``time_ns`` pins them explicitly instead.
     """
 
-    accuracy_factor: float = 0.4
-    power_fraction: float = 0.5
-    time_fraction: float = 0.5
-    accuracy: Optional[float] = None
-    power_mw: Optional[float] = None
-    time_ns: Optional[float] = None
+    _CONTEXT = "threshold"
+
+    accuracy_factor: float = _row(0.4, lambda v: v >= 0, _NON_NEGATIVE, number=True)
+    power_fraction: float = _row(0.5, lambda v: v >= 0, _NON_NEGATIVE, number=True)
+    time_fraction: float = _row(0.5, lambda v: v >= 0, _NON_NEGATIVE, number=True)
+    accuracy: Optional[float] = _row(None, lambda v: v >= 0, _NON_NEGATIVE,
+                                     number=True, nullable=True)
+    power_mw: Optional[float] = _row(None, lambda v: v >= 0, _NON_NEGATIVE,
+                                     number=True, nullable=True)
+    time_ns: Optional[float] = _row(None, lambda v: v >= 0, _NON_NEGATIVE,
+                                    number=True, nullable=True)
 
     def __post_init__(self) -> None:
-        for name in ("accuracy_factor", "power_fraction", "time_fraction"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or value < 0):
-                raise ConfigurationError(
-                    f"threshold {name} must be a non-negative number, got {value!r}"
-                )
-            object.__setattr__(self, name, float(value))
+        self._check_rows()
         explicit = [self.accuracy, self.power_mw, self.time_ns]
         given = [value for value in explicit if value is not None]
         if given and len(given) != 3:
@@ -323,15 +395,6 @@ class ThresholdSpec:
                 f"and time_ns; got accuracy={self.accuracy!r}, "
                 f"power_mw={self.power_mw!r}, time_ns={self.time_ns!r}"
             )
-        for name in ("accuracy", "power_mw", "time_ns"):
-            value = getattr(self, name)
-            if value is not None:
-                if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                        or value < 0):
-                    raise ConfigurationError(
-                        f"threshold {name} must be a non-negative number, got {value!r}"
-                    )
-                object.__setattr__(self, name, float(value))
 
     @property
     def explicit(self) -> bool:
@@ -357,149 +420,84 @@ class ThresholdSpec:
             "time_fraction": self.time_fraction,
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "accuracy_factor": self.accuracy_factor,
-            "power_fraction": self.power_fraction,
-            "time_fraction": self.time_fraction,
-            "accuracy": self.accuracy,
-            "power_mw": self.power_mw,
-            "time_ns": self.time_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "ThresholdSpec":
-        payload = _require_mapping(payload, "threshold spec")
-        allowed = ("accuracy_factor", "power_fraction", "time_fraction",
-                   "accuracy", "power_mw", "time_ns")
-        _check_keys(payload, allowed, "threshold spec")
-        return cls(**payload)
-
 
 # --------------------------------------------------------------- runtime spec
 
 
 @dataclass(frozen=True)
-class RuntimeSpec:
-    """How an experiment executes: executor kind, parallelism, store, chunking.
+class RuntimeSpec(_FieldTable):
+    """How an experiment executes: parallelism, store, chunking, resilience.
 
     The runtime never changes results — only wall-clock — which is why it is
     excluded from :meth:`ExperimentSpec.fingerprint`.
     """
 
-    executor: str = "serial"
-    jobs: int = 1
-    store_path: Optional[str] = None
-    chunk_size: int = 256
-    #: Batched exploration: group same-(benchmark, agent) jobs into batches
-    #: of this many seeds stepped in lockstep (bit-identical results; see
-    #: :mod:`repro.dse.batched_env`).  ``0`` (the default) auto-sizes the
-    #: batch to spread seeds evenly over the configured worker count, so
-    #: batching multiplies with process parallelism; ``1`` disables
-    #: batching (the historical per-seed jobs).
-    batch_size: int = 0
-    #: Total executions a failing job may consume (1 = run once, capture
-    #: the failure).  Only *retryable* failures spend extra attempts — see
-    #: :func:`repro.runtime.resilience.is_retryable`.
-    retries: int = 1
-    #: Per-attempt wall-clock budget in seconds (null = unbounded).
-    job_timeout_s: Optional[float] = None
-    #: Checkpointed resume: finished jobs journaled every this-many jobs
-    #: (0 disables the journal entirely; requires ``store_path``).
-    checkpoint_interval: int = 0
-    #: Resume from the checkpoint journal instead of clearing it — a fresh
-    #: run (the default) discards any journal left by an earlier run.
-    resume: bool = False
+    _CONTEXT = "runtime"
+    _RETIRED = {
+        "compiled": (True, "evaluation always uses the compiled kernels"),
+        "store_outputs": (False, "records hold measurements, never raw outputs"),
+    }
+
+    #: Follows ``jobs``: ``"serial"`` exactly when ``jobs == 1``.  Kept so
+    #: documents that name it still load.
+    executor: str = _row("serial", lambda v: v in EXECUTOR_KINDS, f"one of {EXECUTOR_KINDS}")
+    jobs: int = _row(
+        1, lambda v: _is_int(v) and v >= 1, "a positive integer", flag="--jobs",
+        metavar="N", help="worker processes (1 = serial execution; results are identical)")
+    store_path: Optional[str] = _row(
+        None, lambda v: isinstance(v, str) and v != "", "a non-empty string",
+        nullable=True, flag="--store", metavar="PATH",
+        help="sqlite file persisting the evaluation store across runs (default: in "
+             "memory); 'run --store' must name an existing file, create one with "
+             "--set runtime.store_path=PATH")
+    chunk_size: int = _row(
+        256, lambda v: _is_int(v) and v >= 1, "a positive integer", flag="--chunk-size",
+        metavar="N", help="design points per sweep chunk job")
+    batch_size: int = _row(
+        0, lambda v: _is_int(v) and v >= 0, "a non-negative integer (0 = auto)",
+        flag="--batch-size", metavar="N",
+        help="seeds stepped in lockstep per batched exploration job (0 = auto: "
+             "spread seeds over the workers; 1 = per-seed jobs, the finest "
+             "checkpoint granularity; results are identical)")
+    retries: int = _row(
+        1, lambda v: _is_int(v) and v >= 1,
+        "a positive integer (total attempts; 1 = no retry)", flag="--retries",
+        metavar="N", help="total attempts a failing job may consume; only retryable "
+                          "failures (lost workers, timeouts, transient store errors) "
+                          "spend extra attempts (default: 1 = no retry)")
+    job_timeout_s: Optional[float] = _row(
+        None, lambda v: v > 0, "a finite positive number", number=True, nullable=True,
+        flag="--job-timeout", metavar="SECONDS",
+        help="per-attempt wall-clock budget; a wedged worker is abandoned and its "
+             "pool rebuilt (default: unbounded)")
+    checkpoint_interval: int = _row(
+        0, lambda v: _is_int(v) and v >= 0, "a non-negative integer (0 = no checkpoint)",
+        flag="--checkpoint-interval", metavar="N",
+        help="journal finished jobs every N jobs next to the store for killed-run "
+             "resume; requires --store (default: 0 = no checkpoint; serve journals "
+             "every job when it has a store)")
+    resume: bool = _row(
+        False, lambda v: isinstance(v, bool), "a boolean", flag="--resume",
+        help="resume from the checkpoint journal of an earlier (killed) run instead "
+             "of starting fresh, which discards the journal; requires --store; the "
+             "resumed report is identical to an uninterrupted run")
     #: Address of a running evaluation daemon (``repro-axc serve``): a
     #: unix-socket path or ``host:port``.  When set, the CLI's ``run``
     #: submits the spec over the wire instead of executing locally; the
     #: daemon's report is byte-identical to a local run, which is why this
     #: is a runtime knob and not a fingerprinted field.
-    remote: Optional[str] = None
+    remote: Optional[str] = _row(
+        None, lambda v: isinstance(v, str) and v != "",
+        "a daemon address (socket path or host:port)", nullable=True)
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"runtime executor must be one of {EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) or self.jobs < 1:
-            raise ConfigurationError(
-                f"runtime jobs must be a positive integer, got {self.jobs!r}"
-            )
-        if self.executor == "serial" and self.jobs != 1:
-            raise ConfigurationError(
-                f"the serial executor runs exactly one job at a time; "
-                f"got jobs={self.jobs} (use executor='process' to fan out)"
-            )
-        if (not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool)
-                or self.chunk_size < 1):
-            raise ConfigurationError(
-                f"runtime chunk_size must be a positive integer, got {self.chunk_size!r}"
-            )
-        if self.store_path is not None and (not isinstance(self.store_path, str)
-                                            or not self.store_path):
-            raise ConfigurationError(
-                f"runtime store_path must be a non-empty string or null, "
-                f"got {self.store_path!r}"
-            )
-        if (not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool)
-                or self.batch_size < 0):
-            raise ConfigurationError(
-                f"runtime batch_size must be a non-negative integer "
-                f"(0 = auto), got {self.batch_size!r}"
-            )
-        if (not isinstance(self.retries, int) or isinstance(self.retries, bool)
-                or self.retries < 1):
-            raise ConfigurationError(
-                f"runtime retries must be a positive integer (total attempts; "
-                f"1 = no retry), got {self.retries!r}"
-            )
-        if self.job_timeout_s is not None:
-            if (not isinstance(self.job_timeout_s, (int, float))
-                    or isinstance(self.job_timeout_s, bool)
-                    or self.job_timeout_s <= 0):
-                raise ConfigurationError(
-                    f"runtime job_timeout_s must be a positive number or null, "
-                    f"got {self.job_timeout_s!r}"
-                )
-            object.__setattr__(self, "job_timeout_s", float(self.job_timeout_s))
-        if (not isinstance(self.checkpoint_interval, int)
-                or isinstance(self.checkpoint_interval, bool)
-                or self.checkpoint_interval < 0):
-            raise ConfigurationError(
-                f"runtime checkpoint_interval must be a non-negative integer "
-                f"(0 = no checkpoint), got {self.checkpoint_interval!r}"
-            )
-        if not isinstance(self.resume, bool):
-            raise ConfigurationError(
-                f"runtime resume must be a boolean, got {self.resume!r}"
-            )
-        if self.remote is not None and (not isinstance(self.remote, str)
-                                        or not self.remote):
-            raise ConfigurationError(
-                f"runtime remote must be a daemon address (socket path or "
-                f"host:port) or null, got {self.remote!r}"
-            )
+        self._check_rows()
+        object.__setattr__(self, "executor", "serial" if self.jobs == 1 else "process")
         if (self.resume or self.checkpoint_interval) and self.store_path is None:
             raise ConfigurationError(
                 "checkpointed resume needs a persistent store: set store_path "
                 "when enabling resume or checkpoint_interval"
             )
-
-    @classmethod
-    def from_jobs(cls, jobs: int, store_path: Optional[str] = None,
-                  chunk_size: int = 256, batch_size: int = 0,
-                  retries: int = 1, job_timeout_s: Optional[float] = None,
-                  checkpoint_interval: int = 0,
-                  resume: bool = False) -> "RuntimeSpec":
-        """The CLI convention: ``--jobs N`` means serial when N <= 1."""
-        jobs = int(jobs)
-        executor = "serial" if jobs <= 1 else "process"
-        return cls(executor=executor, jobs=max(jobs, 1), store_path=store_path,
-                   chunk_size=chunk_size, batch_size=batch_size,
-                   retries=retries, job_timeout_s=job_timeout_s,
-                   checkpoint_interval=checkpoint_interval, resume=resume)
 
     def effective_batch_size(self, num_seeds: int) -> int:
         """Resolve the batching policy for a seed list of the given length.
@@ -560,43 +558,6 @@ class RuntimeSpec:
         from repro.runtime.store import EvaluationStore
 
         return EvaluationStore(path=self.store_path)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "executor": self.executor,
-            "jobs": self.jobs,
-            "store_path": self.store_path,
-            "chunk_size": self.chunk_size,
-            "batch_size": self.batch_size,
-            "retries": self.retries,
-            "job_timeout_s": self.job_timeout_s,
-            "checkpoint_interval": self.checkpoint_interval,
-            "resume": self.resume,
-            "remote": self.remote,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "RuntimeSpec":
-        payload = dict(_require_mapping(payload, "runtime spec"))
-        # Specs written while these were options still load when they ask
-        # for the one behaviour left; any other value fails.
-        retired = {
-            "compiled": (True, "evaluation always uses the compiled kernels"),
-            "store_outputs": (False, "records hold measurements, never raw outputs"),
-        }
-        for key, (kept, behaviour) in retired.items():
-            if key in payload:
-                legacy = payload.pop(key)
-                if legacy is not kept:
-                    raise ConfigurationError(
-                        f"runtime {key} is no longer an option ({behaviour}); "
-                        f"remove the key, got {legacy!r}"
-                    )
-        allowed = ("executor", "jobs", "store_path", "chunk_size",
-                   "batch_size", "retries", "job_timeout_s",
-                   "checkpoint_interval", "resume", "remote")
-        _check_keys(payload, allowed, "runtime spec")
-        return cls(**payload)
 
 
 # ------------------------------------------------------------ experiment spec
@@ -664,8 +625,9 @@ class ExperimentSpec:
         if not seeds:
             raise ConfigurationError("an experiment requires at least one seed")
         for seed in seeds:
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise ConfigurationError(f"seeds must be integers, got {seed!r}")
+            if not _is_int(seed) or seed < 0:
+                raise ConfigurationError(
+                    f"seeds must be non-negative integers, got {seed!r}")
         if len(set(seeds)) != len(seeds):
             raise ConfigurationError(f"duplicate seeds in {list(seeds)}")
         object.__setattr__(self, "seeds", tuple(int(seed) for seed in seeds))
@@ -752,9 +714,7 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, payload: object) -> "ExperimentSpec":
         payload = _require_mapping(payload, "experiment spec")
-        allowed = ("kind", "benchmarks", "agents", "seeds", "max_steps",
-                   "thresholds", "runtime", "description")
-        _check_keys(payload, allowed, "experiment spec")
+        _check_keys(payload, cls, "experiment spec")
         if "kind" not in payload:
             raise ConfigurationError(
                 f"experiment spec requires a 'kind' (one of {EXPERIMENT_KINDS})"
@@ -764,20 +724,14 @@ class ExperimentSpec:
         benchmarks = cls._as_sequence(payload["benchmarks"], "benchmarks")
         agents = cls._as_sequence(payload.get("agents", []), "agents")
         spec_kwargs: Dict[str, Any] = {
-            "kind": payload["kind"],
+            **payload,
             "benchmarks": tuple(BenchmarkSpec.from_dict(item) for item in benchmarks),
             "agents": tuple(ExperimentAgentSpec.from_dict(item) for item in agents),
         }
-        if "seeds" in payload:
-            spec_kwargs["seeds"] = tuple(cls._as_sequence(payload["seeds"], "seeds"))
-        if "max_steps" in payload:
-            spec_kwargs["max_steps"] = payload["max_steps"]
         if "thresholds" in payload:
             spec_kwargs["thresholds"] = ThresholdSpec.from_dict(payload["thresholds"])
         if "runtime" in payload:
             spec_kwargs["runtime"] = RuntimeSpec.from_dict(payload["runtime"])
-        if "description" in payload:
-            spec_kwargs["description"] = payload["description"]
         return cls(**spec_kwargs)
 
     def to_json(self, indent: int = 2) -> str:
@@ -807,11 +761,7 @@ class ExperimentSpec:
 
     def with_runtime(self, runtime: RuntimeSpec) -> "ExperimentSpec":
         """The same experiment on a different runtime (same fingerprint)."""
-        return ExperimentSpec(
-            kind=self.kind, benchmarks=self.benchmarks, agents=self.agents,
-            seeds=self.seeds, max_steps=self.max_steps, thresholds=self.thresholds,
-            runtime=runtime, description=self.description,
-        )
+        return dataclasses.replace(self, runtime=runtime)
 
 
 # ----------------------------------------------------------------- overrides

@@ -10,7 +10,7 @@ ArtifactSpec` declarations into files on disk:
 2. **Experiment expansion** — the experiments bound by the stale artifacts
    are deduplicated by spec fingerprint (Table III and Figures 2-4 share
    one campaign, so it runs once) and executed through the standard
-   jobs/executor/store runtime: ``jobs > 1`` fans benchmark explorations
+   jobs/executor/store runtime: ``runtime.jobs > 1`` fans benchmark explorations
    out over worker processes, and every design-point evaluation lands in
    one shared :class:`~repro.runtime.store.EvaluationStore` (optionally
    persisted to sqlite, so a re-run or a later scale-up starts warm).
@@ -116,35 +116,18 @@ class PaperPipeline:
         unique.
     out_dir:
         Output directory for the rendered files and ``manifest.json``.
-    jobs:
-        Worker processes for experiment expansion (1 = serial; results are
-        identical either way).
-    store_path:
-        Optional sqlite path for the shared evaluation store, reused across
-        runs and shared with ``campaign`` / ``sweep`` invocations.
+    runtime:
+        The :class:`RuntimeSpec` the bound experiments execute on (workers, a
+        sqlite ``store_path`` shared across runs and with ``campaign`` /
+        ``sweep``, retries, resume); the artifacts are identical on any runtime.
     force:
         Rebuild every artifact even when its manifest entry is up to date.
-    retries / job_timeout_s:
-        Fault tolerance for the underlying campaigns — total attempts a
-        failing job may consume and the per-attempt wall-clock budget (see
-        :class:`~repro.runtime.resilience.RetryPolicy`).
-    checkpoint_interval / resume:
-        Checkpointed resume for the underlying campaigns (requires
-        ``store_path``): finished jobs journal every ``checkpoint_interval``
-        jobs, and ``resume=True`` restores them after a killed run instead
-        of re-executing (the published artifacts are identical either way).
     """
 
     artifacts: Sequence[ArtifactSpec]
     out_dir: Union[str, Path] = "artifacts"
-    jobs: int = 1
-    store_path: Optional[str] = None
+    runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
     force: bool = False
-    retries: int = 1
-    job_timeout_s: Optional[float] = None
-    checkpoint_interval: int = 0
-    resume: bool = False
-    _runtime: RuntimeSpec = field(init=False, repr=False)
 
     MANIFEST_NAME = "manifest.json"
 
@@ -163,16 +146,6 @@ class PaperPipeline:
         if duplicates:
             raise ConfigurationError(f"duplicate artifact name(s) {duplicates}")
         self.out_dir = Path(self.out_dir)
-        jobs = int(self.jobs)
-        self._runtime = RuntimeSpec(
-            executor="serial" if jobs <= 1 else "process",
-            jobs=max(jobs, 1),
-            store_path=self.store_path,
-            retries=self.retries,
-            job_timeout_s=self.job_timeout_s,
-            checkpoint_interval=self.checkpoint_interval,
-            resume=self.resume,
-        )
 
     # ------------------------------------------------------------- manifest
 
@@ -308,13 +281,12 @@ class PaperPipeline:
             return {}
 
         from repro.planner import execute_plan, plan_experiments
-        from repro.runtime.store import EvaluationStore
 
-        store = EvaluationStore(path=self.store_path)
-        executor = self._runtime.build_executor()
-        checkpoint = self._runtime.build_checkpoint()
+        store = self.runtime.build_store()
+        executor = self.runtime.build_executor()
+        checkpoint = self.runtime.build_checkpoint()
 
-        specs = [needed[fingerprint].with_runtime(self._runtime)
+        specs = [needed[fingerprint].with_runtime(self.runtime)
                  for fingerprint in sorted(needed)]
         plan = plan_experiments(specs, store=store)
         execution = execute_plan(plan, store=store, executor=executor,
@@ -337,6 +309,6 @@ class PaperPipeline:
         """Aggregate store statistics of this run (empty when all cached)."""
         if not reports:
             return {"size": 0, "hits": 0, "misses": 0, "lookups": 0,
-                    "hit_rate": 0.0, "path": self.store_path}
+                    "hit_rate": 0.0, "path": self.runtime.store_path}
         last = reports[sorted(reports)[-1]]
         return dict(last.store)

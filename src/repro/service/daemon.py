@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import os
 import queue
 import signal
@@ -121,21 +122,15 @@ class EvaluationDaemon:
     """A long-lived evaluation service over one shared store.
 
     Exactly one of ``socket_path`` (unix domain socket) and ``port``
-    (localhost TCP; 0 picks a free port) must be given.  ``store_path``
-    is the shared sqlite store (``None`` serves from memory only);
-    when set, a checkpoint journal next to it makes killed-daemon
-    restarts resumable (``resume=True``).
+    (localhost TCP; 0 picks a free port) must be given.  ``runtime``
+    governs every ticket; its ``store_path`` is the shared sqlite store
+    (``None``: memory only), next to which the daemon journals every job
+    (``checkpoint_interval`` 0 counts as 1) for a ``resume=True`` restart.
     """
 
-    def __init__(self, store_path: Optional[str] = None,
+    def __init__(self, runtime: RuntimeSpec = RuntimeSpec(),
                  socket_path: Optional[str] = None,
-                 port: Optional[int] = None,
-                 jobs: int = 1,
-                 batch_size: int = 0,
-                 retries: int = 1,
-                 job_timeout_s: Optional[float] = None,
-                 checkpoint_interval: int = 1,
-                 resume: bool = False) -> None:
+                 port: Optional[int] = None) -> None:
         if (socket_path is None) == (port is None):
             raise ConfigurationError(
                 "the daemon listens on exactly one endpoint: give either "
@@ -150,14 +145,11 @@ class EvaluationDaemon:
         self._socket_path = None if socket_path is None else str(socket_path)
         self._requested_port = port
         self.port: Optional[int] = None  # resolved once listening
-        # The daemon's runtime governs *how* every ticket executes; ticket
-        # specs are re-homed onto it (same fingerprint, same results).
-        self._runtime = RuntimeSpec.from_jobs(
-            jobs, store_path=store_path, batch_size=batch_size,
-            retries=retries, job_timeout_s=job_timeout_s,
-            checkpoint_interval=checkpoint_interval if store_path else 0,
-            resume=resume,
-        )
+        # Ticket specs are re-homed onto the daemon's runtime (same
+        # fingerprint, same results).
+        if runtime.store_path is not None and not runtime.checkpoint_interval:
+            runtime = dataclasses.replace(runtime, checkpoint_interval=1)
+        self._runtime = runtime
         self._store = self._runtime.build_store()
         self._executor = self._runtime.build_executor()
         self._checkpoint = self._runtime.build_checkpoint()

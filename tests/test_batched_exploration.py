@@ -381,10 +381,6 @@ class TestRuntimeSpecBatching:
         assert RuntimeSpec(executor="process", jobs=2).effective_batch_size(8) == 4
         assert RuntimeSpec().effective_batch_size(6) == 6
 
-    def test_from_jobs_forwards_batch_size(self):
-        assert RuntimeSpec.from_jobs(1, batch_size=4).batch_size == 4
-        assert RuntimeSpec.from_jobs(2, batch_size=4).batch_size == 4
-
 
 class TestCliBatching:
     def test_campaign_reports_batched_execution(self, capsys):

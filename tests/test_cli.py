@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import RuntimeSpec
 
 
 class TestParser:
@@ -30,7 +33,7 @@ class TestParser:
         assert args.benchmarks == ["dotproduct"]
         assert args.jobs == 1
         assert args.chunk_size == 256
-        assert args.store is None and args.out is None
+        assert args.store_path is None and args.out is None
 
 
 class TestCommands:
@@ -510,3 +513,106 @@ class TestPlanAndStore:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "error:" in err
+
+
+# ------------------------------------------------------------ runtime flags
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CAMPAIGN_EXAMPLE = REPO_ROOT / "examples" / "experiment_campaign.json"
+
+#: One invalid value per RuntimeSpec field (NaN goes through the spec file
+#: as a literal, which Python's json reads).
+INVALID_RUNTIME = {
+    "executor": "threads", "jobs": 0, "store_path": "", "chunk_size": 0,
+    "batch_size": -1, "retries": 0, "job_timeout_s": float("nan"),
+    "checkpoint_interval": -1, "resume": "yes", "remote": "",
+}
+
+
+def _subcommand(name):
+    subparsers = next(action for action in build_parser()._actions
+                      if action.__class__.__name__ == "_SubParsersAction")
+    return subparsers.choices[name]
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestRuntimeFlags:
+    """Every executing subcommand takes the runtime flags the table declares."""
+
+    def test_copies_of_the_runtime_are_gone(self):
+        import repro.cli as cli
+        from repro.reporting import PaperPipeline
+        from repro.service import EvaluationDaemon
+
+        assert not hasattr(RuntimeSpec, "from_jobs")
+        assert not hasattr(cli, "_resilient_runtime")
+        assert not hasattr(cli, "_add_resilience_arguments")
+        names = {item.name for item in dataclasses.fields(RuntimeSpec)}
+        for front_door in (PaperPipeline, EvaluationDaemon):
+            parameters = set(inspect.signature(front_door).parameters)
+            assert "runtime" in parameters
+            assert not parameters & names, front_door
+
+    @pytest.mark.parametrize("command", ["run", "serve", "campaign", "sweep", "paper"])
+    def test_runtime_options_equal_the_table_flag_rows(self, command):
+        expected = {
+            item.name: ((item.metadata["flag"],), item.default, item.metadata["help"])
+            for item in dataclasses.fields(RuntimeSpec) if item.metadata["flag"] is not None
+        }
+        assert set(expected) == set(INVALID_RUNTIME) - {"executor", "remote"}
+        options = {
+            action.dest: (tuple(action.option_strings), action.default, action.help)
+            for action in _subcommand(command)._actions if action.dest in expected
+        }
+        assert options == expected
+
+    @pytest.mark.parametrize("name", sorted(INVALID_RUNTIME))
+    def test_run_refuses_a_mutated_runtime_field(self, capsys, tmp_path, name):
+        assert {item.name for item in dataclasses.fields(RuntimeSpec)} == set(INVALID_RUNTIME)
+        payload = json.loads(CAMPAIGN_EXAMPLE.read_text())
+        payload["runtime"][name] = INVALID_RUNTIME[name]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        assert main(["run", str(spec_path)]) == 2
+        assert _assert_one_error_line(capsys).startswith(f"error: runtime {name} ")
+
+    def test_nan_threshold_override_exits_2(self, capsys):
+        assert main(["run", str(CAMPAIGN_EXAMPLE),
+                     "--set", "thresholds.accuracy_factor=NaN"]) == 2
+        err = _assert_one_error_line(capsys)
+        assert "accuracy_factor" in err and "nan" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["explore", "--benchmark", "dotproduct", "--seed", "-1"]) == 2
+        assert "-1" in _assert_one_error_line(capsys)
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        assert main(["campaign", "--benchmarks", "dotproduct", "--jobs", "0"]) == 2
+        assert "runtime jobs must be a positive integer, got 0" in \
+            _assert_one_error_line(capsys)
+
+    def test_readme_override_form_runs_on_a_pool(self, capsys):
+        assert main(["run", str(CAMPAIGN_EXAMPLE), "--set", "runtime.jobs=2",
+                     "--set", "seeds=[0,1]", "--set", "max_steps=40"]) == 0
+        assert "on 2 worker processes" in capsys.readouterr().out
+
+    def test_run_store_flag_sets_the_journal_location(self, capsys, tmp_path):
+        from repro.runtime.store import EvaluationStore
+
+        given, named = tmp_path / "X.sqlite", tmp_path / "Y.sqlite"
+        EvaluationStore(path=given).flush()
+        payload = json.loads(CAMPAIGN_EXAMPLE.read_text())
+        payload.update(seeds=[0], max_steps=20)
+        payload["runtime"]["store_path"] = str(named)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        assert main(["run", str(spec_path), "--store", str(given),
+                     "--checkpoint-interval", "1"]) == 0
+        assert Path(f"{given}.checkpoint.jsonl").exists()
+        assert not Path(f"{named}.checkpoint.jsonl").exists()
+        assert not named.exists()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks import DotProductBenchmark
 from repro.dse import AxcDseEnv
@@ -25,6 +28,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.registry import register_agent
+from repro.experiments.spec import EXECUTOR_KINDS
 from repro.runtime import AgentSpec, ProcessExecutor, execute_job
 from repro.runtime.jobs import ExplorationJob
 
@@ -124,6 +128,17 @@ class TestExperimentAgentSpec:
         with pytest.raises(ConfigurationError, match="JSON-serializable"):
             BenchmarkSpec("dotproduct", params={"length": {1, 2}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, float("-inf")]],
+                             ids=["nan", "inf", "nested-inf"])
+    def test_non_finite_values_rejected_at_construction(self, value):
+        # The wire protocol encodes with allow_nan=False, so a spec carrying
+        # NaN would run locally but fail remotely; it fails here instead.
+        with pytest.raises(ConfigurationError, match="'epsilon' must be JSON") as info:
+            ExperimentAgentSpec("q-learning", hyperparams={"epsilon": value})
+        assert "\n" not in str(info.value)
+        with pytest.raises(ConfigurationError, match="'length' must be JSON"):
+            BenchmarkSpec("dotproduct", params={"length": value})
+
 
 class TestThresholdSpec:
     def test_default_derives_fractions(self):
@@ -151,22 +166,17 @@ class TestThresholdSpec:
 
 
 class TestRuntimeSpec:
-    def test_serial_with_jobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="serial"):
-            RuntimeSpec(executor="serial", jobs=4)
+    def test_executor_follows_jobs(self):
+        assert RuntimeSpec(executor="serial", jobs=4).executor == "process"
+        assert RuntimeSpec(executor="process", jobs=1).executor == "serial"
+        assert RuntimeSpec(jobs=2) == RuntimeSpec(executor="process", jobs=2)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigurationError, match="executor"):
             RuntimeSpec(executor="threads")
 
-    def test_from_jobs_convention(self):
-        assert RuntimeSpec.from_jobs(1).executor == "serial"
-        process = RuntimeSpec.from_jobs(4, store_path="cache.sqlite")
-        assert (process.executor, process.jobs, process.store_path) == \
-            ("process", 4, "cache.sqlite")
-
     def test_round_trip(self):
-        spec = RuntimeSpec.from_jobs(2, chunk_size=64)
+        spec = RuntimeSpec(jobs=2, chunk_size=64)
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
@@ -352,6 +362,111 @@ class TestExperimentSpec:
             capture_output=True, text=True, check=True,
         )
         assert completed.stdout.strip() == spec.fingerprint()
+
+
+# ------------------------------------------------------------- field tables
+
+#: Per numeric table row, a value just below its bound.  Written out here,
+#: not derived from the rows, so the test checks the rules themselves.
+BELOW_BOUND = {
+    "accuracy_factor": -0.1, "power_fraction": -0.1, "time_fraction": -0.1,
+    "accuracy": -0.1, "power_mw": -0.1, "time_ns": -0.1,
+    "jobs": 0, "chunk_size": 0, "batch_size": -1, "retries": 0,
+    "job_timeout_s": 0.0, "checkpoint_interval": -1,
+}
+NAN, INF = float("nan"), float("inf")
+
+
+def _table(cls):
+    return [(item, item.metadata) for item in dataclasses.fields(cls)]
+
+
+def _valid_values(item, row):
+    """A strategy of the values one table row accepts on its own."""
+    if isinstance(item.default, bool):
+        values = st.booleans()
+    elif row["number"]:
+        values = st.one_of(st.integers(0, 1000),
+                           st.floats(0.0, 1e6, allow_nan=False)).filter(row["check"])
+    elif item.name == "executor":
+        values = st.sampled_from(EXECUTOR_KINDS)
+    elif isinstance(item.default, int):
+        values = st.integers(0, 64).filter(row["check"])
+    else:
+        values = st.text(min_size=1, max_size=12)
+    return st.one_of(st.none(), values) if row["nullable"] else values
+
+
+@st.composite
+def _documents(draw, cls):
+    """A valid document for a table spec, drawn row by row."""
+    document = {item.name: draw(_valid_values(item, row)) for item, row in _table(cls)}
+    explicit = ("accuracy", "power_mw", "time_ns")
+    if cls is ThresholdSpec and None in [document[name] for name in explicit]:
+        document.update(dict.fromkeys(explicit))  # all three, or none
+    if cls is RuntimeSpec and (document["resume"] or document["checkpoint_interval"]):
+        document["store_path"] = document["store_path"] or "evals.sqlite"
+    return document
+
+
+def _invalid_values(item, row):
+    """Wrong type, bool for a number, non-finite, below the bound, empty."""
+    if isinstance(item.default, bool):
+        return ["yes", 1, ""]
+    if row["number"]:
+        return ["1", True, NAN, INF, -INF, BELOW_BOUND[item.name], ""]
+    if isinstance(item.default, int):
+        return ["1", True, 2.5, NAN, INF, BELOW_BOUND[item.name], ""]
+    return [7, True, ""]
+
+
+def _mutations():
+    """(section, field, invalid values) for every row plus three top-level fields."""
+    cases = [(section, item.name, _invalid_values(item, row))
+             for section, cls in (("thresholds", ThresholdSpec), ("runtime", RuntimeSpec))
+             for item, row in _table(cls)]
+    cases += [
+        (None, "max_steps", ["1", True, 2.5, NAN, INF, 0, ""]),
+        (None, "seeds", ["1", [True], [2.5], [NAN], [INF], [-1], ""]),
+        (None, "kind", [7, True, ""]),
+    ]
+    return cases
+
+
+class TestFieldTables:
+    def test_below_bound_covers_every_numeric_row(self):
+        numeric = {item.name for cls in (ThresholdSpec, RuntimeSpec)
+                   for item, row in _table(cls)
+                   if row["number"] or type(item.default) is int}
+        assert numeric == set(BELOW_BOUND)
+
+    @settings(max_examples=60, deadline=None)
+    @given(runtime=_documents(RuntimeSpec), thresholds=_documents(ThresholdSpec))
+    def test_valid_documents_round_trip(self, runtime, thresholds):
+        spec = ExperimentSpec.from_dict({**_tiny_campaign_spec().to_dict(),
+                                         "runtime": runtime, "thresholds": thresholds})
+        for part in (spec.runtime, spec.thresholds):
+            assert type(part).from_dict(json.loads(json.dumps(part.to_dict()))) == part
+        again = ExperimentSpec.from_json(spec.to_json())
+        assert again == spec
+        assert again.fingerprint() == spec.fingerprint()
+        assert spec.with_runtime(RuntimeSpec()).fingerprint() == spec.fingerprint()
+
+    @pytest.mark.parametrize("section, name, values", _mutations(),
+                             ids=[f"{section or 'spec'}.{name}"
+                                  for section, name, _ in _mutations()])
+    def test_every_single_field_mutation_fails_in_one_line(self, section, name, values):
+        base = _tiny_campaign_spec().to_dict()
+        for value in values:
+            document = json.loads(json.dumps(base))
+            target = document if section is None else document[section]
+            target[name] = value
+            with pytest.raises(ConfigurationError) as info:
+                ExperimentSpec.from_dict(document)
+            message = str(info.value)
+            bad = value[0] if isinstance(value, list) else value
+            assert "\n" not in message
+            assert name in message and repr(bad) in message, (value, message)
 
 
 class TestOverrides:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, ReportingError
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
 from repro.reporting import (
     Artifact,
     ArtifactSpec,
@@ -285,7 +285,7 @@ class TestPaperPipeline:
     def test_parallel_run_is_bit_identical(self, first_run, tmp_path):
         out_dir, _ = first_run
         parallel = PaperPipeline(paper_artifacts("smoke"), out_dir=tmp_path,
-                                 jobs=2).run()
+                                 runtime=RuntimeSpec(jobs=2)).run()
         assert all(status.state == "built" for status in parallel.statuses)
         for name in [f.name for f in Path(out_dir).iterdir()]:
             assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
@@ -302,11 +302,11 @@ class TestPaperPipeline:
     def test_persistent_store_serves_forced_rerun(self, tmp_path):
         store = tmp_path / "paper.sqlite"
         out_dir = tmp_path / "arts"
-        PaperPipeline(paper_artifacts("smoke"), out_dir=out_dir,
-                      store_path=str(store)).run()
+        runtime = RuntimeSpec(store_path=str(store))
+        PaperPipeline(paper_artifacts("smoke"), out_dir=out_dir, runtime=runtime).run()
         assert store.exists()
         forced = PaperPipeline(paper_artifacts("smoke"), out_dir=out_dir,
-                               store_path=str(store), force=True).run()
+                               runtime=runtime, force=True).run()
         assert all(status.state == "built" for status in forced.statuses)
         assert forced.store["hits"] > 0
         assert forced.store["hits"] == forced.store["lookups"]

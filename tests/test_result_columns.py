@@ -17,8 +17,10 @@ import pickle
 import pytest
 
 from repro.agents import RandomAgent
+from repro.agents.baselines import HillClimbingExplorer
 from repro.benchmarks import create
 from repro.dse import AxcDseEnv, Explorer
+from repro.dse.evaluator import Evaluator
 from repro.dse.frontier import ParetoArchive
 from repro.dse.results import ExplorationResult
 from repro.runtime import (
@@ -143,6 +145,28 @@ class TestProducersMatchTheReference:
         if agent == "hill-climbing":
             assert result.baseline[0] and not result.baseline[1:].any()
         _assert_matches_reference(result)
+
+
+class TestEvaluationsMetadata:
+    """``metadata["evaluations"]`` counts the trace's own distinct points."""
+
+    def test_second_run_on_one_environment(self):
+        environment = AxcDseEnv(create("dotproduct"))
+        agent = RandomAgent(num_actions=environment.action_space.n, seed=0)
+        explorer = Explorer(environment, agent, max_steps=100)
+        results = [explorer.run(seed=0), explorer.run(seed=1)]
+        # The evaluator has served both episodes' points by now.
+        assert environment.evaluator.cache_size > len(results[1].points)
+        for result in results:
+            assert result.metadata["evaluations"] == len(result.points)
+
+    def test_baseline_recorders_sharing_an_evaluator(self):
+        evaluator = Evaluator(create("dotproduct", length=8))
+        results = [HillClimbingExplorer(evaluator, max_evaluations=60, seed=seed).run()
+                   for seed in (0, 1)]
+        assert evaluator.cache_size > len(results[1].points)
+        for result in results:
+            assert result.metadata["evaluations"] == len(result.points)
 
 
 # ------------------------------------------------------------------ equality
