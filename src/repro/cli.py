@@ -580,10 +580,13 @@ def _command_run_remote(args: argparse.Namespace, spec: ExperimentSpec,
 
 def _command_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec, args.overrides)
+    # Checked before the remote branch too, where the daemon's runtime
+    # governs the ticket and the flags are not applied.
+    runtime = _runtime_from_args(args, spec.runtime)
     remote = args.remote if args.remote is not None else spec.runtime.remote
     if remote is not None:
         return _command_run_remote(args, spec, remote)
-    spec = spec.with_runtime(_runtime_from_args(args, spec.runtime))
+    spec = spec.with_runtime(runtime)
     spec_path = Path(args.spec)
 
     if args.store_path is not None:

@@ -1,4 +1,4 @@
-"""Batched exploration engine: advance N episodes per NumPy operation.
+"""Batched exploration engine: advance N episodes in one lockstep loop.
 
 :class:`~repro.dse.explorer.Explorer` steps one episode at a time through
 dict observations, per-step reward objects and per-state dict lookups.
@@ -6,24 +6,25 @@ With the compiled kernels making design-point evaluation cheap — and the
 evaluation store collapsing the thousands of steps of an episode onto a
 few hundred distinct design points — that per-step Python dispatch is
 what dominates a Table-III campaign.  This module replaces it with
-array-at-a-time batch stepping:
+batch stepping over plain lists, which at a batch of a few episodes cost
+far less per step than NumPy calls on arrays that small:
 
-* :class:`BatchedAxcDseEnv` holds the state of every episode as arrays —
+* :class:`BatchedAxcDseEnv` holds the state of every episode as lists —
   current design-point *enumeration indices* (the dense state of
   :meth:`~repro.dse.design_space.DesignSpace.point_at`) and cumulative
-  rewards — and applies actions through a precomputed ``(space size,
-  num actions)`` transition table.  A design point is evaluated once per
-  (workload, point) through :meth:`~repro.dse.evaluator.Evaluator.
-  evaluate_many`, and the environment's reward function is called on it
-  right then; its reward, terminate and violation flags land in dense
-  per-workload tables over the space, so a step's outcome is three
-  gathers.
+  rewards — and applies actions through a transition table built once
+  per environment (one list of next indices per design point).  A design
+  point is evaluated once per (workload, point) through
+  :meth:`~repro.dse.evaluator.Evaluator.evaluate_many`, and the
+  environment's reward function is called on it right then; its reward,
+  terminate and violation flags land in flat per-cell lists, so a step's
+  outcome is a few list lookups.
 * :class:`BatchedExplorer` drives a vectorized agent
   (:mod:`repro.agents.vectorized`) through the batched environment in
-  lockstep, recording only each step's state and action.  After the loop
-  it gathers every trace's rewards and flags from those tables and hands
-  each episode's columns to its :class:`~repro.dse.results.
-  ExplorationResult` directly.
+  lockstep, appending each step's state and action to the episode's trace
+  lists.  After the loop it gathers every trace's rewards and flags from
+  the outcome lists and hands each episode's columns to its
+  :class:`~repro.dse.results.ExplorationResult` as arrays.
 
 Bit-identity contract
 ---------------------
@@ -38,8 +39,8 @@ point) gives every visit the serial outcome, and cumulative rewards add in
 step order, so the float64 traces are IEEE-identical.  The test suite
 asserts this per agent per benchmark.
 
-The one observable difference is bookkeeping, not results: the dense
-tables serve repeat visits without consulting the shared
+The one observable difference is bookkeeping, not results: the outcome
+lists serve repeat visits without consulting the shared
 :class:`~repro.runtime.store.EvaluationStore`, so store hit/lookup
 *statistics* differ from a serial run (the stored records themselves are
 identical).
@@ -65,8 +66,8 @@ from repro.runtime.store import EvaluationStore
 __all__ = ["BatchedAxcDseEnv", "BatchedExplorer"]
 
 
-def _transition_table(space: DesignSpace) -> np.ndarray:
-    """Precompute next-state indices for every (state, directional action).
+def _transition_table(space: DesignSpace) -> List[List[int]]:
+    """Next-state indices for every (state, directional action), one list per state.
 
     Column layout matches :meth:`AxcDseEnv._apply_directional`: adder up,
     adder down, multiplier up, multiplier down, then one toggle column per
@@ -93,11 +94,11 @@ def _transition_table(space: DesignSpace) -> np.ndarray:
     for position in range(num_variables):
         bit = 1 << (num_variables - 1 - position)
         table[:, 4 + position] = compose(adder, multiplier, mask ^ bit)
-    return table
+    return table.tolist()
 
 
 class BatchedAxcDseEnv:
-    """Many :class:`~repro.dse.environment.AxcDseEnv` episodes as arrays.
+    """Many :class:`~repro.dse.environment.AxcDseEnv` episodes as lists.
 
     Accepts the same environment settings as :class:`AxcDseEnv`, plus
     ``seeds`` — one workload/exploration seed per episode, mirroring how
@@ -155,10 +156,10 @@ class BatchedAxcDseEnv:
                               store=store)
                 )
             eval_ids.append(eval_id_by_seed[seed])
-        self._eval_ids = np.asarray(eval_ids, dtype=np.int64)
+        self._eval_ids = eval_ids
         self._space = self._evaluators[0].design_space
-        # Row offset of each episode's workload in the flat outcome tables.
-        self._offsets = self._eval_ids * self._space.size
+        # Cell offset of each episode's workload in the flat outcome lists.
+        self._offsets = [eval_id * self._space.size for eval_id in eval_ids]
 
         self._thresholds_by_eval: List[ExplorationThresholds] = []
         for evaluator in self._evaluators:
@@ -183,14 +184,14 @@ class BatchedAxcDseEnv:
 
         num_evaluators = len(self._evaluators)
         cells = num_evaluators * self._space.size
-        # Dense per-workload step outcomes, flat: workload ``w``'s design
-        # point ``i`` is cell ``w * size + i``.  A cell is filled when its
-        # point is first evaluated and gated by ``_known``; ``_records``
-        # keeps the full EvaluationRecord for the result's point table.
-        self._known = np.zeros(cells, dtype=bool)
-        self._rewards = np.zeros(cells, dtype=np.float64)
-        self._terminate = np.zeros(cells, dtype=bool)
-        self._violated = np.zeros(cells, dtype=bool)
+        # Per-workload step outcomes, flat: workload ``w``'s design point
+        # ``i`` is cell ``w * size + i``.  A cell is filled when its point
+        # is first evaluated; its reward stays ``None`` until then.
+        # ``_records`` keeps the full EvaluationRecord for the result's
+        # point table.
+        self._rewards: List[Optional[float]] = [None] * cells
+        self._terminate = [False] * cells
+        self._violated = [False] * cells
         self._records: List[Dict[int, EvaluationRecord]] = [
             {} for _ in range(num_evaluators)
         ]
@@ -200,8 +201,8 @@ class BatchedAxcDseEnv:
         self._points: Dict[int, DesignPoint] = {}
 
         self._rngs: Optional[List[np.random.Generator]] = None
-        self._state_idx: Optional[np.ndarray] = None
-        self._cumulative = np.zeros(len(seeds), dtype=np.float64)
+        self._states: Optional[List[int]] = None
+        self._cumulative = [0.0] * len(seeds)
 
     # ------------------------------------------------------------ properties
 
@@ -230,7 +231,7 @@ class BatchedAxcDseEnv:
         return self._action_scheme
 
     @property
-    def cumulative_rewards(self) -> np.ndarray:
+    def cumulative_rewards(self) -> List[float]:
         """Per-episode accumulated rewards (live view)."""
         return self._cumulative
 
@@ -247,10 +248,13 @@ class BatchedAxcDseEnv:
         return self._records[self._eval_ids[episode]]
 
     def outcomes_for(self, episode: int,
-                     indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                     indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Rewards and violation flags of visiting evaluated ``indices``."""
-        cells = self._offsets[episode] + indices
-        return self._rewards[cells], self._violated[cells]
+        cells = [self._offsets[episode] + index for index in indices]
+        rewards = self._rewards
+        violated = self._violated
+        return (np.array([rewards[cell] for cell in cells], dtype=np.float64),
+                np.array([violated[cell] for cell in cells], dtype=bool))
 
     def index_of(self, point: DesignPoint) -> int:
         """The enumeration index of a design point (inverse of ``point_at``)."""
@@ -266,7 +270,7 @@ class BatchedAxcDseEnv:
 
     # --------------------------------------------------------------- stepping
 
-    def reset_batch(self, random_start: bool = False) -> np.ndarray:
+    def reset_batch(self, random_start: bool = False) -> List[int]:
         """Start every episode afresh; returns the starting state indices.
 
         Episode ``i``'s RNG is re-created from ``seeds[i]`` exactly like
@@ -274,89 +278,96 @@ class BatchedAxcDseEnv:
         is evaluated (a cache/store hit when already known).
         """
         self._rngs = [np_random(seed)[0] for seed in self._seeds]
-        batch = len(self._seeds)
         if random_start:
-            starts = np.empty(batch, dtype=np.int64)
-            for episode, rng in enumerate(self._rngs):
-                starts[episode] = self.index_of(self._space.random_point(rng))
+            starts = [self.index_of(self._space.random_point(rng)) for rng in self._rngs]
         else:
             # The initial point (adder 1, multiplier 1, nothing approximated)
             # enumerates to index 0.
-            starts = np.zeros(batch, dtype=np.int64)
-        self._ensure_evaluated(self._offsets + starts)
-        self._cumulative = np.zeros(batch, dtype=np.float64)
-        self._state_idx = starts.copy()
-        return starts.copy()
+            starts = [0] * len(self._seeds)
+        self._ensure_evaluated([offset + start
+                                for offset, start in zip(self._offsets, starts)])
+        self._cumulative = [0.0] * len(starts)
+        self._states = list(starts)
+        return starts
 
-    def step_batch(self, actions: np.ndarray,
-                   active: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
+    def step_batch(self, actions: Sequence[int],
+                   active: Sequence[int]) -> Tuple[List[int], List[float], List[bool]]:
         """Advance the ``active`` episodes by one action each.
 
-        Returns ``(next_indices, rewards, terminated, constraint_violated)``
-        aligned with ``active``.
+        Returns ``(next_indices, rewards, terminated)``, lists aligned with
+        ``active``; the violation flags stay in the outcome lists
+        (:meth:`outcomes_for`).
         """
-        if self._state_idx is None:
+        states = self._states
+        if states is None:
             raise ResetNeeded("call reset_batch() before step_batch()")
-        actions = np.asarray(actions, dtype=np.int64)
-        next_idx = self._apply_actions(actions, active)
-        cells = self._offsets[active] + next_idx
-        self._ensure_evaluated(cells)
-        rewards = self._rewards[cells]
+        num_actions = self._num_actions
+        if actions and (min(actions) < 0 or max(actions) >= num_actions):
+            bad = next(action for action in actions if not 0 <= action < num_actions)
+            raise InvalidAction(f"action {int(bad)} is outside Discrete({num_actions})")
+        if self._action_scheme == "directional":
+            transitions = self._transitions
+            next_states = [transitions[states[episode]][action]
+                           for episode, action in zip(active, actions)]
+        else:
+            next_states = self._apply_compact(actions, active)
 
-        cumulative = self._cumulative[active] + rewards
-        self._cumulative[active] = cumulative
-        terminated = self._terminate[cells] | (cumulative >= self._max_cumulative_reward)
-        self._state_idx[active] = next_idx
-        return next_idx, rewards, terminated, self._violated[cells]
+        offsets = self._offsets
+        cells = [offsets[episode] + state for episode, state in zip(active, next_states)]
+        rewards = self._rewards
+        if None in [rewards[cell] for cell in cells]:
+            self._ensure_evaluated(cells)
+
+        terminate = self._terminate
+        cumulative = self._cumulative
+        ceiling = self._max_cumulative_reward
+        step_rewards = []
+        terminated = []
+        for episode, state, cell in zip(active, next_states, cells):
+            reward = rewards[cell]
+            total = cumulative[episode] + reward
+            cumulative[episode] = total
+            states[episode] = state
+            step_rewards.append(reward)
+            terminated.append(terminate[cell] or total >= ceiling)
+        return next_states, step_rewards, terminated
 
     # ----------------------------------------------------------- transitions
 
-    def _apply_actions(self, actions: np.ndarray, active: np.ndarray) -> np.ndarray:
-        states = self._state_idx[active]
-        if actions.size and (actions.min() < 0 or actions.max() >= self._num_actions):
-            bad = actions[(actions < 0) | (actions >= self._num_actions)][0]
-            raise InvalidAction(
-                f"action {int(bad)} is outside Discrete({self._num_actions})"
-            )
-        table = self._transitions
-        if self._action_scheme == "directional":
-            return table[states, actions]
-
-        next_idx = np.empty(active.size, dtype=np.int64)
-        num_variables = self._space.num_variables
+    def _apply_compact(self, actions: Sequence[int], active: Sequence[int]) -> List[int]:
+        states = self._states
+        transitions = self._transitions
         rngs = self._rngs
-        for slot in range(active.size):
-            rng = rngs[active[slot]]
+        num_variables = self._space.num_variables
+        next_states = []
+        for episode, action in zip(active, actions):
+            rng = rngs[episode]
+            row = transitions[states[episode]]
             # The serial compact scheme draws the direction before looking
             # at the action kind, so the draw happens unconditionally here
             # too — stream alignment over correctness micro-optimisation.
             forward = rng.random() < 0.5
-            action = actions[slot]
-            state = states[slot]
             if action == 0:
-                next_idx[slot] = table[state, 0] if forward else table[state, 1]
+                next_states.append(row[0] if forward else row[1])
             elif action == 1:
-                next_idx[slot] = table[state, 2] if forward else table[state, 3]
+                next_states.append(row[2] if forward else row[3])
             else:
-                position = int(rng.integers(0, num_variables))
-                next_idx[slot] = table[state, 4 + position]
-        return next_idx
+                next_states.append(row[4 + int(rng.integers(0, num_variables))])
+        return next_states
 
     # ------------------------------------------------------------ evaluation
 
-    def _ensure_evaluated(self, cells: np.ndarray) -> None:
-        known = self._known[cells]
-        # count_nonzero: a fraction of ``known.all()``'s cost on small batches.
-        if np.count_nonzero(known) == known.size:
-            return
+    def _ensure_evaluated(self, cells: Sequence[int]) -> None:
+        """Evaluate the never-seen cells, per evaluator, in slot order."""
         space = self._space
+        rewards = self._rewards
         pending: Dict[int, List[int]] = {}
-        for cell in cells[~known].tolist():
-            eval_id, index = divmod(cell, space.size)
-            bucket = pending.setdefault(eval_id, [])
-            if index not in bucket:
-                bucket.append(index)
+        for cell in cells:
+            if rewards[cell] is None:
+                eval_id, index = divmod(cell, space.size)
+                bucket = pending.setdefault(eval_id, [])
+                if index not in bucket:
+                    bucket.append(index)
         points_cache = self._points
         for eval_id, bucket in pending.items():
             points = []
@@ -372,10 +383,9 @@ class BatchedAxcDseEnv:
                 outcome = self._reward_function(record.point, record.deltas,
                                                 thresholds, space)
                 cell = eval_id * space.size + index
-                self._rewards[cell] = outcome.reward
-                self._terminate[cell] = outcome.terminate
-                self._violated[cell] = outcome.constraint_violated
-                self._known[cell] = True
+                rewards[cell] = float(outcome.reward)
+                self._terminate[cell] = bool(outcome.terminate)
+                self._violated[cell] = bool(outcome.constraint_violated)
                 self._records[eval_id][index] = record
 
 
@@ -417,62 +427,61 @@ class BatchedExplorer:
         """Run every episode to termination/budget; results in seed order."""
         environment = self._environment
         agent = self._agent
-        max_steps = self._max_steps
-        batch = environment.num_episodes
 
         starts = environment.reset_batch(random_start=random_start)
+        batch = len(starts)
+        # Per-episode trace columns; step 0 is the start, reached by no action.
+        trace_states = [[start] for start in starts]
+        trace_actions = [[NO_ACTION] for _ in starts]
+        terminated_flags = [False] * batch
+        # Episodes drop out of ``active`` permanently on termination;
+        # ``states`` stays aligned with it.
+        active = list(range(batch))
+        states = list(starts)
 
-        # Step-major traces: each step writes one contiguous row.
-        trace_states = np.zeros((max_steps + 1, batch), dtype=np.int64)
-        trace_actions = np.full((max_steps + 1, batch), NO_ACTION, dtype=np.int8)
-        lengths = np.full(batch, max_steps, dtype=np.int64)
-        terminated_flags = np.zeros(batch, dtype=bool)
+        for _ in range(self._max_steps):
+            actions = agent.select_actions(active, states)
+            next_states, rewards, terminated = environment.step_batch(actions, active)
+            agent.update(active, states, actions, rewards, next_states, terminated)
 
-        trace_states[0] = starts
-        # Episodes drop out of ``active`` permanently on termination, so the
-        # index array only needs rebuilding on steps where someone finished.
-        active = np.arange(batch, dtype=np.int64)
-
-        for step in range(1, max_steps + 1):
-            previous = trace_states[step - 1][active]
-            actions = agent.select_actions(active, previous)
-            next_idx, rewards, terminated, _ = environment.step_batch(actions, active)
-            agent.update(active, previous, actions, rewards, next_idx, terminated)
-
-            trace_states[step][active] = next_idx
-            trace_actions[step][active] = actions
-            if np.count_nonzero(terminated):
-                finished = active[terminated]
-                terminated_flags[finished] = True
-                lengths[finished] = step
-                active = active[~terminated]
-                if active.size == 0:
+            for episode, state, action in zip(active, next_states, actions):
+                trace_states[episode].append(state)
+                trace_actions[episode].append(action)
+            states = next_states
+            if True in terminated:
+                survivors = [slot for slot, done in enumerate(terminated) if not done]
+                for episode, done in zip(active, terminated):
+                    terminated_flags[episode] = done
+                active = [active[slot] for slot in survivors]
+                states = [states[slot] for slot in survivors]
+                if not active:
                     break
 
         return [
-            self._result(episode, trace_states[:lengths[episode] + 1, episode],
-                         trace_actions[:lengths[episode] + 1, episode].copy(),
-                         bool(terminated_flags[episode]))
+            self._result(episode, trace_states[episode], trace_actions[episode],
+                         terminated_flags[episode])
             for episode in range(batch)
         ]
 
-    def _result(self, episode: int, states: np.ndarray, actions: np.ndarray,
+    def _result(self, episode: int, states: List[int], actions: List[int],
                 terminated: bool) -> ExplorationResult:
         """One episode's result: its visited points as the table, the rest gathered."""
         environment = self._environment
-        visited, first, inverse = np.unique(states, return_index=True,
-                                            return_inverse=True)
+        visited, first, inverse = np.unique(np.array(states, dtype=np.int64),
+                                            return_index=True, return_inverse=True)
         order = np.argsort(first)
         rows = np.empty(order.size, dtype=np.int32)
         rows[order] = np.arange(order.size, dtype=np.int32)
         point_records = environment.records_map_for(episode)
         table = [point_records[index] for index in visited[order].tolist()]
-        rewards, violated = environment.outcomes_for(episode, states)
+        rewards, violated = environment.outcomes_for(episode, visited.tolist())
+        rewards = rewards[inverse]
+        violated = violated[inverse]
         # Step 0 is the synthetic baseline: no action led there and it
         # earns nothing.
         rewards[0] = 0.0
         violated[0] = False
-        baseline = np.zeros(states.size, dtype=bool)
+        baseline = np.zeros(len(states), dtype=bool)
         baseline[0] = True
         evaluator = environment.evaluator_for(episode)
         return ExplorationResult(
@@ -480,7 +489,7 @@ class BatchedExplorer:
             points=[record.point for record in table],
             deltas=[record.deltas for record in table],
             point_ids=rows[inverse],
-            actions=actions,
+            actions=np.array(actions, dtype=np.int8),
             rewards=rewards,
             violated=violated,
             baseline=baseline,

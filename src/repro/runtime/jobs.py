@@ -219,8 +219,8 @@ class BatchedExplorationJob:
     """A group of same-(benchmark, agent, hyperparameters) explorations.
 
     Executed through the batched engine (:mod:`repro.dse.batched_env`) as
-    one work unit: all seeds step in lockstep, sharing the dense Q-array
-    and the vectorized evaluation caches.  The result of executing a
+    one work unit: all seeds step in lockstep, sharing one vectorized
+    agent and the per-workload outcome lists.  The result of executing a
     batched job is a *list* of per-seed
     :class:`~repro.dse.results.ExplorationResult`\\ s, in seed order, each
     bit-identical to running the corresponding :class:`ExplorationJob`

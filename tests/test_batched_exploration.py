@@ -6,16 +6,24 @@ many episodes in lockstep is an implementation detail: every per-seed
 must equal — field for field, float for float — the result of running the
 corresponding serial :class:`~repro.runtime.jobs.ExplorationJob`.  These
 tests pin that contract for every registered RL agent on every registered
-benchmark, for mid-batch termination, and for the RNG stream shortcuts the
-vectorized agents rely on; the rest covers the batching policy of
-``expand_jobs`` and the campaign/spec/CLI wire-through.
+benchmark, for mid-batch termination, and for the RNG stream shortcuts and
+the exact bulk word stream the vectorized agents rely on; the rest covers
+the batching policy of ``expand_jobs`` and the campaign/spec/CLI
+wire-through.
 """
 
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.agents import vectorized
+from repro.agents.vectorized import _BLOCK_WORDS, _WordStream
 from repro.benchmarks.registry import available, create
 from repro.cli import main
 from repro.dse import Evaluator
@@ -189,6 +197,72 @@ class TestStreamShortcuts:
                 assert int(a.choice(candidates)) == \
                     int(candidates[int(b.integers(0, n))])
                 assert a.random() == b.random()
+
+
+# ---------------------------------------------------- exact bulk word stream
+
+#: ``integers(n)`` bounds: trivial, small, powers of two, and bounds where
+#: Lemire's rejection fires often (3e9) or never (2**31).
+STREAM_BOUNDS = (1, 2, 3, 7, 8, 14, 2**31, 3_000_000_000, 2**32 - 1)
+
+
+def _assert_stream_equals_generator(seed, calls, min_words):
+    """Repeat ``calls`` until at least ``min_words`` words are drawn.
+
+    ``None`` stands for ``random()``, which draws a whole word;
+    ``integers(n > 1)`` draws at least half of one.
+    """
+    reference = np.random.default_rng(seed)
+    stream = _WordStream(seed)
+    words = 0.0
+    for n in itertools.cycle(calls):
+        if words > min_words:
+            return
+        if n is None:
+            assert stream.random() == reference.random()
+            words += 1
+        else:
+            assert stream.integers(n) == int(reference.integers(n))
+            words += 0.5 if n > 1 else 0.0
+
+
+_CALLS = st.lists(st.sampled_from((None,) + STREAM_BOUNDS), min_size=1, max_size=8)
+
+
+class TestWordStream:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+    def test_equals_the_generator_call_for_call_across_refills(self, seed, calls):
+        assume(any(n != 1 for n in calls))
+        _assert_stream_equals_generator(seed, calls, min_words=1.5 * _BLOCK_WORDS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+    def test_every_refill_boundary_keeps_the_sequence(self, seed, calls):
+        # Three-word blocks put a refill at every alignment of the draws,
+        # including a kept 32-bit half pending across the refill.
+        assume(any(n != 1 for n in calls))
+        with mock.patch.object(vectorized, "_BLOCK_WORDS", 3):
+            _assert_stream_equals_generator(seed, calls, min_words=60)
+
+
+class TestBatchedEdgeCases:
+    @pytest.mark.parametrize("agent", ["q-learning", "sarsa", "random"])
+    def test_one_seed_batch_equals_its_serial_job(self, agent):
+        benchmark = create("dotproduct", length=8)
+        (result,) = _batched_results(benchmark, (5,), agent=agent, steps=200)
+        assert result == _serial_result(benchmark, 5, agent=agent, steps=200)
+
+    def test_episodes_crossing_several_refills_equal_serial(self):
+        # Every SARSA step draws at least two words (the epsilon tests of the
+        # selection and of the bootstrap), so 3,000 steps span several
+        # refill blocks of each episode's stream.
+        benchmark = create("dotproduct", length=8)
+        batched = _batched_results(benchmark, SEEDS, agent="sarsa", steps=3000)
+        for seed, result in zip(SEEDS, batched):
+            words_drawn = 2 * (result.num_steps - 1)
+            assert words_drawn > 2 * _BLOCK_WORDS
+            assert result == _serial_result(benchmark, seed, agent="sarsa", steps=3000)
 
 
 # ------------------------------------------------- design-point equivalence

@@ -596,6 +596,16 @@ class TestRuntimeFlags:
         assert "runtime jobs must be a positive integer, got 0" in \
             _assert_one_error_line(capsys)
 
+    def test_remote_run_checks_the_runtime_flags_first(self, capsys, tmp_path):
+        # The daemon's runtime governs a remote ticket, but a refused flag
+        # still ends the command before it contacts any daemon.
+        assert main(["run", str(CAMPAIGN_EXAMPLE), "--remote", str(tmp_path / "none.sock"),
+                     "--jobs", "0", "--job-timeout", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "submitting" not in captured.out
+        assert captured.err.startswith("error: runtime jobs ") and \
+            captured.err.count("\n") == 1, captured.err
+
     def test_readme_override_form_runs_on_a_pool(self, capsys):
         assert main(["run", str(CAMPAIGN_EXAMPLE), "--set", "runtime.jobs=2",
                      "--set", "seeds=[0,1]", "--set", "max_steps=40"]) == 0
