@@ -23,16 +23,22 @@ land in ``benchmark.extra_info`` for the perf trajectory.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.dse.design_space import DesignPoint
-from repro.dse.frontier import ParetoArchive, pareto_front_bruteforce
+from repro.dse.frontier import ParetoArchive
 from repro.dse.results import StepRecord
 from repro.experiments import ExperimentSpec, RuntimeSpec, run_experiment
 from repro.metrics.deltas import ObjectiveDeltas
 from repro.runtime import EvaluationStore
+
+# The O(n²) oracle lives with the tests that hold the engine to it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _frontier_oracle import pareto_front_bruteforce  # noqa: E402
 
 
 def _synthetic_trace(num_steps: int, seed: int = 7):

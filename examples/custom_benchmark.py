@@ -17,7 +17,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro import AxcDseEnv, QLearningAgent, explore
+from repro import AxcDseEnv, Explorer, QLearningAgent
 from repro.agents.schedules import LinearDecayEpsilon
 from repro.analysis import render_table3
 from repro.benchmarks import Benchmark, register, workloads
@@ -68,7 +68,7 @@ def main() -> None:
         epsilon=LinearDecayEpsilon(start=1.0, end=0.05, decay_steps=300),
         seed=0,
     )
-    result = explore(environment, agent, max_steps=1200, seed=0)
+    result = Explorer(environment, agent, max_steps=1200).run(seed=0)
 
     print(f"\nExploration finished after {result.num_steps} steps")
     print(render_table3({benchmark.name: result}, environment.evaluator.catalog))

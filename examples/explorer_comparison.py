@@ -26,7 +26,7 @@ from repro.agents import (
 from repro.agents.schedules import LinearDecayEpsilon
 from repro.analysis import render_comparison
 from repro.benchmarks import available, create
-from repro.dse import AxcDseEnv, Explorer, pareto_front
+from repro.dse import AxcDseEnv, Explorer
 
 
 def main() -> None:
@@ -68,7 +68,7 @@ def main() -> None:
     print(render_comparison(results))
 
     # Show the Pareto-optimal configurations the RL exploration discovered.
-    front = pareto_front(results[0].records)
+    front = results[0].front(include_baseline=True)
     print(f"\nPareto front of the Q-learning exploration ({len(front)} points):")
     for record in sorted(front, key=lambda record: record.deltas.accuracy)[:10]:
         print(f"  {record.point}  {record.deltas}")

@@ -12,7 +12,7 @@ style summary is printed at the end.
 
 from __future__ import annotations
 
-from repro import AxcDseEnv, QLearningAgent, explore
+from repro import AxcDseEnv, Explorer, QLearningAgent
 from repro.agents.schedules import LinearDecayEpsilon
 from repro.analysis import render_table3
 from repro.benchmarks import MatMulBenchmark
@@ -39,7 +39,7 @@ def main() -> None:
     )
 
     # 4. Explore for up to 2,000 steps (the paper uses up to 10,000).
-    result = explore(environment, agent, max_steps=2000, seed=0)
+    result = Explorer(environment, agent, max_steps=2000).run(seed=0)
 
     # 5. Report the exploration the way Table III does.
     print(f"\nExploration finished after {result.num_steps} steps "

@@ -37,12 +37,12 @@ from scratch:
 
 Quickstart::
 
-    from repro import AxcDseEnv, QLearningAgent, explore
+    from repro import AxcDseEnv, Explorer, QLearningAgent
     from repro.benchmarks import MatMulBenchmark
 
     env = AxcDseEnv(MatMulBenchmark(rows=10, inner=10, cols=10))
     agent = QLearningAgent(num_actions=env.action_space.n)
-    result = explore(env, agent, max_steps=2000, seed=0)
+    result = Explorer(env, agent, max_steps=2000).run(seed=0)
     print(result.table3_row(env.evaluator.catalog))
 
 Declarative quickstart (the same experiment as a shareable document)::
@@ -74,7 +74,6 @@ from repro.dse import (
     FrontQuality,
     ParetoArchive,
     SweepResult,
-    explore,
     front_quality,
 )
 from repro.experiments import (
@@ -116,7 +115,6 @@ __all__ = [
     "__version__",
     "AxcDseEnv",
     "Explorer",
-    "explore",
     "Evaluator",
     "DesignPoint",
     "DesignSpace",

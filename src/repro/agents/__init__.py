@@ -1,11 +1,6 @@
 """Learning agents and baseline explorers for the design-space exploration."""
 
-from repro.agents.base import (
-    Agent,
-    ConfigurationEncoder,
-    StateEncoder,
-    ThresholdBucketEncoder,
-)
+from repro.agents.base import Agent
 from repro.agents.baselines import (
     ExhaustiveExplorer,
     GeneticExplorer,
@@ -18,22 +13,17 @@ from repro.agents.sarsa import SarsaAgent
 from repro.agents.schedules import (
     ConstantEpsilon,
     EpsilonSchedule,
-    ExponentialDecayEpsilon,
     LinearDecayEpsilon,
 )
 
 __all__ = [
     "Agent",
-    "StateEncoder",
-    "ConfigurationEncoder",
-    "ThresholdBucketEncoder",
     "QLearningAgent",
     "SarsaAgent",
     "RandomAgent",
     "EpsilonSchedule",
     "ConstantEpsilon",
     "LinearDecayEpsilon",
-    "ExponentialDecayEpsilon",
     "SimulatedAnnealingExplorer",
     "GeneticExplorer",
     "HillClimbingExplorer",

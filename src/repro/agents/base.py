@@ -1,66 +1,24 @@
-"""Agent interface and observation encoding for tabular methods."""
+"""Agent interface and the Q-table key of the tabular methods."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, Mapping, Tuple
+from typing import Any, Mapping, Tuple
 
 import numpy as np
 
-from repro.dse.thresholds import ExplorationThresholds
-
-__all__ = ["Agent", "StateEncoder", "ConfigurationEncoder", "ThresholdBucketEncoder"]
+__all__ = ["Agent"]
 
 
-class StateEncoder(ABC):
-    """Turns an environment observation into a hashable Q-table key."""
-
-    @abstractmethod
-    def encode(self, observation: Mapping[str, Any]) -> Hashable:
-        """Return a hashable representation of the observation."""
-
-    def __call__(self, observation: Mapping[str, Any]) -> Hashable:
-        return self.encode(observation)
-
-
-class ConfigurationEncoder(StateEncoder):
-    """Keys the Q-table on the configuration only (adder, multiplier, variables).
+def _state_key(observation: Mapping[str, Any]) -> Tuple:
+    """The Q-table key of an observation: ``(adder, multiplier, variables)``.
 
     The observation's continuous deltas are dropped: with a deterministic
     evaluator they are a function of the configuration, so this is the
     smallest lossless tabular state.
     """
-
-    def encode(self, observation: Mapping[str, Any]) -> Tuple:
-        variables = tuple(int(flag) for flag in np.asarray(observation["variables"]).ravel())
-        return (int(observation["adder"]), int(observation["multiplier"]), variables)
-
-
-class ThresholdBucketEncoder(StateEncoder):
-    """Adds threshold-compliance flags of the deltas to the configuration key.
-
-    Mirrors the paper's state of Equation 1 more literally: the deltas are
-    part of the state, discretised into below/above-threshold buckets so the
-    table stays finite.
-    """
-
-    def __init__(self, thresholds: ExplorationThresholds) -> None:
-        self._thresholds = thresholds
-
-    def encode(self, observation: Mapping[str, Any]) -> Tuple:
-        variables = tuple(int(flag) for flag in np.asarray(observation["variables"]).ravel())
-        deltas = np.asarray(observation["deltas"], dtype=np.float64).ravel()
-        accuracy_ok = bool(deltas[0] <= self._thresholds.accuracy)
-        power_ok = bool(deltas[1] >= self._thresholds.power_mw)
-        time_ok = bool(deltas[2] >= self._thresholds.time_ns)
-        return (
-            int(observation["adder"]),
-            int(observation["multiplier"]),
-            variables,
-            accuracy_ok,
-            power_ok,
-            time_ok,
-        )
+    variables = tuple(int(flag) for flag in np.asarray(observation["variables"]).ravel())
+    return (int(observation["adder"]), int(observation["multiplier"]), variables)
 
 
 class Agent(ABC):
@@ -68,9 +26,6 @@ class Agent(ABC):
 
     #: Display name used in result metadata and reports.
     name: str = "agent"
-
-    def start_episode(self, observation: Mapping[str, Any]) -> None:
-        """Called once per episode with the initial observation (optional hook)."""
 
     @abstractmethod
     def select_action(self, observation: Mapping[str, Any]) -> int:

@@ -14,7 +14,7 @@ from typing import Any, Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
-from repro.agents.base import Agent, ConfigurationEncoder, StateEncoder
+from repro.agents.base import Agent, _state_key
 from repro.agents.schedules import ConstantEpsilon, EpsilonSchedule
 from repro.errors import ConfigurationError
 
@@ -34,8 +34,6 @@ class QLearningAgent(Agent):
         Future-reward discount factor (gamma).
     epsilon:
         Exploration schedule, or a float for a constant rate.
-    state_encoder:
-        Observation-to-key mapping; defaults to the configuration encoder.
     seed:
         Seed of the agent's private random generator.
     """
@@ -43,8 +41,7 @@ class QLearningAgent(Agent):
     name = "q-learning"
 
     def __init__(self, num_actions: int, learning_rate: float = 0.1, discount: float = 0.9,
-                 epsilon: Any = 0.1, state_encoder: Optional[StateEncoder] = None,
-                 seed: Optional[int] = 0) -> None:
+                 epsilon: Any = 0.1, seed: Optional[int] = 0) -> None:
         if num_actions <= 0:
             raise ConfigurationError(f"num_actions must be positive, got {num_actions}")
         if not 0.0 < learning_rate <= 1.0:
@@ -56,7 +53,6 @@ class QLearningAgent(Agent):
         self.learning_rate = float(learning_rate)
         self.discount = float(discount)
         self.epsilon_schedule = self._coerce_epsilon(epsilon)
-        self.state_encoder = state_encoder or ConfigurationEncoder()
         self._rng = np.random.default_rng(seed)
         self._q_table: Dict[Hashable, np.ndarray] = defaultdict(
             lambda: np.zeros(self.num_actions, dtype=np.float64)
@@ -95,7 +91,7 @@ class QLearningAgent(Agent):
         for entry in self._encode_cache:
             if entry[0] is observation:
                 return entry[1]
-        key = self.state_encoder(observation)
+        key = _state_key(observation)
         cache = self._encode_cache
         cache.insert(0, (observation, key))
         del cache[2:]
@@ -115,7 +111,7 @@ class QLearningAgent(Agent):
 
     def q_values(self, observation: Mapping[str, Any]) -> np.ndarray:
         """Current Q-values of the observation's state (copy)."""
-        return self._q_table[self.state_encoder(observation)].copy()
+        return self._q_table[_state_key(observation)].copy()
 
     def current_epsilon(self) -> float:
         """The exploration rate that will be used for the next action."""

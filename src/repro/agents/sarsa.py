@@ -12,7 +12,7 @@ from typing import Any, Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
-from repro.agents.base import Agent, ConfigurationEncoder, StateEncoder
+from repro.agents.base import Agent, _state_key
 from repro.agents.schedules import ConstantEpsilon, EpsilonSchedule
 from repro.errors import ConfigurationError
 
@@ -25,8 +25,7 @@ class SarsaAgent(Agent):
     name = "sarsa"
 
     def __init__(self, num_actions: int, learning_rate: float = 0.1, discount: float = 0.9,
-                 epsilon: Any = 0.1, state_encoder: Optional[StateEncoder] = None,
-                 seed: Optional[int] = 0) -> None:
+                 epsilon: Any = 0.1, seed: Optional[int] = 0) -> None:
         if num_actions <= 0:
             raise ConfigurationError(f"num_actions must be positive, got {num_actions}")
         if not 0.0 < learning_rate <= 1.0:
@@ -40,7 +39,6 @@ class SarsaAgent(Agent):
         self.epsilon_schedule = (
             epsilon if isinstance(epsilon, EpsilonSchedule) else ConstantEpsilon(float(epsilon))
         )
-        self.state_encoder = state_encoder or ConfigurationEncoder()
         self._rng = np.random.default_rng(seed)
         self._q_table: Dict[Hashable, np.ndarray] = defaultdict(
             lambda: np.zeros(self.num_actions, dtype=np.float64)
@@ -76,7 +74,7 @@ class SarsaAgent(Agent):
         for entry in self._encode_cache:
             if entry[0] is observation:
                 return entry[1]
-        key = self.state_encoder(observation)
+        key = _state_key(observation)
         cache = self._encode_cache
         cache.insert(0, (observation, key))
         del cache[2:]

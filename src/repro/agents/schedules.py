@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
 
-__all__ = ["EpsilonSchedule", "ConstantEpsilon", "LinearDecayEpsilon", "ExponentialDecayEpsilon"]
+__all__ = ["EpsilonSchedule", "ConstantEpsilon", "LinearDecayEpsilon"]
 
 
 class EpsilonSchedule(ABC):
@@ -61,24 +61,3 @@ class LinearDecayEpsilon(EpsilonSchedule):
             f"LinearDecayEpsilon(start={self.start}, end={self.end}, "
             f"decay_steps={self.decay_steps})"
         )
-
-
-class ExponentialDecayEpsilon(EpsilonSchedule):
-    """Exponential decay ``start * rate**step``, floored at ``end``."""
-
-    def __init__(self, start: float = 1.0, end: float = 0.05, rate: float = 0.999) -> None:
-        if not 0.0 <= end <= start <= 1.0:
-            raise ConfigurationError(
-                f"epsilon bounds must satisfy 0 <= end <= start <= 1, got start={start} end={end}"
-            )
-        if not 0.0 < rate < 1.0:
-            raise ConfigurationError(f"rate must be in (0, 1), got {rate}")
-        self.start = float(start)
-        self.end = float(end)
-        self.rate = float(rate)
-
-    def value(self, step: int) -> float:
-        return max(self.end, self.start * (self.rate ** step))
-
-    def __repr__(self) -> str:
-        return f"ExponentialDecayEpsilon(start={self.start}, end={self.end}, rate={self.rate})"

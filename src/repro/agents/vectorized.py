@@ -13,8 +13,8 @@ small for NumPy's per-call overhead to pay off, so the classes here work
 on plain lists: each episode owns one Q-row list of floats per design
 point (states are the design-space enumeration indices of
 :meth:`~repro.dse.design_space.DesignSpace.point_at`, exactly what the
-default :class:`~repro.agents.base.ConfigurationEncoder` keys densify to),
-and ``select_actions``/``update`` are one Python loop over the active
+serial agents' ``(adder, multiplier, variables)`` keys densify to), and
+``select_actions``/``update`` are one Python loop over the active
 episodes with ``max``, ``list.count`` and ``list.index`` for the greedy
 row.
 

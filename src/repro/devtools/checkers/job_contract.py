@@ -9,8 +9,8 @@ outcome); this rule catches the field shapes that cause those failures
 before the code ever runs:
 
 * fields annotated as callables (including module-level ``Callable``
-  aliases like ``AgentFactory``) — lambdas and local functions do not
-  pickle;
+  aliases such as ``StepHook = Callable[[int], None]``) — lambdas and
+  local functions do not pickle;
 * fields annotated as generators/iterators — suspended frames do not
   pickle;
 * fields annotated as open handles (``IO``/``TextIO``/file objects,

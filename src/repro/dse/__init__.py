@@ -12,8 +12,7 @@ The package decomposes the methodology of Section II into:
 * :mod:`~repro.dse.environment` — the Gym-style environment of Figure 1;
 * :mod:`~repro.dse.explorer` — the exploration driver;
 * :mod:`~repro.dse.results` — step traces and Table-III summaries;
-* :mod:`~repro.dse.pareto` — the historical Pareto-front API;
-* :mod:`~repro.dse.frontier` — the vectorized frontier engine
+* :mod:`~repro.dse.frontier` — the vectorized Pareto-frontier engine
   (:class:`ParetoArchive`) plus front-quality metrics;
 * :mod:`~repro.dse.sweep` — exhaustive design-space sweeps yielding the
   ground-truth front per benchmark.
@@ -22,16 +21,14 @@ The package decomposes the methodology of Section II into:
 from repro.dse.design_space import DesignPoint, DesignSpace
 from repro.dse.environment import ACTION_SCHEMES, AxcDseEnv
 from repro.dse.evaluator import EvaluationRecord, Evaluator
-from repro.dse.explorer import Explorer, explore
+from repro.dse.explorer import Explorer
 from repro.dse.frontier import (
     FrontQuality,
     ParetoArchive,
     front_coverage,
     front_quality,
     hypervolume_proxy,
-    pareto_front_bruteforce,
 )
-from repro.dse.pareto import dominates, pareto_front, pareto_points
 from repro.dse.results import ExplorationResult, ObjectiveSummary, StepRecord
 from repro.dse.reward import Algorithm1Reward, RewardFunction, RewardOutcome, ScalarizedReward
 from repro.dse.sweep import SweepChunk, SweepResult
@@ -51,19 +48,14 @@ __all__ = [
     "AxcDseEnv",
     "ACTION_SCHEMES",
     "Explorer",
-    "explore",
     "ExplorationResult",
     "ObjectiveSummary",
     "StepRecord",
-    "dominates",
-    "pareto_front",
-    "pareto_points",
     "ParetoArchive",
     "FrontQuality",
     "front_coverage",
     "front_quality",
     "hypervolume_proxy",
-    "pareto_front_bruteforce",
     "SweepChunk",
     "SweepResult",
 ]

@@ -16,7 +16,7 @@ from repro.errors import ExplorationError
 if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.agents
     from repro.agents.base import Agent
 
-__all__ = ["Explorer", "explore"]
+__all__ = ["Explorer"]
 
 
 class Explorer:
@@ -50,7 +50,6 @@ class Explorer:
         observation, info = environment.reset(
             seed=seed, options={"random_start": random_start}
         )
-        agent.start_episode(observation)
 
         trace = TraceBuilder()
         trace.append(info["design_point"], info["deltas"], baseline=True)
@@ -83,30 +82,3 @@ class Explorer:
                 "evaluations": trace.num_points,
             },
         )
-
-
-def explore(environment: AxcDseEnv, agent: "Agent", max_steps: int = 10_000,
-            seed: Optional[int] = None, random_start: bool = False) -> ExplorationResult:
-    """Convenience wrapper: build an :class:`Explorer` and run one episode.
-
-    Parameters
-    ----------
-    environment:
-        The :class:`AxcDseEnv` to explore.
-    agent:
-        Any agent implementing the ``select_action`` / ``observe`` protocol
-        (RL agents and :mod:`repro.agents.baselines` alike).
-    max_steps:
-        Episode budget; exploration stops earlier on termination.
-    seed:
-        Seed forwarded to the environment reset (None = unseeded).
-    random_start:
-        Start from a random design point instead of the precise baseline.
-
-    Returns
-    -------
-    The :class:`~repro.dse.results.ExplorationResult` trace of the episode.
-    """
-    return Explorer(environment, agent, max_steps=max_steps).run(
-        seed=seed, random_start=random_start
-    )

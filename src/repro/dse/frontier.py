@@ -1,11 +1,10 @@
 """Vectorized Pareto-frontier engine over the three exploration objectives.
 
 The exploration trades accuracy degradation (minimise) against power and
-computation-time reduction (maximise).  The original
-:func:`repro.dse.pareto.pareto_front` extracted the non-dominated subset
-with an O(n²) pure-Python dominance scan — fine for a few hundred steps,
-painful for the paper's 10,000-step traces and hopeless for exhaustive
-design-space sweeps.  This module replaces it with:
+computation-time reduction (maximise).  An O(n²) pure-Python dominance
+scan over a trace is fine for a few hundred steps, painful for the
+paper's 10,000-step traces and hopeless for exhaustive design-space
+sweeps.  This module extracts the non-dominated subset with:
 
 * :class:`ParetoArchive` — an incremental archive that keeps only the
   current non-dominated set, with NumPy-vectorized dominance checks both
@@ -14,12 +13,13 @@ design-space sweeps.  This module replaces it with:
   reference front — so an agent's discovered front can be judged against
   the ground-truth front of an exhaustive sweep.
 
-The archive reproduces the brute-force semantics exactly: records are
-de-duplicated by design-point key (first occurrence wins), dominance is
-"at least as good on every objective and strictly better on at least one",
-and ties (distinct points with identical objectives) all stay on the
-front.  The surviving records come back in first-occurrence order, so the
-result is bit-identical to the brute-force front.
+The archive keeps the brute-force semantics exactly (the test suite holds
+the O(n²) scan as its oracle): records are de-duplicated by design-point
+key (first occurrence wins), dominance is "at least as good on every
+objective and strictly better on at least one", and ties (distinct points
+with identical objectives) all stay on the front.  The surviving records
+come back in first-occurrence order, so the result is bit-identical to the
+brute-force front.
 
 Records are duck-typed: anything with a ``.point`` (providing ``key()``)
 and ``.deltas`` (providing ``accuracy`` / ``power_mw`` / ``time_ns``)
@@ -30,7 +30,7 @@ works — both :class:`~repro.dse.results.StepRecord` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "front_quality",
     "hypervolume_proxy",
     "non_dominated_mask",
-    "pareto_front_bruteforce",
     "objective_matrix",
 ]
 
@@ -199,35 +198,6 @@ class ParetoArchive:
         self._records = survivors
         self._matrix = matrix[mask]
         return added
-
-
-def pareto_front_bruteforce(records: Iterable) -> List:
-    """The original O(n²) extraction, kept as the reference implementation.
-
-    Tests and benchmarks compare the vectorized engine against this —
-    results must be bit-identical (same record objects, same order).
-    """
-    unique: dict = {}
-    for record in records:
-        key = record.point.key()
-        if key not in unique:
-            unique[key] = record
-    candidates: Sequence = list(unique.values())
-
-    def _dominates(first, second) -> bool:
-        first_row = _objective_row(first)
-        second_row = _objective_row(second)
-        at_least_as_good = all(f >= s for f, s in zip(first_row, second_row))
-        strictly_better = any(f > s for f, s in zip(first_row, second_row))
-        return at_least_as_good and strictly_better
-
-    front: List = []
-    for candidate in candidates:
-        if not any(
-            _dominates(other, candidate) for other in candidates if other is not candidate
-        ):
-            front.append(candidate)
-    return front
 
 
 # -------------------------------------------------------------- front quality

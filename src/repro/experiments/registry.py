@@ -7,12 +7,17 @@ AgentSpec`, the campaign CLI, declarative :class:`~repro.experiments.spec.
 ExperimentSpec` documents — resolves through one table instead of a
 hardcoded tuple.
 
-Two families exist, distinguished by how an exploration drives them:
+A registered family is the only way an agent reaches the engine: every
+front door names agents by family with JSON options.  Two kinds exist,
+distinguished by how an exploration drives them:
 
-* ``"rl"`` — step-loop agents (:class:`QLearningAgent`, SARSA, random)
-  driven by :class:`~repro.dse.explorer.Explorer` through the environment;
-  their builder receives ``(environment, seed, max_steps, options)`` and
-  returns the agent object.
+* ``"rl"`` — step-loop agents (:class:`QLearningAgent`, SARSA, random).
+  Each carries two builders: the serial one receives ``(environment, seed,
+  max_steps, options)`` and returns the agent that
+  :class:`~repro.dse.explorer.Explorer` drives through the environment;
+  the vectorized one receives ``(batched_environment, seeds, max_steps,
+  options)`` and returns the batched agent of
+  :mod:`repro.agents.vectorized`, so every RL spec can run batched.
 * ``"baseline"`` — self-driving metaheuristic explorers (hill climbing,
   simulated annealing, genetic, exhaustive) that own their search loop;
   their builder receives ``(evaluator, thresholds, seed, budget, options)``
@@ -60,11 +65,10 @@ class AgentFamily:
     #: (documentation for spec authors; unknown keys still surface as
     #: precise ``TypeError``-derived configuration errors at build time).
     defaults: Mapping[str, object] = field(default_factory=dict)
-    #: Optional batched builder: receives ``(batched_environment, seeds,
-    #: max_steps, options)`` and returns a vectorized agent
-    #: (:mod:`repro.agents.vectorized`) driving one episode per seed,
-    #: bit-identical to the serial builder's agents.  Only RL families can
-    #: carry one.
+    #: Batched builder, required for RL families and refused for baselines:
+    #: receives ``(batched_environment, seeds, max_steps, options)`` and
+    #: returns a vectorized agent (:mod:`repro.agents.vectorized`) driving
+    #: one episode per seed, bit-identical to the serial builder's agents.
     vectorized: Optional[Callable[..., object]] = None
 
     def __post_init__(self) -> None:
@@ -73,10 +77,10 @@ class AgentFamily:
             raise ConfigurationError(
                 f"agent family kind must be one of {_KINDS}, got {self.kind!r}"
             )
-        if self.vectorized is not None and self.kind != RL:
+        if (self.vectorized is not None) != (self.kind == RL):
+            need = "requires" if self.kind == RL else "cannot carry"
             raise ConfigurationError(
-                f"only RL agent families can carry a vectorized builder, "
-                f"got kind {self.kind!r}"
+                f"{self.kind} agent family {self.name!r} {need} a vectorized builder"
             )
 
 
@@ -104,7 +108,8 @@ def register_agent(name: str, kind: str, builder: Callable[..., object],
     defaults:
         Hyperparameter defaults merged under any overrides.
     vectorized:
-        Optional batched builder (see :class:`AgentFamily.vectorized`).
+        Batched builder, required for ``"rl"`` families (see
+        :class:`AgentFamily.vectorized`).
     """
     if not name:
         raise ConfigurationError("agent name must be non-empty")
@@ -195,11 +200,6 @@ def _build_random(environment, seed: int, max_steps: int,
 
 
 def _vectorized_options(environment, seeds, options: Mapping[str, object]):
-    if "state_encoder" in options:
-        raise ConfigurationError(
-            "custom state encoders are not supported by the batched engine; "
-            "run this agent with batch_size=1"
-        )
     resolved = dict(options)
     resolved.setdefault("num_actions", environment.num_actions)
     # The serial builder seeds every job's agent with options["seed"] when

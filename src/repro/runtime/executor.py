@@ -370,11 +370,9 @@ class ProcessExecutor(Executor):
     Parameters
     ----------
     n_jobs:
-        Worker process count; defaults to the machine's CPU count.
-    mp_context:
-        Multiprocessing start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); defaults to ``"fork"`` where available (cheap
-        workers on POSIX) and ``"spawn"`` elsewhere.
+        Worker process count; defaults to the machine's CPU count.  Workers
+        start with ``"fork"`` where the platform has it (cheap workers on
+        POSIX) and ``"spawn"`` elsewhere.
     retry_policy:
         Attempt budget, per-job timeout and backoff shared with the
         serial path (see :class:`~repro.runtime.resilience.RetryPolicy`).
@@ -384,18 +382,11 @@ class ProcessExecutor(Executor):
     """
 
     def __init__(self, n_jobs: Optional[int] = None,
-                 mp_context: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_pool_rebuilds: int = 3) -> None:
         if n_jobs is not None and n_jobs <= 0:
             raise ConfigurationError(f"n_jobs must be positive, got {n_jobs}")
         self._n_jobs = int(n_jobs) if n_jobs is not None else (os.cpu_count() or 1)
-        if mp_context is not None and mp_context not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"unknown multiprocessing start method {mp_context!r}; "
-                f"available: {multiprocessing.get_all_start_methods()}"
-            )
-        self._mp_context = mp_context
         if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
             raise ConfigurationError(
                 f"retry_policy must be a RetryPolicy, got {type(retry_policy).__name__}"
@@ -418,9 +409,7 @@ class ProcessExecutor(Executor):
         return self._retry_policy
 
     def _context(self) -> multiprocessing.context.BaseContext:
-        method = self._mp_context
-        if method is None:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         return multiprocessing.get_context(method)
 
     def run(self, jobs: Sequence[ExplorationJob],

@@ -9,18 +9,17 @@ worker process, or on a remote machine.  Everything in a job is picklable;
 deterministically, and :func:`execute_job` is the single entry point every
 executor funnels through.
 
-Agents are described by :class:`AgentSpec` rather than a bare callable so
-the spec survives pickling: agent families are addressed by name through
-the unified :mod:`repro.experiments.registry` (RL agents *and* the
-metaheuristic baselines), and custom factories are supported as long as the
-callable itself is picklable (a module-level function — closures and
-lambdas only work with the serial executor).
+Agents are described by :class:`AgentSpec`: a family registered in the
+unified :mod:`repro.experiments.registry` (RL agents *and* the
+metaheuristic baselines), addressed by name, plus JSON-style options.  The
+spec is plain data, so it pickles to any worker, and every RL spec can run
+batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ExplorationError
 
@@ -50,25 +49,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-#: Builds an agent for a given environment; receives (environment, seed).
-AgentFactory = Callable[["AxcDseEnv", int], object]
-
-
 @dataclass(frozen=True)
 class AgentSpec:
     """Picklable description of the agent driving one exploration.
 
-    Either names a family registered in the unified agent registry
+    Names a family registered in the unified agent registry
     (:mod:`repro.experiments.registry`) — the RL agents ``"q-learning"``,
     ``"sarsa"``, ``"random"`` or the metaheuristic baselines
     ``"hill-climbing"``, ``"simulated-annealing"``, ``"genetic"``,
-    ``"exhaustive"`` — with optional constructor overrides, or wraps an
-    arbitrary factory callable via :meth:`from_factory`.
+    ``"exhaustive"`` — with optional constructor overrides.
     """
 
     name: str
     options: Mapping[str, object] = field(default_factory=dict)
-    factory: Optional[AgentFactory] = None  # repro: disable=job-contract -- documented contract: module-level callables only; ProcessExecutor captures submit-time pickle failures per job
     #: Reporting identity; defaults to ``name``.  Distinct labels let one
     #: campaign run several hyperparameter variants of the same family and
     #: keep their results apart.
@@ -82,27 +75,14 @@ class AgentSpec:
             raise ConfigurationError(
                 f"agent label must be a non-empty string, got {self.label!r}"
             )
-        if self.factory is None:
-            from repro.experiments.registry import agent_family, agent_names
+        from repro.experiments.registry import agent_family, agent_names
 
-            try:
-                agent_family(self.name)
-            except ConfigurationError:
-                raise ConfigurationError(
-                    f"agent name must be one of {agent_names()}, got {self.name!r}"
-                ) from None
-
-    @classmethod
-    def from_factory(cls, factory: AgentFactory, name: str = "custom") -> "AgentSpec":
-        """Wrap an ``(environment, seed) -> agent`` callable as a spec.
-
-        The callable must be picklable (defined at module level) for the
-        spec to cross process boundaries; the serial executor accepts any
-        callable.
-        """
-        if not callable(factory):
-            raise ConfigurationError(f"agent factory must be callable, got {factory!r}")
-        return cls(name=name, factory=factory)
+        try:
+            agent_family(self.name)
+        except ConfigurationError:
+            raise ConfigurationError(
+                f"agent name must be one of {agent_names()}, got {self.name!r}"
+            ) from None
 
     def build(self, environment: "AxcDseEnv", seed: int, max_steps: int) -> object:
         """Instantiate the step-loop agent for one exploration.
@@ -113,8 +93,6 @@ class AgentSpec:
         :class:`~repro.dse.explorer.Explorer`; asking ``build`` for one is a
         configuration error.
         """
-        if self.factory is not None:
-            return self.factory(environment, seed)
         from repro.experiments.registry import RL, agent_family
 
         family = agent_family(self.name)
@@ -143,27 +121,14 @@ class AgentSpec:
         return family.builder(evaluator, thresholds, seed, budget, self.options)
 
     def is_baseline(self) -> bool:
-        """Whether this spec names a self-driving baseline explorer."""
-        if self.factory is not None:
-            return False
+        """Whether this spec names a self-driving baseline explorer.
+
+        Every other spec names an RL family, which always has a batched
+        builder: its same-hyperparameter jobs may run batched.
+        """
         from repro.experiments.registry import BASELINE, agent_family
 
         return agent_family(self.name).kind == BASELINE
-
-    def supports_batching(self) -> bool:
-        """Whether same-hyperparameter jobs of this spec can run batched.
-
-        True for RL families with a registered vectorized builder and no
-        custom state encoder — the combinations whose batched execution is
-        bit-identical to the serial step loop.  Custom factories and
-        baseline explorers always run serially.
-        """
-        if self.factory is not None or "state_encoder" in self.options:
-            return False
-        from repro.experiments.registry import RL, agent_family
-
-        family = agent_family(self.name)
-        return family.kind == RL and family.vectorized is not None
 
 
 @dataclass(frozen=True)
@@ -245,9 +210,10 @@ class BatchedExplorationJob:
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "max_steps", int(self.max_steps))
         object.__setattr__(self, "env_kwargs", dict(self.env_kwargs))
-        if not self.agent.supports_batching():
+        if self.agent.is_baseline():
             raise ConfigurationError(
-                f"agent {self.agent.label!r} does not support batched execution"
+                f"agent {self.agent.label!r} is a baseline explorer and does not "
+                f"support batched execution"
             )
 
     @property
@@ -313,11 +279,10 @@ def expand_jobs(benchmarks: Mapping[str, "Benchmark"],
     batch_size:
         Batching policy for same-(benchmark, agent, hyperparameter) seed
         groups.  ``None`` or ``1`` keeps the historical per-seed jobs;
-        ``0`` groups every batchable seed group into one
+        ``0`` groups every RL seed group into one
         :class:`BatchedExplorationJob`; ``n > 1`` caps batches at ``n``
-        seeds.  Agents without a vectorized builder (baselines, custom
-        factories, custom state encoders) always expand to serial jobs,
-        as do single-seed groups — batching never changes results, only
+        seeds.  Baseline explorers always expand to serial jobs, as do
+        single-seed groups — batching never changes results, only
         wall-clock.
 
     Returns
@@ -350,7 +315,7 @@ def expand_jobs(benchmarks: Mapping[str, "Benchmark"],
         for agent in agents:
             batched = (
                 batch_size is not None and batch_size != 1
-                and len(seeds) > 1 and agent.supports_batching()
+                and len(seeds) > 1 and not agent.is_baseline()
             )
             if batched:
                 for chunk in _chunk_seeds(seeds, batch_size):

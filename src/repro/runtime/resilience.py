@@ -79,17 +79,14 @@ def _agent_identity(agent) -> str:
     """The content identity of an :class:`~repro.runtime.jobs.AgentSpec`.
 
     Hyperparameters are sorted (insertion order is presentation, not
-    content); the reporting label is excluded; custom factories contribute
-    their qualified name — the best stable identity a callable has.
+    content); the reporting label is excluded.
     """
     options = ",".join(
         f"{key}={value!r}" for key, value in sorted(agent.options.items())
     )
-    factory = "" if agent.factory is None else (
-        f"{getattr(agent.factory, '__module__', '?')}."
-        f"{getattr(agent.factory, '__qualname__', repr(agent.factory))}"
-    )
-    return f"{agent.name}({options})factory={factory}"
+    # The trailing "factory=" once named a custom agent factory; it stays
+    # so fingerprints keep their bytes and older checkpoint journals resume.
+    return f"{agent.name}({options})factory="
 
 
 def job_fingerprint(job) -> str:

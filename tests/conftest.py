@@ -9,7 +9,9 @@ from repro.agents import QLearningAgent
 from repro.agents.schedules import LinearDecayEpsilon
 from repro.benchmarks import DotProductBenchmark, FirBenchmark, MatMulBenchmark
 from repro.dse import AxcDseEnv, Evaluator
+from repro.experiments.registry import _FAMILIES, RL, AgentFamily
 from repro.operators import default_catalog
+from repro.runtime import AgentSpec
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +54,21 @@ def matmul_evaluator(small_matmul):
 def matmul_env(small_matmul):
     """Environment over the small matmul benchmark."""
     return AxcDseEnv(small_matmul, evaluation_seed=0)
+
+
+def _crash(*args):
+    raise RuntimeError("boom")
+
+
+@pytest.fixture
+def crash_agent(monkeypatch):
+    """An RL agent family whose serial and batched builders raise ``boom``.
+
+    Registered for one test only.  Fork-started pool workers inherit the
+    registry, so the process executor sees the family too.
+    """
+    monkeypatch.setitem(_FAMILIES, "crash", AgentFamily("crash", RL, _crash, vectorized=_crash))
+    return AgentSpec("crash")
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the RL agents, epsilon schedules and state encoders."""
+"""Tests for the RL agents, epsilon schedules and the Q-table key."""
 
 from __future__ import annotations
 
@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from repro.agents import (
-    ConfigurationEncoder,
     ConstantEpsilon,
-    ExponentialDecayEpsilon,
     LinearDecayEpsilon,
     QLearningAgent,
     RandomAgent,
     SarsaAgent,
-    ThresholdBucketEncoder,
 )
-from repro.dse import ExplorationThresholds
+from repro.agents.base import _state_key
 from repro.errors import ConfigurationError
 
 
@@ -55,43 +52,25 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             LinearDecayEpsilon(decay_steps=0)
 
-    def test_exponential_decay_monotone(self):
-        schedule = ExponentialDecayEpsilon(start=1.0, end=0.05, rate=0.99)
-        values = [schedule(step) for step in range(0, 500, 50)]
-        assert values == sorted(values, reverse=True)
-        assert values[-1] >= 0.05
 
-    def test_exponential_decay_validation(self):
-        with pytest.raises(ConfigurationError):
-            ExponentialDecayEpsilon(rate=1.5)
+class TestStateKey:
+    def test_key_is_the_configuration(self):
+        key = _state_key(_observation(adder=2, multiplier=3, variables=(1, 0, 1)))
+        assert key == (2, 3, (1, 0, 1))
 
-
-class TestEncoders:
-    def test_configuration_encoder_ignores_deltas(self):
-        encoder = ConfigurationEncoder()
-        first = encoder(_observation(deltas=(1.0, 2.0, 3.0)))
-        second = encoder(_observation(deltas=(9.0, 9.0, 9.0)))
+    def test_ignores_deltas(self):
+        first = _state_key(_observation(deltas=(1.0, 2.0, 3.0)))
+        second = _state_key(_observation(deltas=(9.0, 9.0, 9.0)))
         assert first == second
 
-    def test_configuration_encoder_distinguishes_configurations(self):
-        encoder = ConfigurationEncoder()
-        assert encoder(_observation(adder=1)) != encoder(_observation(adder=2))
-        assert encoder(_observation(variables=(1, 0, 0))) != encoder(
+    def test_distinguishes_configurations(self):
+        assert _state_key(_observation(adder=1)) != _state_key(_observation(adder=2))
+        assert _state_key(_observation(variables=(1, 0, 0))) != _state_key(
             _observation(variables=(0, 0, 0))
         )
 
-    def test_threshold_encoder_adds_compliance_flags(self):
-        thresholds = ExplorationThresholds(accuracy=10.0, power_mw=5.0, time_ns=5.0)
-        encoder = ThresholdBucketEncoder(thresholds)
-        ok = encoder(_observation(deltas=(1.0, 6.0, 6.0)))
-        violating = encoder(_observation(deltas=(20.0, 6.0, 6.0)))
-        assert ok != violating
-        assert ok[-3:] == (True, True, True)
-        assert violating[-3] is False
-
-    def test_encoded_states_are_hashable(self):
-        encoder = ConfigurationEncoder()
-        {encoder(_observation()): 1}
+    def test_keys_are_hashable(self):
+        {_state_key(_observation()): 1}
 
 
 class TestQLearningAgent:
@@ -163,7 +142,7 @@ class TestSarsaAgent:
         # Make action 0 the greedy choice in the next state with value 5.
         agent.update(next_observation, 0, 5.0, _observation(adder=3), True)
         agent.update(_observation(), 1, 1.0, next_observation, False)
-        assert agent.q_table[ConfigurationEncoder()(_observation())][1] == pytest.approx(6.0)
+        assert agent.q_table[(1, 1, (0, 0, 0))][1] == pytest.approx(6.0)
 
     def test_actions_within_range(self):
         agent = SarsaAgent(num_actions=6, epsilon=1.0, seed=1)

@@ -20,14 +20,14 @@ from repro.analysis import (
     reward_curves,
     trace_trends,
 )
-from repro.dse import explore
+from repro.dse import Explorer
 from repro.errors import AnalysisError
 
 
 @pytest.fixture
 def random_result(matmul_env):
     agent = RandomAgent(num_actions=matmul_env.action_space.n, seed=0)
-    return explore(matmul_env, agent, max_steps=120, seed=0)
+    return Explorer(matmul_env, agent, max_steps=120).run(seed=0)
 
 
 class TestTrends:

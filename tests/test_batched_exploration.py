@@ -31,6 +31,7 @@ from repro.dse.reward import ScalarizedReward
 from repro.dse.thresholds import ExplorationThresholds
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.registry import rl_agent_names
 from repro.experiments.spec import RuntimeSpec
 from repro.runtime import (
     AgentSpec,
@@ -341,10 +342,12 @@ class TestExpandJobsBatching:
                            seeds=(0, 1, 2), batch_size=0)
         assert all(isinstance(job, ExplorationJob) for job in jobs)
 
-    def test_custom_factories_never_batch(self):
-        spec = AgentSpec.from_factory(_module_level_factory)
-        jobs = expand_jobs(self._benchmarks(), spec, seeds=(0, 1), batch_size=0)
-        assert all(isinstance(job, ExplorationJob) for job in jobs)
+    @pytest.mark.parametrize("agent", rl_agent_names())
+    def test_every_registered_rl_family_batches(self, agent):
+        jobs = expand_jobs(self._benchmarks(), AgentSpec(agent), seeds=(0, 1), batch_size=0)
+        assert len(jobs) == 1
+        assert isinstance(jobs[0], BatchedExplorationJob)
+        assert jobs[0].seeds == (0, 1)
 
     def test_negative_batch_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -357,12 +360,6 @@ class TestExpandJobsBatching:
                 benchmark_label="dot", benchmark=create("dotproduct", length=8),
                 seeds=(0, 1), agent=AgentSpec("hill-climbing"),
             )
-
-
-def _module_level_factory(environment, seed):
-    from repro.agents import QLearningAgent
-
-    return QLearningAgent(num_actions=environment.action_space.n, seed=seed)
 
 
 # ------------------------------------------------------ campaign/executors

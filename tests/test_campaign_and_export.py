@@ -11,7 +11,7 @@ import pytest
 from repro.agents import RandomAgent
 from repro.analysis import result_to_dict, trace_rows, write_result_json, write_trace_csv
 from repro.benchmarks import DotProductBenchmark
-from repro.dse import explore
+from repro.dse import Explorer
 from repro.errors import AnalysisError, ExplorationError
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.report import summarize
@@ -42,7 +42,7 @@ def small_campaign_entries():
 @pytest.fixture
 def exploration_result(matmul_env):
     agent = RandomAgent(num_actions=matmul_env.action_space.n, seed=0)
-    return explore(matmul_env, agent, max_steps=30, seed=0)
+    return Explorer(matmul_env, agent, max_steps=30).run(seed=0)
 
 
 class TestCampaign:

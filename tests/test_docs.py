@@ -7,6 +7,7 @@ restructure or a moved file cannot silently leave dangling links behind.
 from __future__ import annotations
 
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,28 @@ def test_checked_in_example_specs_are_valid():
         kinds.add(spec.kind)
     # One runnable example document per experiment kind.
     assert kinds == {"explore", "compare", "campaign", "sweep"}
+
+
+def _readme_quickstart() -> str:
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme[readme.index("One exploration, from Python:"):]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _package_quickstart() -> str:
+    import repro
+
+    lines = repro.__doc__.split("Quickstart::", 1)[1].splitlines()[1:]
+    block = []
+    for line in lines:
+        if line.strip() and not line.startswith(" "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+@pytest.mark.parametrize("snippet", [_readme_quickstart, _package_quickstart],
+                         ids=["README", "repro.__doc__"])
+def test_quickstart_snippet_runs(snippet, capsys):
+    exec(compile(snippet(), snippet.__name__, "exec"), {})
+    assert "accuracy" in capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 
 from repro import gymlite
 from repro.agents import QLearningAgent, RandomAgent
-from repro.dse import AxcDseEnv, DesignPoint, Explorer, explore
+from repro.dse import AxcDseEnv, DesignPoint, Explorer
 from repro.errors import ConfigurationError, ExplorationError, InvalidAction, ResetNeeded
 
 
@@ -184,9 +184,9 @@ class TestExplorer:
         partial = np.cumsum(result.reward_series())
         np.testing.assert_allclose(partial, result.cumulative_reward_series())
 
-    def test_explore_convenience_function(self, matmul_env):
+    def test_random_agent_respects_step_budget(self, matmul_env):
         agent = RandomAgent(num_actions=matmul_env.action_space.n, seed=0)
-        result = explore(matmul_env, agent, max_steps=20, seed=0)
+        result = Explorer(matmul_env, agent, max_steps=20).run(seed=0)
         assert result.num_steps <= 21
         assert result.metadata["max_steps"] == 20
 
@@ -198,7 +198,7 @@ class TestExplorer:
         def run():
             env = AxcDseEnv(small_matmul)
             agent = QLearningAgent(num_actions=env.action_space.n, epsilon=0.3, seed=7)
-            return explore(env, agent, max_steps=60, seed=3).cumulative_reward_series()
+            return Explorer(env, agent, max_steps=60).run(seed=3).cumulative_reward_series()
 
         np.testing.assert_allclose(run(), run())
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dse import ExplorationThresholds, StepRecord, dominates, pareto_front, pareto_points
+from repro.dse import ExplorationThresholds, ParetoArchive, StepRecord
 from repro.dse.design_space import DesignPoint
 from repro.dse.results import ExplorationResult
 from repro.errors import AnalysisError
@@ -175,16 +175,16 @@ class TestExplorerTraceFlags:
 
 class TestPareto:
     def test_dominates(self):
-        better = _record(0, 1.0, 10.0, 10.0)
-        worse = _record(1, 2.0, 5.0, 5.0)
-        assert dominates(better, worse)
-        assert not dominates(worse, better)
+        better = _record(0, 1.0, 10.0, 10.0, adder=1)
+        worse = _record(1, 2.0, 5.0, 5.0, adder=2)
+        assert ParetoArchive([better, worse]).front() == [better]
+        assert ParetoArchive([worse, better]).front() == [better]
 
     def test_no_domination_between_trade_offs(self):
-        low_error = _record(0, 1.0, 5.0, 5.0)
-        high_gain = _record(1, 3.0, 20.0, 20.0)
-        assert not dominates(low_error, high_gain)
-        assert not dominates(high_gain, low_error)
+        low_error = _record(0, 1.0, 5.0, 5.0, adder=1)
+        high_gain = _record(1, 3.0, 20.0, 20.0, adder=2)
+        assert ParetoArchive([low_error, high_gain]).front() == [low_error, high_gain]
+        assert ParetoArchive([high_gain, low_error]).front() == [high_gain, low_error]
 
     def test_pareto_front_removes_dominated_points(self):
         records = [
@@ -193,18 +193,18 @@ class TestPareto:
             _record(2, 0.5, 2.0, 2.0, adder=3),    # trade-off: keeps lower error
             _record(3, 3.0, 20.0, 20.0, adder=4),  # trade-off: keeps higher gain
         ]
-        front = pareto_front(records)
+        front = ParetoArchive(records).front()
         steps = {record.step for record in front}
         assert steps == {0, 2, 3}
 
     def test_pareto_front_deduplicates_identical_points(self):
         duplicated = [_record(0, 1.0, 10.0, 10.0), _record(1, 1.0, 10.0, 10.0)]
-        assert len(pareto_front(duplicated)) == 1
+        assert len(ParetoArchive(duplicated).front()) == 1
 
     def test_pareto_points_sorted_by_accuracy(self):
         records = [
             _record(0, 3.0, 20.0, 20.0, adder=1),
             _record(1, 0.5, 2.0, 2.0, adder=2),
         ]
-        points = pareto_points(records)
+        points = ParetoArchive(records).front_points()
         assert points[0][0] <= points[1][0]

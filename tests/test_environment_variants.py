@@ -1,20 +1,19 @@
 """Tests for environment / agent combinations beyond the defaults.
 
-Covers the alternative reward function, the threshold-aware state encoder
-and the termination paths of the exploration — configuration variants the
-ablation benches rely on.
+Covers the alternative reward function and the termination paths of the
+exploration — configuration variants the ablation benches rely on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.agents import QLearningAgent, ThresholdBucketEncoder
+from repro.agents import QLearningAgent
 from repro.dse import (
     AxcDseEnv,
     DesignPoint,
+    Explorer,
     ScalarizedReward,
-    explore,
 )
 
 
@@ -22,7 +21,7 @@ class TestScalarizedRewardEnvironment:
     def test_exploration_runs_with_dense_reward(self, small_matmul):
         environment = AxcDseEnv(small_matmul, reward_function=ScalarizedReward())
         agent = QLearningAgent(num_actions=environment.action_space.n, epsilon=0.3, seed=0)
-        result = explore(environment, agent, max_steps=60, seed=0)
+        result = Explorer(environment, agent, max_steps=60).run(seed=0)
         assert result.num_steps >= 2
         # The dense reward is continuous, not the +-1/+-R of Algorithm 1.
         rewards = set(np.round(result.reward_series()[1:], 6))
@@ -32,7 +31,7 @@ class TestScalarizedRewardEnvironment:
         environment = AxcDseEnv(small_matmul, reward_function=ScalarizedReward(),
                                 max_cumulative_reward=5.0)
         agent = QLearningAgent(num_actions=environment.action_space.n, epsilon=0.5, seed=0)
-        result = explore(environment, agent, max_steps=400, seed=0)
+        result = Explorer(environment, agent, max_steps=400).run(seed=0)
         if result.terminated:
             assert result.records[-1].cumulative_reward >= 5.0
 
@@ -71,23 +70,7 @@ class TestAlgorithm1Termination:
             max_cumulative_reward=5.0,
         )
         agent = QLearningAgent(num_actions=environment.action_space.n, epsilon=1.0, seed=0)
-        result = explore(environment, agent, max_steps=200, seed=0)
+        result = Explorer(environment, agent, max_steps=200).run(seed=0)
         assert result.terminated
         assert result.records[-1].cumulative_reward >= 5.0
         assert result.num_steps <= 30
-
-
-class TestThresholdBucketEncoder:
-    def test_agent_with_threshold_encoder_explores(self, small_matmul):
-        environment = AxcDseEnv(small_matmul)
-        agent = QLearningAgent(
-            num_actions=environment.action_space.n,
-            epsilon=0.3,
-            state_encoder=ThresholdBucketEncoder(environment.thresholds),
-            seed=0,
-        )
-        result = explore(environment, agent, max_steps=80, seed=0)
-        assert result.num_steps >= 2
-        # The Q-table keys carry the three compliance flags.
-        some_state = next(iter(agent.q_table))
-        assert len(some_state) == 6

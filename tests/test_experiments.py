@@ -27,7 +27,7 @@ from repro.experiments import (
     rl_agent_names,
     run_experiment,
 )
-from repro.experiments.registry import register_agent
+from repro.experiments.registry import BASELINE, RL, AgentFamily, register_agent
 from repro.experiments.spec import EXECUTOR_KINDS
 from repro.runtime import AgentSpec, ProcessExecutor, execute_job
 from repro.runtime.jobs import ExplorationJob
@@ -573,6 +573,15 @@ class TestAgentRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             register_agent("q-learning", "rl", lambda *a: None)
+
+    def test_rl_family_requires_a_vectorized_builder(self):
+        with pytest.raises(ConfigurationError, match="requires a vectorized builder"):
+            AgentFamily("serial-only", RL, lambda *a: None)
+
+    def test_baseline_family_refuses_a_vectorized_builder(self):
+        with pytest.raises(ConfigurationError, match="cannot carry a vectorized builder"):
+            AgentFamily("batched-baseline", BASELINE, lambda *a: None,
+                        vectorized=lambda *a: None)
 
     def test_agent_spec_accepts_baselines(self):
         for name in baseline_agent_names():

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchmarks import DotProductBenchmark
+from repro.benchmarks import DotProductBenchmark, MatMulBenchmark
 from repro.dse.results import ExplorationResult
 from repro.errors import ConfigurationError, TransientError
 from repro.experiments import ExperimentSpec, run_experiment
@@ -39,6 +39,7 @@ from repro.experiments.spec import RuntimeSpec
 from repro.runtime import (
     FAULT_PLAN_ENV,
     AgentSpec,
+    BatchedExplorationJob,
     CampaignCheckpoint,
     EvaluationStore,
     ExplorationJob,
@@ -56,10 +57,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A fast retry policy for tests: no real sleeping between attempts.
 FAST = {"backoff_base_s": 0.0}
-
-
-def _crashing_factory(environment, seed):
-    raise RuntimeError("boom")
 
 
 def _job(seed=0, max_steps=10, label="dot", agent=None):
@@ -193,6 +190,22 @@ class TestJobFingerprint:
         with pytest.raises(ConfigurationError, match="job_fingerprint"):
             job_fingerprint("not a job")
 
+    def test_fingerprints_keep_their_recorded_bytes(self):
+        # Fingerprints key checkpoint journals; these values were recorded
+        # by an earlier release, whose journals must keep resuming.
+        job = ExplorationJob(
+            benchmark_label="m", benchmark=MatMulBenchmark(rows=4, inner=4, cols=4),
+            seed=3, agent=AgentSpec("q-learning", options={"epsilon": 0.2,
+                                                           "learning_rate": 0.5}),
+            max_steps=50,
+        )
+        batched = BatchedExplorationJob(
+            benchmark_label="d", benchmark=DotProductBenchmark(length=16),
+            seeds=(0, 1), agent=AgentSpec("sarsa"), max_steps=40,
+        )
+        assert job_fingerprint(job) == "ad539c04ebb34481"
+        assert job_fingerprint(batched) == "04e7252d6f724468"
+
 
 # ------------------------------------------------------------ fault injection
 
@@ -285,9 +298,9 @@ class TestSerialRetries:
         assert outcome.attempts == 1
         assert "injected transient fault" in outcome.error
 
-    def test_deterministic_errors_never_spend_retries(self):
+    def test_deterministic_errors_never_spend_retries(self, crash_agent):
         executor = SerialExecutor(retry_policy=RetryPolicy(max_attempts=3, **FAST))
-        job = _job(agent=AgentSpec.from_factory(_crashing_factory))
+        job = _job(agent=crash_agent)
         [outcome] = executor.run([job])
         assert not outcome.ok
         assert outcome.attempts == 1  # RuntimeError is not retryable
@@ -430,9 +443,9 @@ class TestCampaignCheckpoint:
         SerialExecutor().run(_jobs(2, label="renamed"), checkpoint=checkpoint)
         assert checkpoint.restored == 2
 
-    def test_failed_outcomes_are_never_journaled(self, tmp_path):
+    def test_failed_outcomes_are_never_journaled(self, tmp_path, crash_agent):
         journal = self._journal(tmp_path)
-        job = _job(agent=AgentSpec.from_factory(_crashing_factory))
+        job = _job(agent=crash_agent)
         [outcome] = SerialExecutor().run([job],
                                          checkpoint=CampaignCheckpoint(journal))
         assert not outcome.ok

@@ -16,7 +16,7 @@ from repro.agents import QLearningAgent, RandomAgent
 from repro.agents.schedules import LinearDecayEpsilon
 from repro.analysis import improvement_ratio, reward_curve, trace_trends
 from repro.benchmarks import FirBenchmark, MatMulBenchmark
-from repro.dse import AxcDseEnv, Explorer, pareto_front
+from repro.dse import AxcDseEnv, Explorer
 
 
 def _explore(benchmark, steps, seed=0, decay=400):
@@ -69,7 +69,7 @@ class TestMatMulExploration:
 
     def test_pareto_front_is_non_trivial(self, matmul_run):
         _, result = matmul_run
-        front = pareto_front(result.records)
+        front = result.front(include_baseline=True)
         assert 1 <= len(front) < result.num_steps
 
     def test_power_and_time_trend_upwards(self, matmul_run):

@@ -44,15 +44,6 @@ from repro.runtime import (
 )
 
 
-def _qlearning_factory(environment, seed):
-    """Module-level factory: picklable, usable with the process executor."""
-    return QLearningAgent(num_actions=environment.action_space.n, epsilon=0.3, seed=seed)
-
-
-def _crashing_factory(environment, seed):
-    raise RuntimeError("boom")
-
-
 def _small_benchmarks():
     return {
         "dot": DotProductBenchmark(length=12),
@@ -229,10 +220,6 @@ class TestJobs:
         restored = pickle.loads(pickle.dumps(jobs))
         assert [job.describe() for job in restored] == [job.describe() for job in jobs]
 
-    def test_factory_spec_is_picklable_when_module_level(self):
-        spec = AgentSpec.from_factory(_qlearning_factory)
-        assert pickle.loads(pickle.dumps(spec)).factory is _qlearning_factory
-
     def test_unknown_agent_name_raises(self):
         with pytest.raises(ConfigurationError):
             AgentSpec("annealing")
@@ -249,11 +236,12 @@ class TestJobs:
         from repro.dse import AxcDseEnv, Explorer
 
         job = ExplorationJob(benchmark_label="dot", benchmark=dot_benchmark, seed=3,
-                             agent=AgentSpec.from_factory(_qlearning_factory), max_steps=25)
+                             agent=AgentSpec("q-learning", options={"epsilon": 0.3}),
+                             max_steps=25)
         via_job = execute_job(job)
         environment = AxcDseEnv(dot_benchmark, evaluation_seed=3)
-        direct = Explorer(environment, _qlearning_factory(environment, 3),
-                          max_steps=25).run(seed=3)
+        agent = QLearningAgent(num_actions=environment.action_space.n, epsilon=0.3, seed=3)
+        direct = Explorer(environment, agent, max_steps=25).run(seed=3)
         assert [r.point for r in via_job.records] == [r.point for r in direct.records]
         assert [r.deltas for r in via_job.records] == [r.deltas for r in direct.records]
 
@@ -262,10 +250,10 @@ class TestJobs:
 
 
 class TestExecutors:
-    def test_serial_executor_captures_per_job_errors(self, dot_benchmark):
+    def test_serial_executor_captures_per_job_errors(self, dot_benchmark, crash_agent):
         jobs = [
             ExplorationJob(benchmark_label="bad", benchmark=dot_benchmark, seed=0,
-                           agent=AgentSpec.from_factory(_crashing_factory), max_steps=10),
+                           agent=crash_agent, max_steps=10),
             ExplorationJob(benchmark_label="good", benchmark=dot_benchmark, seed=0,
                            agent=AgentSpec("random"), max_steps=10),
         ]
@@ -273,13 +261,13 @@ class TestExecutors:
         assert not outcomes[0].ok and "boom" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].result.num_steps == 11
 
-    def test_captured_errors_carry_job_identity_and_full_traceback(self, dot_benchmark):
+    def test_captured_errors_carry_job_identity_and_full_traceback(self, dot_benchmark,
+                                                                   crash_agent):
         # A failed shard must be debuggable from the report alone: the
         # outcome error names the job and keeps the whole traceback, not
         # just the exception repr.
         job = ExplorationJob(benchmark_label="bad", benchmark=dot_benchmark, seed=7,
-                             agent=AgentSpec.from_factory(_crashing_factory),
-                             max_steps=10)
+                             agent=crash_agent, max_steps=10)
         for executor in (SerialExecutor(), ProcessExecutor(n_jobs=2)):
             outcome = executor.run([job, job])[0]
             assert not outcome.ok
@@ -305,10 +293,11 @@ class TestExecutors:
                 [r.point for r in right.result.records]
             assert left.result.solution.point == right.result.solution.point
 
-    def test_process_executor_captures_errors_without_killing_sweep(self, dot_benchmark):
+    def test_process_executor_captures_errors_without_killing_sweep(self, dot_benchmark,
+                                                                   crash_agent):
         jobs = [
             ExplorationJob(benchmark_label="bad", benchmark=dot_benchmark, seed=0,
-                           agent=AgentSpec.from_factory(_crashing_factory), max_steps=10),
+                           agent=crash_agent, max_steps=10),
             ExplorationJob(benchmark_label="good", benchmark=dot_benchmark, seed=0,
                            agent=AgentSpec("random"), max_steps=10),
         ]
@@ -342,8 +331,6 @@ class TestExecutors:
     def test_invalid_n_jobs_raises(self):
         with pytest.raises(ConfigurationError):
             ProcessExecutor(n_jobs=0)
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(mp_context="not-a-method")
 
 
 # ---------------------------------------------------------- process data plane
@@ -465,10 +452,9 @@ class TestProcessDataPlane:
 
 
 class TestCampaignRuntime:
-    def test_campaign_run_reports_all_failures_after_running_everything(self):
+    def test_campaign_run_reports_all_failures_after_running_everything(self, crash_agent):
         jobs = expand_jobs({"dot": DotProductBenchmark(length=12)},
-                           [AgentSpec.from_factory(_crashing_factory),
-                            AgentSpec("random")],
+                           [crash_agent, AgentSpec("random")],
                            seeds=(0, 1), max_steps=10)
         outcomes = SerialExecutor().run(jobs)
         assert [outcome.ok for outcome in outcomes] == [False, False, True, True]
