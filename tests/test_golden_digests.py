@@ -9,9 +9,14 @@ what the program produces with recorded values instead:
 * the sha256 of :meth:`~repro.experiments.report.ExperimentReport.canonical_json`
   for a fixed corpus of small specs: every kind, every registered agent
   family, derived and explicit thresholds, several benchmarks and seeds,
-  multi-seed RL campaigns (the batched engine) and single-seed runs (the
-  serial engine), plus the four ``examples/experiment_*.json`` documents
-  shrunk to small budgets;
+  multi-seed RL campaigns and single-seed runs, plus the four
+  ``examples/experiment_*.json`` documents shrunk to small budgets;
+* for every spec of those that explores (kind explore, compare or
+  campaign), a ``trace/<name>`` sha256 over each entry's trace in report
+  order: the per-step columns, the point table and the episode's end.  The
+  canonical report holds only summaries (solution, feasible fraction,
+  front), so a change to the rewards or to the path an episode takes on
+  the way to the same solution moves only this digest;
 * the sha256 of every file ``repro-axc paper --smoke`` writes.
 
 The recorded values live in ``tests/fixtures/golden_digests.json``.  A
@@ -24,12 +29,13 @@ and names the digests it moved, and why, in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -37,6 +43,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_digests.json"
 
 _PAPER_PREFIX = "paper-smoke/"
+_TRACE_PREFIX = "trace/"
+
+#: Spec kinds whose entries carry an exploration trace.
+_TRACED_KINDS = ("explore", "compare", "campaign")
 
 _ALL_FAMILIES = [
     "q-learning",
@@ -141,13 +151,51 @@ def _spec_documents() -> Dict[str, Dict[str, object]]:
     return documents
 
 
-def spec_digest(document: Dict[str, object]) -> str:
-    """sha256 of the canonical report bytes of one spec document."""
+def _trace_bytes(result) -> bytes:
+    """The bytes of one exploration trace that the trace digest covers.
+
+    The five per-step columns (fixed little-endian dtypes), the point
+    table's keys and delta floats, and the ``terminated`` flag and agent
+    name.
+    """
+    columns = (
+        result.point_ids.astype("<i4"), result.actions.astype("<i1"),
+        result.rewards.astype("<f8"), result.violated.astype("u1"),
+        result.baseline.astype("u1"),
+    )
+    table = json.dumps([
+        [point.adder_index, point.multiplier_index, list(point.variables),
+         float(deltas.accuracy).hex(), float(deltas.power_mw).hex(),
+         float(deltas.time_ns).hex()]
+        for point, deltas in zip(result.points, result.deltas)
+    ]).encode("utf-8")
+    ending = json.dumps([bool(result.terminated), result.agent_name]).encode("utf-8")
+    return b"".join(column.tobytes() for column in columns) + table + ending
+
+
+def spec_digests(document: Dict[str, object]) -> Tuple[str, Optional[str]]:
+    """sha256 of the canonical report bytes and of the traces of one spec.
+
+    Both come from one run.  The trace digest is ``None`` for a kind that
+    does not explore (a sweep).
+    """
     from repro.experiments import ExperimentSpec, run_experiment
 
     report = run_experiment(ExperimentSpec.from_dict(document))
     assert report.ok, [entry.error for entry in report.entries if entry.error]
-    return _sha256(report.canonical_json().encode("utf-8"))
+    canonical = _sha256(report.canonical_json().encode("utf-8"))
+    if document["kind"] not in _TRACED_KINDS:
+        return canonical, None
+    trace = hashlib.sha256()
+    for entry in report.entries:
+        trace.update(_trace_bytes(entry.result))
+    return canonical, trace.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _digests_of(name: str) -> Tuple[str, Optional[str]]:
+    """:func:`spec_digests` of one named document, run once per session."""
+    return spec_digests(_spec_documents()[name])
 
 
 def paper_smoke_digests(out_dir: Path) -> Dict[str, str]:
@@ -166,16 +214,34 @@ def _recorded() -> Dict[str, str]:
 
 
 def test_fixture_names_every_spec():
-    recorded = {name for name in _recorded() if not name.startswith(_PAPER_PREFIX)}
-    assert recorded == set(_spec_documents())
+    recorded = set(_recorded())
+    documents = _spec_documents()
+    assert {name for name in recorded if not name.startswith(
+        (_PAPER_PREFIX, _TRACE_PREFIX))} == set(documents)
+    assert {name for name in recorded if name.startswith(_TRACE_PREFIX)} == {
+        f"{_TRACE_PREFIX}{name}" for name, document in documents.items()
+        if document["kind"] in _TRACED_KINDS
+    }
 
 
 @pytest.mark.parametrize("name", sorted(_spec_documents()))
 def test_spec_digest_matches_recording(name):
     expected = _recorded()[name]
-    actual = spec_digest(_spec_documents()[name])
+    actual, _ = _digests_of(name)
     assert actual == expected, (
         f"canonical report of {name!r} moved: {actual} != recorded {expected}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, document in _spec_documents().items()
+    if document["kind"] in _TRACED_KINDS
+))
+def test_trace_digest_matches_recording(name):
+    expected = _recorded()[f"{_TRACE_PREFIX}{name}"]
+    _, actual = _digests_of(name)
+    assert actual == expected, (
+        f"exploration traces of {name!r} moved: {actual} != recorded {expected}"
     )
 
 
@@ -189,8 +255,12 @@ def test_paper_smoke_file_digests_match_recording(tmp_path):
 
 
 def _write_fixture() -> None:
-    digests = {name: spec_digest(document)
-               for name, document in sorted(_spec_documents().items())}
+    digests: Dict[str, str] = {}
+    for name in sorted(_spec_documents()):
+        canonical, trace = _digests_of(name)
+        digests[name] = canonical
+        if trace is not None:
+            digests[f"{_TRACE_PREFIX}{name}"] = trace
     with tempfile.TemporaryDirectory() as out_dir:
         digests.update(paper_smoke_digests(Path(out_dir)))
     FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
