@@ -22,15 +22,21 @@ once per batch size in ``(1, 32, 256)`` — the same seed set every time, so
 wall-clock ratios are steps/sec ratios.  Both measurements time the
 runtime primitives directly — ``flatten_outcomes(executor.run(
 expand_jobs(...)))``, the job list a campaign spec dispatches — so no
-planning or report assembly is in the timed region.  Batch size 1 is the per-seed
-serial engine (:class:`~repro.dse.explorer.Explorer`); larger sizes step
-that many episodes in lockstep through the vectorized engine
-(:mod:`repro.dse.batched_env`).  Every run must be entry-for-entry
-identical to the serial baseline — batching changes wall-clock, never
-results — and batch size 256 must be at least 5x faster.  Full-scale runs
-record the trajectory in ``BENCH_campaign_runtime.json`` at the repository
-root; ``--smoke`` shrinks the campaign (32 seeds, 4,000 steps), asserts a
-2x floor, and writes to a temp file so CI never clobbers the record.
+planning or report assembly is in the timed region.  Batch size 1 is the
+per-seed serial engine (:class:`~repro.dse.explorer.Explorer` stepping an
+:class:`~repro.dse.environment.AxcDseEnv`), driven directly, one seed after
+another on one shared store as the serial executor passes it:
+``execute_job`` runs one-seed jobs as one-episode batches, so the job list
+no longer reaches that engine.  Larger sizes step that many episodes in
+lockstep through the vectorized engine (:mod:`repro.dse.batched_env`).
+The same session also times the batch-1 job list itself (one-episode
+batches) and records it next to the rows, as ``one_episode_batched``.
+Every run must be entry-for-entry identical to the serial baseline —
+batching changes wall-clock, never results — and batch size 256 must be
+at least 5x faster.  Full-scale runs record the trajectory in
+``BENCH_campaign_runtime.json`` at the repository root; ``--smoke`` shrinks
+the campaign (32 seeds, 4,000 steps), asserts a 2x floor, and writes to a
+temp file so CI never clobbers the record.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from pathlib import Path
 
 from benchmarks.conftest import paper_benchmark_suite
 from repro.benchmarks import MatMulBenchmark
+from repro.dse import AxcDseEnv, Explorer
 from repro.experiments import RuntimeSpec
 from repro.runtime import (
     AgentSpec,
@@ -58,6 +65,7 @@ _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign_runtime.js
 
 #: Batch sizes of the full-scale batched-vs-serial measurement (1 = the
 #: per-seed serial engine, the baseline the others are scored against).
+#: The one-episode batched run is timed beside them, outside the rows.
 _FULL_BATCH_SIZES = (1, 32, 256)
 _SMOKE_BATCH_SIZES = (1, 32)
 
@@ -160,24 +168,62 @@ def test_campaign_runtime_speedup(benchmark, paper_scale, exploration_budget):
 # ------------------------------------------------- batched vs serial engine
 
 
+_MATMUL_10X10 = {"matmul_10x10": MatMulBenchmark(rows=10, inner=10, cols=10)}
+
+
 def _trace_fingerprint(entries):
     """Everything the bit-identity check needs, per per-seed outcome.
 
-    The results themselves: a result is a few flat columns over a table
-    of its distinct points, and result equality compares every column
-    and field.  Nothing builds per-step records, which would pin about a
-    million objects between timed runs and distort the memory behaviour
-    of the next.
+    ``(benchmark_label, seed, result)`` triples.  A result is a few flat
+    columns over a table of its distinct points, and result equality
+    compares every column and field.  Nothing builds per-step records,
+    which would pin about a million objects between timed runs and
+    distort the memory behaviour of the next.
     """
     return [(entry.job.benchmark_label, entry.job.seed, entry.result)
             for entry in entries]
 
 
 def _run_at_batch_size(seeds, max_steps, batch_size):
-    """One matmul_10x10 q-learning campaign at the given batch size."""
-    return _run_jobs(SerialExecutor(), EvaluationStore(),
-                     {"matmul_10x10": MatMulBenchmark(rows=10, inner=10, cols=10)},
-                     seeds, max_steps, batch_size)
+    """One matmul_10x10 q-learning campaign's job list at the given batch size."""
+    outcomes, elapsed = _run_jobs(SerialExecutor(), EvaluationStore(), _MATMUL_10X10,
+                                  seeds, max_steps, batch_size)
+    return _trace_fingerprint(outcomes), elapsed
+
+
+def _run_serial_engine(seeds, max_steps):
+    """The same campaign on the per-seed serial engine, driven directly.
+
+    One ``AxcDseEnv`` and ``Explorer`` per seed, on one shared store, as the
+    serial executor ran each per-seed job before one-seed jobs became
+    one-episode batches.
+    """
+    started = time.perf_counter()
+    store = EvaluationStore()
+    agent = AgentSpec("q-learning")
+    traces = []
+    for label, benchmark in _MATMUL_10X10.items():
+        for seed in seeds:
+            environment = AxcDseEnv(benchmark, evaluation_seed=seed, store=store)
+            explorer = Explorer(environment, agent.build(environment, seed, max_steps),
+                                max_steps=max_steps)
+            traces.append((label, seed, explorer.run(seed=seed)))
+    return traces, time.perf_counter() - started
+
+
+def _timed(run, *args):
+    """``run(*args)`` with the cyclic collector off; returns what it returns.
+
+    Collections triggered by a run's allocations would rescan the whole
+    growing heap — charging every run for its own (and any surviving)
+    objects.  Refcounting still frees everything promptly.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        return run(*args)
+    finally:
+        gc.enable()
 
 
 def test_batched_exploration_speedup(benchmark, smoke):
@@ -190,50 +236,36 @@ def test_batched_exploration_speedup(benchmark, smoke):
     seeds = tuple(range(num_seeds))
 
     def run_all():
-        measurements = []
-        reference = None
+        reference, serial_s = _timed(_run_serial_engine, seeds, max_steps)
+        steps = sum(trace[2].num_steps for trace in reference)
+        timings = {}
+        # The row of batch size 1 is the serial engine above; the batch-1
+        # job list (one-episode batches) is timed here, beside the rows.
         for batch_size in batch_sizes:
-            # Timed regions run with the cyclic collector off: collections
-            # triggered by a run's allocations would rescan the whole
-            # growing heap — charging every run for its own (and any
-            # surviving) objects.  Refcounting still frees everything
-            # promptly.
-            gc.collect()
-            gc.disable()
-            try:
-                entries, elapsed = _run_at_batch_size(seeds, max_steps, batch_size)
-            finally:
-                gc.enable()
-            steps = sum(entry.result.num_steps for entry in entries)
-            fingerprint = _trace_fingerprint(entries)
-            del entries  # free the outcomes before the next timed run
-            if reference is None:
-                reference = fingerprint
-            else:
-                # Batching changes wall-clock, never results.
-                assert len(fingerprint) == len(reference)
-                for left, right in zip(reference, fingerprint):
-                    assert left[:2] == right[:2]  # (benchmark_label, seed)
-                    assert left[2] == right[2]  # every trace column and field
-            measurements.append({
-                "batch_size": batch_size,
-                "wall_clock_s": elapsed,
-                "steps": steps,
-            })
-        return measurements
+            fingerprint, elapsed = _timed(_run_at_batch_size, seeds, max_steps,
+                                          batch_size)
+            # Batching changes wall-clock, never results.
+            assert len(fingerprint) == len(reference)
+            for left, right in zip(reference, fingerprint):
+                assert left[:2] == right[:2]  # (benchmark_label, seed)
+                assert left[2] == right[2]  # every trace column and field
+            del fingerprint  # free the outcomes before the next timed run
+            timings[batch_size] = elapsed
+        return serial_s, timings, steps
 
-    measurements = benchmark.pedantic(run_all, iterations=1, rounds=1)
-    serial_s = measurements[0]["wall_clock_s"]
-    total_steps = measurements[0]["steps"]
-    rows = [
-        {
-            "batch_size": row["batch_size"],
-            "wall_clock_s": round(row["wall_clock_s"], 3),
-            "steps_per_s": round(row["steps"] / row["wall_clock_s"], 1),
-            "speedup": round(serial_s / row["wall_clock_s"], 2),
+    serial_s, timings, total_steps = benchmark.pedantic(run_all, iterations=1, rounds=1)
+
+    def measured(batch_size, wall_clock_s):
+        return {
+            "batch_size": batch_size,
+            "wall_clock_s": round(wall_clock_s, 3),
+            "steps_per_s": round(total_steps / wall_clock_s, 1),
+            "speedup": round(serial_s / wall_clock_s, 2),
         }
-        for row in measurements
-    ]
+
+    rows = [measured(batch_size, serial_s if batch_size == 1 else timings[batch_size])
+            for batch_size in batch_sizes]
+    one_episode_batched = measured(1, timings[1])
 
     report = {
         "benchmark": "bench_campaign_runtime",
@@ -248,6 +280,7 @@ def test_batched_exploration_speedup(benchmark, smoke):
         "total_steps": total_steps,
         "batch_sizes": list(batch_sizes),
         "rows": rows,
+        "one_episode_batched": one_episode_batched,
         "bit_identical": True,
     }
     # Only full-scale runs refresh the checked-in perf-trajectory file; a
@@ -267,8 +300,10 @@ def test_batched_exploration_speedup(benchmark, smoke):
 
     print(f"\nBatched exploration (matmul_10x10 q-learning, {num_seeds} seeds "
           f"x {max_steps} steps = {total_steps} total steps)")
-    for row in rows:
-        print(f"  batch {row['batch_size']:>4}  {row['wall_clock_s']:8.2f} s   "
+    printed = [(f"batch {row['batch_size']:>4}", row) for row in rows]
+    printed.append(("1 episode, batched", one_episode_batched))
+    for label, row in printed:
+        print(f"  {label:<18}  {row['wall_clock_s']:8.2f} s   "
               f"{row['steps_per_s']:>10,.0f} steps/s   ({row['speedup']:.2f}x)")
 
     largest = rows[-1]

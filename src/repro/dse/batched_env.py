@@ -1,13 +1,18 @@
 """Batched exploration engine: advance N episodes in one lockstep loop.
 
-:class:`~repro.dse.explorer.Explorer` steps one episode at a time through
-dict observations, per-step reward objects and per-state dict lookups.
-With the compiled kernels making design-point evaluation cheap — and the
-evaluation store collapsing the thousands of steps of an episode onto a
-few hundred distinct design points — that per-step Python dispatch is
-what dominates a Table-III campaign.  This module replaces it with
-batch stepping over plain lists, which at a batch of a few episodes cost
-far less per step than NumPy calls on arrays that small:
+Every RL exploration steps here: a :class:`~repro.runtime.jobs.
+BatchedExplorationJob` runs its seeds as one batch, and
+:func:`~repro.runtime.jobs.execute_job` runs a one-seed job as a batch of
+one episode.  The serial engine, :class:`~repro.dse.explorer.Explorer`,
+steps one episode at a time through dict observations, per-step reward
+objects and per-state dict lookups.  With the compiled kernels making
+design-point evaluation cheap — and the evaluation store collapsing the
+thousands of steps of an episode onto a few hundred distinct design
+points — that per-step Python dispatch is what dominated a Table-III
+campaign, so it remains only as the reference this engine is tested
+against.  This module replaces it with batch stepping over plain lists,
+which costs far less per step, even at a batch of one episode, and at a
+batch of a few episodes far less than NumPy calls on arrays that small:
 
 * :class:`BatchedAxcDseEnv` holds the state of every episode as lists —
   current design-point *enumeration indices* (the dense state of
@@ -101,11 +106,11 @@ class BatchedAxcDseEnv:
     """Many :class:`~repro.dse.environment.AxcDseEnv` episodes as lists.
 
     Accepts the same environment settings as :class:`AxcDseEnv`, plus
-    ``seeds`` — one workload/exploration seed per episode, mirroring how
-    :func:`~repro.runtime.jobs.execute_job` seeds a serial job.  Episodes
-    sharing a seed share one evaluator (one precise baseline run); distinct
-    seeds get their own evaluator, workload and derived thresholds, exactly
-    like their serial counterparts.
+    ``seeds`` — one workload/exploration seed per episode, used as a
+    one-seed :class:`~repro.runtime.jobs.ExplorationJob` uses its seed.
+    Episodes sharing a seed share one evaluator (one precise baseline run);
+    distinct seeds get their own evaluator, workload and derived thresholds,
+    exactly like their serial counterparts.
     """
 
     def __init__(self, benchmark: Benchmark, seeds: Sequence[int],

@@ -14,8 +14,11 @@ through it:
   :func:`~repro.runtime.jobs.expand_jobs` at the spec's
   :meth:`~repro.experiments.spec.RuntimeSpec.effective_batch_size`;
 * :class:`~repro.planner.plan.ReplayFromStore` nodes then re-run the same
-  deterministic job code serially against the now-warm store, so every
-  design-point evaluation is a store hit;
+  deterministic job code, one job per unit on the serial executor, against
+  the now-warm store, so every design-point evaluation is a store hit: a
+  replayed sweep chunk is store lookups, and a replayed exploration runs
+  no kernel but still steps its agent, as a one-episode batch on the
+  batched engine like any one-seed job;
 * :class:`~repro.planner.plan.MergeReports` nodes assemble one spec's
   :class:`~repro.experiments.report.ExperimentReport` from the shared unit
   outcomes, re-attaching the spec's own benchmark/agent labels.
@@ -292,8 +295,9 @@ def execute_plan(plan: ExperimentPlan,
     store, executor:
         Runtime pieces; default to an in-memory store and the serial
         executor.  ``executor`` runs the units of every
-        :class:`EvaluateJobs` node, in one call; replay is always serial
-        (its cost is store lookups, not compute).
+        :class:`EvaluateJobs` node, in one call; replay always runs on the
+        serial executor (it runs no kernel: sweep chunks are store
+        lookups, explorations step their agent on the warm store).
     on_outcome:
         Optional progress callback for evaluated exploration outcomes (a
         batched job reports once, with its batched outcome); sweep chunks
@@ -301,7 +305,7 @@ def execute_plan(plan: ExperimentPlan,
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.CampaignCheckpoint`
         applied to :class:`EvaluateJobs` nodes (the paid work); replay
-        nodes skip it — re-running them is store lookups, not compute.
+        nodes skip it — re-running them runs no kernel.
     """
     if not isinstance(plan, ExperimentPlan):
         raise ConfigurationError(

@@ -85,7 +85,12 @@ class AgentSpec:
             ) from None
 
     def build(self, environment: "AxcDseEnv", seed: int, max_steps: int) -> object:
-        """Instantiate the step-loop agent for one exploration.
+        """Instantiate the serial engine's step-loop agent for one exploration.
+
+        Jobs never call this: :func:`execute_job` steps every RL job on the
+        batched engine with the family's vectorized builder.  It serves the
+        serial engine (:class:`~repro.dse.explorer.Explorer`), the
+        reference the batched engine is tested against.
 
         Baseline families (``hill-climbing``, ``simulated-annealing``,
         ``genetic``, ``exhaustive``) own their search loop and are driven by
@@ -150,8 +155,13 @@ class ExplorationJob:
     max_steps:
         Exploration step budget.
     env_kwargs:
-        Extra keyword arguments for :class:`~repro.dse.environment.AxcDseEnv`
-        (thresholds, action scheme, reward function, ...).
+        Environment settings (thresholds, action scheme, reward function,
+        ...): keyword arguments of
+        :class:`~repro.dse.batched_env.BatchedAxcDseEnv`, which an RL job
+        steps on as a one-episode batch, and of
+        :class:`~repro.dse.environment.AxcDseEnv`, whose evaluator and
+        thresholds a baseline job searches with.  Both accept the same
+        settings.
     random_start:
         Whether the exploration starts from a random design point.
     """
@@ -188,9 +198,12 @@ class BatchedExplorationJob:
     agent and the per-workload outcome lists.  The result of executing a
     batched job is a *list* of per-seed
     :class:`~repro.dse.results.ExplorationResult`\\ s, in seed order, each
-    bit-identical to running the corresponding :class:`ExplorationJob`
-    serially; :func:`~repro.runtime.executor.flatten_outcomes` splits the
-    batched outcome back into per-seed outcomes for reporting.
+    bit-identical to running the seed's episode on the serial engine
+    (:class:`~repro.dse.explorer.Explorer`);
+    :func:`~repro.runtime.executor.flatten_outcomes` splits the batched
+    outcome back into per-seed outcomes for reporting.  A one-seed RL
+    :class:`ExplorationJob` runs as a one-seed batch of this kind too
+    (see :func:`execute_job`).
     """
 
     benchmark_label: str
@@ -221,7 +234,7 @@ class BatchedExplorationJob:
         return len(self.seeds)
 
     def jobs(self) -> List[ExplorationJob]:
-        """The per-seed serial jobs this batch stands for, in seed order."""
+        """The per-seed jobs this batch stands for, in seed order."""
         return [
             ExplorationJob(
                 benchmark_label=self.benchmark_label,
@@ -278,10 +291,11 @@ def expand_jobs(benchmarks: Mapping[str, "Benchmark"],
         Start each exploration from a random design point.
     batch_size:
         Batching policy for same-(benchmark, agent, hyperparameter) seed
-        groups.  ``None`` or ``1`` keeps the historical per-seed jobs;
+        groups.  ``None`` or ``1`` keeps one :class:`ExplorationJob` per
+        seed, which :func:`execute_job` steps as a one-episode batch;
         ``0`` groups every RL seed group into one
         :class:`BatchedExplorationJob`; ``n > 1`` caps batches at ``n``
-        seeds.  Baseline explorers always expand to serial jobs, as do
+        seeds.  Baseline explorers always expand to per-seed jobs, as do
         single-seed groups — batching never changes results, only
         wall-clock.
 
@@ -407,6 +421,13 @@ def execute_job(job: ExplorationJob,
     ``store`` warm-starts the evaluator with previously measured design
     points and receives every new evaluation.
 
+    An RL job runs on the batched engine as a one-episode
+    :class:`BatchedExplorationJob`; its result is bit-identical to driving
+    :class:`~repro.dse.explorer.Explorer` through
+    :class:`~repro.dse.environment.AxcDseEnv` for the job's seed, and
+    faster.  A :class:`BatchedExplorationJob` returns its per-seed results
+    as a list.
+
     :class:`SweepJob` chunks funnel through here too, so both executors run
     sweeps and explorations interchangeably; they return a
     :class:`~repro.dse.sweep.SweepChunk` instead of an exploration result.
@@ -428,24 +449,27 @@ def execute_job(job: ExplorationJob,
     if isinstance(job, BatchedExplorationJob):
         return _execute_batched_job(job, store=store)
 
+    if not job.agent.is_baseline():
+        (result,) = _execute_batched_job(BatchedExplorationJob(
+            benchmark_label=job.benchmark_label, benchmark=job.benchmark,
+            seeds=(job.seed,), agent=job.agent, max_steps=job.max_steps,
+            env_kwargs=job.env_kwargs, random_start=job.random_start,
+        ), store=store)
+        return result
+
     from repro.dse.environment import AxcDseEnv
-    from repro.dse.explorer import Explorer
 
     env_kwargs: Dict[str, object] = {"store": store, **dict(job.env_kwargs)}
     environment = AxcDseEnv(job.benchmark, evaluation_seed=job.seed, **env_kwargs)
-    if job.agent.is_baseline():
-        if job.random_start:
-            raise ConfigurationError(
-                f"{job.describe()}: baseline explorers choose their own "
-                f"starting point; random_start is not supported"
-            )
-        explorer = job.agent.build_baseline(
-            environment.evaluator, environment.thresholds, job.seed, job.max_steps
+    if job.random_start:
+        raise ConfigurationError(
+            f"{job.describe()}: baseline explorers choose their own "
+            f"starting point; random_start is not supported"
         )
-        return explorer.run()
-    agent = job.agent.build(environment, job.seed, job.max_steps)
-    explorer = Explorer(environment, agent, max_steps=job.max_steps)
-    return explorer.run(seed=job.seed, random_start=job.random_start)
+    explorer = job.agent.build_baseline(
+        environment.evaluator, environment.thresholds, job.seed, job.max_steps
+    )
+    return explorer.run()
 
 
 def _execute_batched_job(job: BatchedExplorationJob,

@@ -4,12 +4,15 @@ The load-bearing contract of :mod:`repro.dse.batched_env` is that stepping
 many episodes in lockstep is an implementation detail: every per-seed
 :class:`~repro.dse.results.ExplorationResult` coming out of a batched job
 must equal — field for field, float for float — the result of running the
-corresponding serial :class:`~repro.runtime.jobs.ExplorationJob`.  These
-tests pin that contract for every registered RL agent on every registered
-benchmark, for mid-batch termination, and for the RNG stream shortcuts and
-the exact bulk word stream the vectorized agents rely on; the rest covers
-the batching policy of ``expand_jobs`` and the campaign/spec/CLI
-wire-through.
+corresponding :class:`~repro.runtime.jobs.ExplorationJob` on the serial
+engine (:class:`~repro.dse.explorer.Explorer`, driven directly by
+``tests/_serial_reference.py``, since ``execute_job`` itself runs one-seed
+jobs as one-episode batches).  These tests pin that contract for every
+registered RL agent on every registered benchmark, for mid-batch
+termination, and for the RNG stream shortcuts and the exact bulk word
+stream the vectorized agents rely on.  A spy test checks that no RL job
+and no replay steps the serial engine; the rest covers the batching
+policy of ``expand_jobs`` and the campaign/spec/CLI wire-through.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from repro.agents import vectorized
 from repro.agents.vectorized import _BLOCK_WORDS, _WordStream
 from repro.benchmarks.registry import available, create
 from repro.cli import main
-from repro.dse import Evaluator
+from repro.dse import AxcDseEnv, Evaluator, Explorer
 from repro.dse.reward import ScalarizedReward
 from repro.dse.thresholds import ExplorationThresholds
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.registry import rl_agent_names
 from repro.experiments.spec import RuntimeSpec
+from repro.planner import execute_plan, plan_experiments
 from repro.runtime import (
     AgentSpec,
     BatchedExplorationJob,
@@ -43,6 +47,8 @@ from repro.runtime import (
     expand_jobs,
     flatten_outcomes,
 )
+
+from _serial_reference import serial_engine, serial_result
 
 #: Small instances of every registered benchmark — large enough to have a
 #: non-trivial design space, small enough to keep kernel runs cheap.
@@ -64,7 +70,7 @@ def _serial_result(benchmark, seed, agent="q-learning", steps=50, env_kwargs=Non
         benchmark_label="bench", benchmark=benchmark, seed=seed,
         agent=AgentSpec(agent), max_steps=steps, env_kwargs=env_kwargs or {},
     )
-    return execute_job(job, store=EvaluationStore())
+    return serial_result(job, store=EvaluationStore())
 
 
 def _batched_results(benchmark, seeds, agent="q-learning", steps=50, env_kwargs=None):
@@ -170,7 +176,7 @@ class TestBitIdentity:
                 benchmark_label="bench", benchmark=benchmark, seed=seed,
                 agent=AgentSpec("q-learning"), max_steps=40, random_start=True,
             )
-            assert result == execute_job(serial, store=EvaluationStore())
+            assert result == serial_result(serial, store=EvaluationStore())
 
 
 # ---------------------------------------------------- RNG stream shortcuts
@@ -264,6 +270,60 @@ class TestBatchedEdgeCases:
             words_drawn = 2 * (result.num_steps - 1)
             assert words_drawn > 2 * _BLOCK_WORDS
             assert result == _serial_result(benchmark, seed, agent="sarsa", steps=3000)
+
+
+# ------------------------------------------- routing: one engine for RL jobs
+
+
+def _refuse_the_serial_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exploration stepped on the serial engine")
+
+    monkeypatch.setattr(Explorer, "run", refuse)
+    monkeypatch.setattr(AxcDseEnv, "step", refuse)
+
+
+class TestNoJobReachesTheSerialEngine:
+    """``execute_job`` steps every RL job and every replay on the batched engine."""
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("scheme", ["directional", "compact"])
+    @pytest.mark.parametrize("agent", rl_agent_names())
+    def test_rl_job_runs_as_a_one_episode_batch(self, agent, scheme, random_start,
+                                                monkeypatch):
+        job = ExplorationJob(
+            benchmark_label="bench", benchmark=create("dotproduct", length=8), seed=3,
+            agent=AgentSpec(agent), max_steps=80,
+            env_kwargs={"action_scheme": scheme}, random_start=random_start,
+        )
+        reference = serial_result(job, store=EvaluationStore())
+        _refuse_the_serial_engine(monkeypatch)
+        assert execute_job(job, store=EvaluationStore()) == reference
+
+    def test_replayed_exploration_runs_batched(self, monkeypatch):
+        _refuse_the_serial_engine(monkeypatch)
+        # 5,000 random steps visit every point of this design space, so the
+        # second plan replays the exploration from the complete store.
+        spec = ExperimentSpec.from_dict({
+            "kind": "explore", "benchmarks": ["dotproduct:length=8"],
+            "agents": ["random"], "seeds": [0], "max_steps": 5000,
+        })
+        store = EvaluationStore()
+        first = run_experiment(spec, store=store)
+        plan = plan_experiments([spec], store=store)
+        assert plan.replay_nodes and not plan.evaluate_nodes
+        second = execute_plan(plan, store=store).reports[spec.fingerprint()]
+        assert first.ok and second.ok
+        assert second.entries == first.entries
+
+    def test_baseline_job_still_runs(self, monkeypatch):
+        job = ExplorationJob(
+            benchmark_label="bench", benchmark=create("dotproduct", length=8), seed=3,
+            agent=AgentSpec("hill-climbing"), max_steps=60,
+        )
+        reference = execute_job(job, store=EvaluationStore())
+        _refuse_the_serial_engine(monkeypatch)
+        assert execute_job(job, store=EvaluationStore()) == reference
 
 
 # ------------------------------------------------- design-point equivalence
@@ -396,7 +456,9 @@ class TestCampaignBatching:
         assert [job.seeds for job in process_jobs] == [(0, 1), (2, 3)]
 
     def test_batched_campaign_matches_per_seed_campaign(self):
-        reference = run_experiment(self._spec(batch_size=1))
+        with serial_engine() as serial_jobs:
+            reference = run_experiment(self._spec(batch_size=1))
+        assert [job.seed for job in serial_jobs] == list(self.SEEDS)
         batched = run_experiment(self._spec(batch_size=4))
         assert [(e.benchmark_label, e.seed) for e in batched.entries] == \
             [(e.benchmark_label, e.seed) for e in reference.entries]
@@ -407,7 +469,9 @@ class TestCampaignBatching:
         store = EvaluationStore()
         report = run_experiment(
             self._spec(executor="process", jobs=2, batch_size=2), store=store)
-        reference = run_experiment(self._spec(batch_size=1))
+        with serial_engine() as serial_jobs:
+            reference = run_experiment(self._spec(batch_size=1))
+        assert [job.seed for job in serial_jobs] == list(self.SEEDS)
         for left, right in zip(reference.entries, report.entries):
             assert left.result == right.result
         assert len(store) > 0  # batched workers merged evaluations back

