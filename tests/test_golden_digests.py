@@ -17,7 +17,13 @@ what the program produces with recorded values instead:
   canonical report holds only summaries (solution, feasible fraction,
   front), so a change to the rewards or to the path an episode takes on
   the way to the same solution moves only this digest;
-* the sha256 of every file ``repro-axc paper --smoke`` writes.
+* the sha256 of every file ``repro-axc paper --smoke`` writes;
+* for every registered benchmark at its defaults, plus ``matmul_50x50`` and
+  ``fir_200``, a ``records/<name>`` sha256 over every record of a cold
+  ``Evaluator(benchmark, seed=0).evaluate_index_range(0, size)``: the point
+  key, the three deltas and both ``RunCost`` floats as ``float.hex``, and
+  the operation count.  A sweep's canonical bytes hold only its front, so
+  this is what catches a kernel change that moves a non-front record.
 
 The recorded values live in ``tests/fixtures/golden_digests.json``.  A
 change that moves a digest on purpose rewrites the file with::
@@ -44,6 +50,7 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_digests.json"
 
 _PAPER_PREFIX = "paper-smoke/"
 _TRACE_PREFIX = "trace/"
+_RECORD_PREFIX = "records/"
 
 #: Spec kinds whose entries carry an exploration trace.
 _TRACED_KINDS = ("explore", "compare", "campaign")
@@ -136,6 +143,16 @@ EXAMPLES: Dict[str, List[str]] = {
 }
 
 
+def _record_benchmarks():
+    """Every registered benchmark at its defaults, plus the two large paper sizes."""
+    from repro.benchmarks.registry import available, create, paper_benchmarks
+
+    benchmarks = {name: create(name) for name in available()}
+    large = paper_benchmarks()
+    benchmarks.update((label, large[label]) for label in ("matmul_50x50", "fir_200"))
+    return {benchmark.name: benchmark for benchmark in benchmarks.values()}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -209,6 +226,24 @@ def paper_smoke_digests(out_dir: Path) -> Dict[str, str]:
     }
 
 
+def record_digest(benchmark) -> str:
+    """sha256 over every record of one cold, whole-context evaluation."""
+    from repro.dse.evaluator import Evaluator
+
+    evaluator = Evaluator(benchmark, seed=0)
+    records = evaluator.evaluate_index_range(0, evaluator.design_space.size)
+    rows = [
+        [record.point.adder_index, record.point.multiplier_index,
+         list(record.point.variables),
+         float(record.deltas.accuracy).hex(), float(record.deltas.power_mw).hex(),
+         float(record.deltas.time_ns).hex(),
+         float(record.approx_cost.power_mw).hex(), float(record.approx_cost.time_ns).hex(),
+         int(record.approx_cost.operation_count)]
+        for record in records
+    ]
+    return _sha256(json.dumps(rows).encode("utf-8"))
+
+
 def _recorded() -> Dict[str, str]:
     return json.loads(FIXTURE.read_text())
 
@@ -217,10 +252,13 @@ def test_fixture_names_every_spec():
     recorded = set(_recorded())
     documents = _spec_documents()
     assert {name for name in recorded if not name.startswith(
-        (_PAPER_PREFIX, _TRACE_PREFIX))} == set(documents)
+        (_PAPER_PREFIX, _TRACE_PREFIX, _RECORD_PREFIX))} == set(documents)
     assert {name for name in recorded if name.startswith(_TRACE_PREFIX)} == {
         f"{_TRACE_PREFIX}{name}" for name, document in documents.items()
         if document["kind"] in _TRACED_KINDS
+    }
+    assert {name for name in recorded if name.startswith(_RECORD_PREFIX)} == {
+        f"{_RECORD_PREFIX}{name}" for name in _record_benchmarks()
     }
 
 
@@ -254,6 +292,15 @@ def test_paper_smoke_file_digests_match_recording(tmp_path):
     assert not moved, f"paper --smoke files moved: {moved}"
 
 
+@pytest.mark.parametrize("name", sorted(_record_benchmarks()))
+def test_record_digest_matches_recording(name):
+    expected = _recorded()[f"{_RECORD_PREFIX}{name}"]
+    actual = record_digest(_record_benchmarks()[name])
+    assert actual == expected, (
+        f"evaluation records of {name!r} moved: {actual} != recorded {expected}"
+    )
+
+
 def _write_fixture() -> None:
     digests: Dict[str, str] = {}
     for name in sorted(_spec_documents()):
@@ -261,6 +308,8 @@ def _write_fixture() -> None:
         digests[name] = canonical
         if trace is not None:
             digests[f"{_TRACE_PREFIX}{name}"] = trace
+    for name, benchmark in _record_benchmarks().items():
+        digests[f"{_RECORD_PREFIX}{name}"] = record_digest(benchmark)
     with tempfile.TemporaryDirectory() as out_dir:
         digests.update(paper_smoke_digests(Path(out_dir)))
     FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
