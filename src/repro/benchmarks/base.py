@@ -34,6 +34,19 @@ class Benchmark(ABC):
 
     Subclasses set :attr:`variables`, :attr:`add_width` and :attr:`mul_width`
     and implement :meth:`generate_inputs` and :meth:`run`.
+
+    A kernel that sets :attr:`row_axis` can run many versions of itself in
+    one pass on a :class:`~repro.instrumentation.context.StackedContext`
+    (the evaluator runs a sweep chunk's behaviour classes that way).  Its
+    contract: :meth:`run` puts the row axis first on every array it passes
+    to the context (length 1 for arrays built from the inputs, such as
+    ``inputs["a"][None]``; a Python or NumPy scalar broadcasts as it is),
+    reduces and slices only the axes after it (``a[..., :, k]``,
+    ``accumulate(values, axis=-1)``), and returns an array whose first axis
+    is the row axis.  Under a plain :class:`ApproxContext` the row axis has
+    length 1, so :meth:`execute` returns the same flat outputs either way.
+    Kernels that leave :attr:`row_axis` off run one version per context,
+    exactly as before.
     """
 
     #: Registry / display name of the benchmark.
@@ -48,6 +61,10 @@ class Benchmark(ABC):
     #: Bit width of the precise multiplier the kernel uses.
     mul_width: int = 8
 
+    #: Whether :meth:`run` keeps the row-axis contract above, so that one
+    #: pass on a stacked context can run several versions of the kernel.
+    row_axis: bool = False
+
     @abstractmethod
     def generate_inputs(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         """Generate a reproducible workload for the benchmark."""
@@ -59,9 +76,23 @@ class Benchmark(ABC):
     # ----------------------------------------------------------- conveniences
 
     def execute(self, context: ApproxContext, inputs: Mapping[str, np.ndarray]) -> BenchmarkRun:
-        """Run the kernel and bundle the outputs with the inputs used."""
+        """Run the kernel and bundle the outputs with the inputs used.
+
+        The outputs are flat, or one flat row per version on a stacked
+        context (shape ``(context.num_rows, n)``).
+        """
         self.validate_inputs(inputs)
-        outputs = np.asarray(self.run(context, inputs)).ravel()
+        rows = context.num_rows
+        if rows > 1 and not self.row_axis:
+            raise BenchmarkError(
+                f"{self.name}: the kernel does not keep the row-axis contract, "
+                f"so it cannot run {rows} versions in one pass"
+            )
+        outputs = np.asarray(self.run(context, inputs))
+        if rows == 1:
+            outputs = outputs.ravel()
+        else:
+            outputs = np.broadcast_to(outputs, (rows,) + outputs.shape[1:]).reshape(rows, -1)
         return BenchmarkRun(outputs=outputs, inputs=dict(inputs))
 
     def validate_inputs(self, inputs: Mapping[str, np.ndarray]) -> None:

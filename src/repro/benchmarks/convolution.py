@@ -42,6 +42,7 @@ class Convolution2DBenchmark(Benchmark):
     variables = ("image", "kernel", "acc")
     add_width = 16
     mul_width = 8
+    row_axis = True
 
     def __init__(self, height: int = 32, width: int = 32,
                  kernel: np.ndarray = None) -> None:
@@ -74,12 +75,13 @@ class Convolution2DBenchmark(Benchmark):
         out_height = self.height - kernel_size + 1
         out_width = self.width - kernel_size + 1
 
-        accumulator = np.zeros((out_height, out_width), dtype=np.int64)
+        image = image[None]
+        accumulator = np.zeros((1, out_height, out_width), dtype=np.int64)
         for row_offset in range(kernel_size):
             for col_offset in range(kernel_size):
-                patch = image[row_offset:row_offset + out_height,
+                patch = image[..., row_offset:row_offset + out_height,
                               col_offset:col_offset + out_width]
                 products = context.mul(patch, kernel[row_offset, col_offset],
                                        variables=("image", "kernel"))
                 accumulator = context.add(accumulator, products, variables=("acc",))
-        return accumulator.ravel()
+        return accumulator

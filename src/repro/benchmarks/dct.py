@@ -42,6 +42,7 @@ class DctBenchmark(Benchmark):
     variables = ("block", "coeff", "acc")
     add_width = 16
     mul_width = 32
+    row_axis = True
 
     def __init__(self, block_size: int = 8, num_blocks: int = 4, scale_bits: int = 7) -> None:
         if block_size < 2:
@@ -63,9 +64,10 @@ class DctBenchmark(Benchmark):
 
     def _instrumented_matmul(self, context: ApproxContext, left: np.ndarray,
                              right: np.ndarray, left_var: str, right_var: str) -> np.ndarray:
-        accumulator = np.zeros((left.shape[0], right.shape[1]), dtype=np.int64)
-        for k in range(left.shape[1]):
-            products = context.mul(left[:, k][:, None], right[k, :][None, :],
+        """``left @ right`` over the last two axes of (row, block, n, n) operands."""
+        accumulator = np.zeros((1, 1, left.shape[-2], right.shape[-1]), dtype=np.int64)
+        for k in range(left.shape[-1]):
+            products = context.mul(left[..., :, k, None], right[..., None, k, :],
                                    variables=(left_var, right_var))
             accumulator = context.add(accumulator, products, variables=("acc",))
         return accumulator
@@ -78,10 +80,12 @@ class DctBenchmark(Benchmark):
                 f"{self.name}: block shape {blocks.shape} does not match "
                 f"({self.num_blocks}, {self.block_size}, {self.block_size})"
             )
-        outputs = []
-        for block in blocks:
-            partial = self._instrumented_matmul(context, coeff, block, "coeff", "block")
-            full = self._instrumented_matmul(context, partial, coeff.T, "acc", "coeff")
-            # Undo the fixed-point scaling of the two coefficient products.
-            outputs.append(full >> (2 * self.scale_bits))
-        return np.concatenate([output.ravel() for output in outputs])
+        # Every block runs at once on the block axis after the row axis;
+        # each output element sees the same operation sequence as a
+        # block-by-block loop would give it.
+        coeff = coeff[None, None]
+        partial = self._instrumented_matmul(context, coeff, blocks[None], "coeff", "block")
+        full = self._instrumented_matmul(context, partial, np.swapaxes(coeff, -1, -2),
+                                         "acc", "coeff")
+        # Undo the fixed-point scaling of the two coefficient products.
+        return full >> (2 * self.scale_bits)

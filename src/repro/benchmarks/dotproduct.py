@@ -31,6 +31,7 @@ class DotProductBenchmark(Benchmark):
     variables = ("u", "v", "acc")
     add_width = 16
     mul_width = 32
+    row_axis = True
 
     def __init__(self, length: int = 64, amplitude: int = 127) -> None:
         if length <= 0:
@@ -52,6 +53,5 @@ class DotProductBenchmark(Benchmark):
             raise BenchmarkError(
                 f"{self.name}: input shapes {u.shape}/{v.shape} do not match ({self.length},)"
             )
-        products = context.mul(u, v, variables=("u", "v"))
-        total = context.accumulate(products, axis=0, variables=("acc",))
-        return np.atleast_1d(total)
+        products = context.mul(u[None], v[None], variables=("u", "v"))
+        return context.accumulate(products, axis=-1, variables=("acc",))

@@ -37,6 +37,7 @@ class FirBenchmark(Benchmark):
     variables = ("x", "h", "acc")
     add_width = 16
     mul_width = 32
+    row_axis = True
 
     def __init__(self, num_samples: int = 100, num_taps: int = 16,
                  amplitude: int = 127, coefficient_bits: int = 7) -> None:
@@ -70,11 +71,11 @@ class FirBenchmark(Benchmark):
 
         # y[n] = sum_t h[t] * x[n - t]; the signal is zero-padded at the start
         # so every output sample performs the full num_taps MAC operations.
-        padded = np.concatenate([np.zeros(self.num_taps - 1, dtype=np.int64), signal])
-        accumulator = np.zeros(self.num_samples, dtype=np.int64)
+        padded = np.concatenate([np.zeros(self.num_taps - 1, dtype=np.int64), signal])[None]
+        accumulator = np.zeros((1, self.num_samples), dtype=np.int64)
         for tap_index in range(self.num_taps):
             start = self.num_taps - 1 - tap_index
-            window = padded[start:start + self.num_samples]
+            window = padded[..., start:start + self.num_samples]
             products = context.mul(window, taps[tap_index], variables=("x", "h"))
             accumulator = context.add(accumulator, products, variables=("acc",))
         return accumulator

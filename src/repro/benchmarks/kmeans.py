@@ -35,6 +35,7 @@ class KMeansAssignBenchmark(Benchmark):
     variables = ("points", "centroids", "acc")
     add_width = 16
     mul_width = 32
+    row_axis = True
 
     def __init__(self, num_points: int = 64, num_centroids: int = 4,
                  dimensions: int = 4, value_bits: int = 8) -> None:
@@ -64,11 +65,13 @@ class KMeansAssignBenchmark(Benchmark):
         if centroids.shape != (self.num_centroids, self.dimensions):
             raise BenchmarkError(f"{self.name}: bad centroids shape {centroids.shape}")
 
-        distances = np.zeros((self.num_points, self.num_centroids), dtype=np.int64)
+        points = points[None]
+        centroids = centroids[None]
+        distances = np.zeros((1, self.num_points, self.num_centroids), dtype=np.int64)
         for dimension in range(self.dimensions):
-            differences = context.sub(points[:, dimension][:, None],
-                                      centroids[:, dimension][None, :],
+            differences = context.sub(points[..., :, dimension, None],
+                                      centroids[..., None, :, dimension],
                                       variables=("points", "centroids"))
             squared = context.mul(differences, differences, variables=("points", "centroids"))
             distances = context.add(distances, squared, variables=("acc",))
-        return distances.ravel()
+        return distances

@@ -34,6 +34,7 @@ class MatMulBenchmark(Benchmark):
     variables = ("a", "b", "acc")
     add_width = 8
     mul_width = 8
+    row_axis = True
 
     def __init__(self, rows: int = 10, inner: int = 10, cols: int = 10,
                  value_bits: int = 7) -> None:
@@ -63,8 +64,10 @@ class MatMulBenchmark(Benchmark):
                 f"{self.name}: input shapes {a.shape} x {b.shape} do not match "
                 f"({self.rows}, {self.inner}) x ({self.inner}, {self.cols})"
             )
-        accumulator = np.zeros((self.rows, self.cols), dtype=np.int64)
+        a = a[None]
+        b = b[None]
+        accumulator = np.zeros((1, self.rows, self.cols), dtype=np.int64)
         for k in range(self.inner):
-            products = context.mul(a[:, k][:, None], b[k, :][None, :], variables=("a", "b"))
+            products = context.mul(a[..., :, k, None], b[..., None, k, :], variables=("a", "b"))
             accumulator = context.add(accumulator, products, variables=("acc",))
-        return accumulator.ravel()
+        return accumulator

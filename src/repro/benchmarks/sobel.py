@@ -38,6 +38,7 @@ class SobelBenchmark(Benchmark):
     variables = ("image", "gx", "gy", "mag")
     add_width = 16
     mul_width = 8
+    row_axis = True
 
     def __init__(self, height: int = 32, width: int = 32) -> None:
         if height <= 2 or width <= 2:
@@ -53,13 +54,13 @@ class SobelBenchmark(Benchmark):
                   accumulator_variable: str) -> np.ndarray:
         out_height = self.height - 2
         out_width = self.width - 2
-        accumulator = np.zeros((out_height, out_width), dtype=np.int64)
+        accumulator = np.zeros((1, out_height, out_width), dtype=np.int64)
         for row_offset in range(3):
             for col_offset in range(3):
                 weight = int(kernel[row_offset, col_offset])
                 if weight == 0:
                     continue
-                patch = image[row_offset:row_offset + out_height,
+                patch = image[..., row_offset:row_offset + out_height,
                               col_offset:col_offset + out_width]
                 products = context.mul(patch, weight, variables=("image",))
                 accumulator = context.add(accumulator, products,
@@ -73,7 +74,6 @@ class SobelBenchmark(Benchmark):
                 f"{self.name}: image shape {image.shape} does not match "
                 f"({self.height}, {self.width})"
             )
-        gradient_x = self._gradient(context, image, _SOBEL_X, "gx")
-        gradient_y = self._gradient(context, image, _SOBEL_Y, "gy")
-        magnitude = context.add(np.abs(gradient_x), np.abs(gradient_y), variables=("mag",))
-        return magnitude.ravel()
+        gradient_x = self._gradient(context, image[None], _SOBEL_X, "gx")
+        gradient_y = self._gradient(context, image[None], _SOBEL_Y, "gy")
+        return context.add(np.abs(gradient_x), np.abs(gradient_y), variables=("mag",))

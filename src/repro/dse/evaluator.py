@@ -22,14 +22,14 @@ hit is bit-identical to the evaluation it replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.benchmarks.base import Benchmark
 from repro.dse.design_space import DesignPoint, DesignSpace
 from repro.errors import OperatorError
-from repro.instrumentation.context import ApproxContext
+from repro.instrumentation.context import ApproxContext, Row, StackedContext
 from repro.metrics.deltas import ObjectiveDeltas, compute_deltas
 from repro.operators.base import OperatorKind, as_int_array
 from repro.operators.catalog import OperatorCatalog, default_catalog
@@ -103,7 +103,10 @@ class Evaluator:
         classes (the variable mask only matters through which operation
         kinds it approximates), making this the difference between
         evaluating the space and evaluating its distinct behaviours.
-        Records are bit-identical either way; defaults to on.
+        :meth:`evaluate_index_range` goes one step further for a benchmark
+        that sets :attr:`~repro.benchmarks.base.Benchmark.row_axis`: the
+        range's new classes run as the rows of one stacked pass.  Records
+        are bit-identical either way; defaults to on.
     """
 
     def __init__(self, benchmark: Benchmark, catalog: Optional[OperatorCatalog] = None,
@@ -273,22 +276,27 @@ class Evaluator:
         validated workload).
         """
         self._space.validate(point)
-        adder_entry = self._catalog.adder(point.adder_index)
-        multiplier_entry = self._catalog.multiplier(point.multiplier_index)
-        selected = [
-            name for name, flag in zip(self._benchmark.variables, point.variables) if flag
-        ]
-        instance = (
-            self._catalog.compiled_instance if self._compiled else self._catalog.instance
-        )
+        approx_adder, approx_multiplier, selected = self._row_for(point)
         return ApproxContext(
             exact_adder=self._exact_adder,
             exact_multiplier=self._exact_multiplier,
-            approx_adder=instance(adder_entry.name),
-            approx_multiplier=instance(multiplier_entry.name),
+            approx_adder=approx_adder,
+            approx_multiplier=approx_multiplier,
             approximate_variables=selected,
             trusted=bool(trusted),
         )
+
+    def _row_for(self, point: DesignPoint) -> Row:
+        """The approximate units and selected variables of one design point."""
+        instance = (
+            self._catalog.compiled_instance if self._compiled else self._catalog.instance
+        )
+        selected = [
+            name for name, flag in zip(self._benchmark.variables, point.variables) if flag
+        ]
+        return (instance(self._catalog.adder(point.adder_index).name),
+                instance(self._catalog.multiplier(point.multiplier_index).name),
+                selected)
 
     def store_key(self, point: DesignPoint) -> EvaluationKey:
         """The store key addressing one design point of this evaluator."""
@@ -402,12 +410,70 @@ class Evaluator:
     def evaluate_many(self, points: Iterable[DesignPoint]) -> List[EvaluationRecord]:
         """Measure a batch of design points (cached), in input order.
 
-        The workhorse of exhaustive sweeps: a chunk of the enumerated
-        design space goes in, one record per point comes out, every
-        evaluation landing in (or served from) the shared store.
+        One record per point, every evaluation landing in (or served from)
+        the shared store.
         """
         return [self.evaluate(point) for point in points]
 
     def evaluate_index_range(self, start: int, stop: int) -> List[EvaluationRecord]:
-        """Evaluate the enumeration slice ``[start, stop)`` of the space."""
-        return self.evaluate_many(self._space.iter_range(start, stop))
+        """Evaluate the enumeration slice ``[start, stop)`` of the space.
+
+        The workhorse of exhaustive sweeps.  With behaviour sharing on and
+        a benchmark that keeps the row-axis contract, the slice's points
+        that are neither stored nor in the behaviour cache first run their
+        distinct classes as the rows of one stacked pass
+        (:class:`~repro.instrumentation.context.StackedContext`), which
+        fills the behaviour cache; every point is then evaluated as
+        :meth:`evaluate_many` would, so the records, the store contents and
+        the evaluation count are the same either way.
+        """
+        points = list(self._space.iter_range(start, stop))
+        if self._share_equivalent and self._benchmark.row_axis:
+            self._run_classes(points)
+        return self.evaluate_many(points)
+
+    def _run_classes(self, points: Sequence[DesignPoint]) -> None:
+        """Measure the new behaviour classes among ``points`` in one stacked pass.
+
+        Each row's cost maps the pass's per-row operation count of every
+        routing key to the unit the key resolves to for that row, in
+        first-use order, which is the order the class's own run would add
+        the unit costs in.  A unit that raises :class:`OperatorError` (the
+        stack may reach an operand range a class's own run does not) or a
+        routing key the baseline run did not surface leaves the cache
+        untouched, so the points run one by one, raising where their own
+        runs raise and extending the key set where theirs do.
+        """
+        classes: Dict[tuple, DesignPoint] = {}
+        for point in points:
+            if self.store_key(point) in self._store:
+                continue
+            signature = self._behavior_signature(point)
+            if signature is None:
+                return
+            if signature not in self._behavior_cache:
+                classes.setdefault(signature, point)
+        if len(classes) < 2:
+            return
+        context = StackedContext(self._exact_adder, self._exact_multiplier,
+                                 [self._row_for(point) for point in classes.values()],
+                                 trusted=self._trusted)
+        try:
+            outputs = self._benchmark.execute(context, self._inputs).outputs
+        except OperatorError:
+            return
+        if not self._route_key_set.issuperset(context.route_keys()):
+            return
+        position = {key: index for index, key in enumerate(self._route_keys)}
+        key_counts = context.key_counts()
+        for row, signature in enumerate(classes):
+            unit_counts: Dict[str, int] = {}
+            for key, count in key_counts.items():
+                unit = signature[position[key]]
+                unit_counts[unit] = unit_counts.get(unit, 0) + count
+            approx_cost = self._cost_model.run_cost(unit_counts)
+            deltas = compute_deltas(
+                self._precise_outputs, outputs[row], self._precise_cost, approx_cost,
+                signed_accuracy=self._signed_accuracy,
+            )
+            self._behavior_cache[signature] = (deltas, approx_cost)

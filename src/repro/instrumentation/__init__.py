@@ -13,7 +13,7 @@ context dispatches to the exact or approximate unit and keeps per-unit
 operation counts.
 """
 
-from repro.instrumentation.context import ApproxContext
+from repro.instrumentation.context import ApproxContext, StackedContext
 from repro.instrumentation.profile import OperationProfile
 
-__all__ = ["ApproxContext", "OperationProfile"]
+__all__ = ["ApproxContext", "OperationProfile", "StackedContext"]

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks import registry
+from repro.benchmarks.base import Benchmark
 from repro.dse.design_space import DesignPoint
 from repro.dse.evaluator import Evaluator
 from repro.errors import OperatorError
@@ -365,6 +366,25 @@ class TestShiftTable:
 
 # Small configurations of every registered benchmark: compiled and analytic
 # evaluators must produce bit-identical records for each of them.
+class AuxBenchmark(Benchmark):
+    """Generates float data it consumes outside the context (no row axis)."""
+
+    name = "aux"
+    variables = ("u",)
+    add_width = 8
+    mul_width = 8
+
+    def generate_inputs(self, rng):
+        return {
+            "u": rng.integers(0, 100, size=8),
+            "scale": rng.random(8),  # never an operand
+        }
+
+    def run(self, context, inputs):
+        doubled = context.mul(np.asarray(inputs["u"]), 2, variables=("u",))
+        return np.where(np.asarray(inputs["scale"]) > 2.0, 0, doubled)
+
+
 _SMALL_BENCHMARKS = {
     "matmul": {"rows": 5, "inner": 5, "cols": 5},
     "fir": {"num_samples": 16, "num_taps": 4},
@@ -469,24 +489,6 @@ class TestEvaluatorEquivalence:
         # the context; the evaluator must accept it (on both paths) and keep
         # per-call operand validation, since trusted dispatch can no longer
         # be guaranteed.
-        from repro.benchmarks.base import Benchmark
-
-        class AuxBenchmark(Benchmark):
-            name = "aux"
-            variables = ("u",)
-            add_width = 8
-            mul_width = 8
-
-            def generate_inputs(self, rng):
-                return {
-                    "u": rng.integers(0, 100, size=8),
-                    "scale": rng.random(8),  # never an operand
-                }
-
-            def run(self, context, inputs):
-                doubled = context.mul(np.asarray(inputs["u"]), 2, variables=("u",))
-                return np.where(np.asarray(inputs["scale"]) > 2.0, 0, doubled)
-
         compiled = Evaluator(AuxBenchmark(), seed=1, compiled=True)
         analytic = Evaluator(AuxBenchmark(), seed=1, compiled=False)
         assert compiled.inputs["scale"].dtype.kind == "f"
