@@ -77,9 +77,7 @@ class QLearningAgent(Agent):
         known episode horizon the per-step schedule call collapses to a
         list lookup — bit-identical values, no object dispatch.
         """
-        self._epsilon_values = [
-            self.epsilon_schedule(step) for step in range(int(max_steps) + 1)
-        ]
+        self._epsilon_values = self.epsilon_schedule.table(int(max_steps) + 1)
 
     def _epsilon_at(self, step: int) -> float:
         values = self._epsilon_values

@@ -60,9 +60,7 @@ class SarsaAgent(Agent):
         SARSA reads the schedule one step past the last selection (the
         on-policy bootstrap), hence the ``max_steps + 1`` entries.
         """
-        self._epsilon_values = [
-            self.epsilon_schedule(step) for step in range(int(max_steps) + 1)
-        ]
+        self._epsilon_values = self.epsilon_schedule.table(int(max_steps) + 1)
 
     def _epsilon_at(self, step: int) -> float:
         values = self._epsilon_values

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import List
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -20,6 +23,15 @@ class EpsilonSchedule(ABC):
         epsilon = self.value(step)
         return float(min(max(epsilon, 0.0), 1.0))
 
+    def table(self, num_steps: int) -> List[float]:
+        """``[self(step) for step in range(num_steps)]``, bit for bit.
+
+        Agents with a known horizon read epsilon from this table instead of
+        calling the schedule on every step.  The bundled schedules build it
+        in bulk; a subclass with its own :meth:`value` gets this loop.
+        """
+        return [self(step) for step in range(num_steps)]
+
 
 class ConstantEpsilon(EpsilonSchedule):
     """A fixed exploration rate."""
@@ -31,6 +43,11 @@ class ConstantEpsilon(EpsilonSchedule):
 
     def value(self, step: int) -> float:
         return self.epsilon
+
+    def table(self, num_steps: int) -> List[float]:
+        if type(self).value is not ConstantEpsilon.value:
+            return super().table(num_steps)
+        return [self(0)] * num_steps
 
     def __repr__(self) -> str:
         return f"ConstantEpsilon({self.epsilon})"
@@ -55,6 +72,17 @@ class LinearDecayEpsilon(EpsilonSchedule):
             return self.end
         fraction = step / self.decay_steps
         return self.start + fraction * (self.end - self.start)
+
+    def table(self, num_steps: int) -> List[float]:
+        if type(self).value is not LinearDecayEpsilon.value:
+            return super().table(num_steps)
+        # The same float64 operations, in the same order, as value(): an
+        # exact quotient of two integers below 2**53, then one multiply and
+        # one add, each correctly rounded; the clamp of __call__ follows.
+        steps = np.arange(min(num_steps, self.decay_steps), dtype=np.float64)
+        ramp = self.start + (steps / self.decay_steps) * (self.end - self.start)
+        values: List[float] = np.minimum(np.maximum(ramp, 0.0), 1.0).tolist()
+        return values + [self(self.decay_steps)] * (num_steps - len(values))
 
     def __repr__(self) -> str:
         return (

@@ -188,9 +188,7 @@ class _VectorizedValueAgent(VectorizedAgent):
         # the ``max_steps + 1`` entries.
         self._epsilon_values: Optional[List[float]] = None
         if max_steps is not None:
-            self._epsilon_values = [
-                self.epsilon_schedule(step) for step in range(int(max_steps) + 1)
-            ]
+            self._epsilon_values = self.epsilon_schedule.table(int(max_steps) + 1)
         # Episode -> state -> one float per action.
         self._q = [
             [[0.0] * self.num_actions for _ in range(self.num_states)]

@@ -52,6 +52,34 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             LinearDecayEpsilon(decay_steps=0)
 
+    @pytest.mark.parametrize("schedule", [
+        ConstantEpsilon(0.3),
+        ConstantEpsilon(0.0),
+        LinearDecayEpsilon(),
+        LinearDecayEpsilon(start=1.0, end=0.05, decay_steps=3_000),
+        LinearDecayEpsilon(start=0.9, end=0.1, decay_steps=7),
+        LinearDecayEpsilon(start=0.3, end=0.3, decay_steps=10),
+        LinearDecayEpsilon(start=1.0, end=0.0, decay_steps=10),
+    ], ids=repr)
+    @pytest.mark.parametrize("length", ["below", "at", "above"])
+    def test_table_equals_per_step_calls_bit_for_bit(self, schedule, length):
+        decay_steps = getattr(schedule, "decay_steps", 5_000)
+        num_steps = {"below": decay_steps // 2, "at": decay_steps,
+                     "above": decay_steps + 10_001}[length]
+        table = schedule.table(num_steps)
+        assert all(type(value) is float for value in table)
+        assert [value.hex() for value in table] == \
+            [schedule(step).hex() for step in range(num_steps)]
+
+    def test_table_of_a_subclass_with_its_own_value_calls_it(self):
+        class Stepped(LinearDecayEpsilon):
+            def value(self, step):
+                return 0.5 if step % 2 else 0.25
+
+        schedule = Stepped(decay_steps=4)
+        assert schedule.table(6) == [0.25, 0.5, 0.25, 0.5, 0.25, 0.5]
+        assert ConstantEpsilon(0.4).table(0) == []
+
 
 class TestStateKey:
     def test_key_is_the_configuration(self):
