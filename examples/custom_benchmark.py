@@ -9,6 +9,7 @@ instrumented.  This example defines a small image-brightening kernel
 (scale every pixel by a gain, then add a bias) as a new
 :class:`~repro.benchmarks.base.Benchmark`, registers it, and runs the same
 Q-learning exploration the paper runs on MatMul and FIR.
+Without ``row_axis`` set, sweeps run it class by class, one kernel run each.
 """
 
 from __future__ import annotations

@@ -74,6 +74,7 @@ class SobelBenchmark(Benchmark):
                 f"{self.name}: image shape {image.shape} does not match "
                 f"({self.height}, {self.width})"
             )
-        gradient_x = self._gradient(context, image[None], _SOBEL_X, "gx")
-        gradient_y = self._gradient(context, image[None], _SOBEL_Y, "gy")
+        image = image[None]
+        gradient_x = self._gradient(context, image, _SOBEL_X, "gx")
+        gradient_y = self._gradient(context, image, _SOBEL_Y, "gy")
         return context.add(np.abs(gradient_x), np.abs(gradient_y), variables=("mag",))

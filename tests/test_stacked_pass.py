@@ -22,7 +22,6 @@ from test_operators_compiled import AuxBenchmark
 from repro.benchmarks import DotProductBenchmark, MatMulBenchmark
 from repro.benchmarks.base import Benchmark
 from repro.benchmarks.registry import available, create, paper_benchmarks
-from repro.dse import evaluator as evaluator_module
 from repro.dse.evaluator import Evaluator
 from repro.errors import BenchmarkError, InstrumentationError, OperatorError
 from repro.instrumentation import StackedContext
@@ -234,9 +233,3 @@ def test_a_stacked_context_needs_two_rows_and_a_leading_row_axis():
         stacked.mul(np.array(3), np.array(4), variables=("u", "v"))
     with pytest.raises(InstrumentationError, match="row axis first"):
         stacked.add(np.arange(3), np.arange(3), variables=("acc",))
-
-
-def test_evaluator_module_builds_stacked_contexts_only_in_the_pass():
-    # One construction site keeps the contract auditable.
-    source = Path(evaluator_module.__file__).read_text()
-    assert source.count("StackedContext(") == 1
