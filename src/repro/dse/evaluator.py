@@ -438,11 +438,11 @@ class Evaluator:
         Each row's cost maps the pass's per-row operation count of every
         routing key to the unit the key resolves to for that row, in
         first-use order, which is the order the class's own run would add
-        the unit costs in.  A unit that raises :class:`OperatorError` (the
-        stack may reach an operand range a class's own run does not) or a
-        routing key the baseline run did not surface leaves the cache
-        untouched, so the points run one by one, raising where their own
-        runs raise and extending the key set where theirs do.
+        the unit costs in.  A unit that raises :class:`OperatorError` on
+        the stack, or a routing key the baseline run did not surface,
+        leaves the cache untouched: the points then run one by one, raising
+        where their own runs raise and extending the key set where theirs
+        do.
         """
         classes: Dict[tuple, DesignPoint] = {}
         for point in points:
