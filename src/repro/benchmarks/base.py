@@ -45,8 +45,7 @@ class Benchmark(ABC):
     ``accumulate(values, axis=-1)``), and returns an array whose first axis
     is the row axis.  Under a plain :class:`ApproxContext` the row axis has
     length 1, so :meth:`execute` returns the same flat outputs either way.
-    Kernels that leave :attr:`row_axis` off run one version per context,
-    exactly as before.
+    Kernels that leave :attr:`row_axis` off run one version per context.
     """
 
     #: Registry / display name of the benchmark.
