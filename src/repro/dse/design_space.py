@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import lru_cache
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +95,24 @@ class DesignPoint:
         return f"(adder={self.adder_index}, multiplier={self.multiplier_index}, variables={mask})"
 
 
+@lru_cache(maxsize=None)
+def _decode(num_adders: int, num_multipliers: int,
+            num_variables: int) -> Tuple[DesignPoint, ...]:
+    """Every point of one geometry, in enumeration order, decoded once.
+
+    The enumeration index is ``(adder * num_multipliers + multiplier) *
+    2**num_variables + mask``, where the mask's most significant bit is the
+    first variable.  Points are immutable, so every space of the same
+    geometry shares the tuple.
+    """
+    return tuple(
+        DesignPoint(adder, multiplier, mask)
+        for adder in range(1, num_adders + 1)
+        for multiplier in range(1, num_multipliers + 1)
+        for mask in itertools.product((False, True), repeat=num_variables)
+    )
+
+
 class DesignSpace:
     """All approximate versions reachable for one benchmark and catalog."""
 
@@ -104,6 +123,7 @@ class DesignSpace:
             )
         self._benchmark = benchmark
         self._catalog = catalog
+        self._table: Optional[Tuple[DesignPoint, ...]] = None
 
     # ------------------------------------------------------------ dimensions
 
@@ -184,38 +204,38 @@ class DesignSpace:
         for position in range(self.num_variables):
             yield point.with_variable_toggled(position)
 
+    def _ordered(self) -> Tuple[DesignPoint, ...]:
+        """The space's points in enumeration order (one shared decode)."""
+        table = self._table
+        if table is None:
+            table = self._table = _decode(
+                self.num_adders, self.num_multipliers, self.num_variables
+            )
+        return table
+
     def enumerate(self) -> Iterator[DesignPoint]:
         """Iterate over every design point (exhaustive search support)."""
-        for adder in range(1, self.num_adders + 1):
-            for multiplier in range(1, self.num_multipliers + 1):
-                for mask in itertools.product((False, True), repeat=self.num_variables):
-                    yield DesignPoint(adder, multiplier, mask)
+        return iter(self._ordered())
 
     def point_at(self, index: int) -> DesignPoint:
         """The ``index``-th point of :meth:`enumerate`, in O(1).
 
-        Lets sweep jobs address disjoint chunks of the space by index range
-        without materialising (or iterating) the whole enumeration.
+        Lets sweep jobs and the batched environment address the space by
+        enumeration index; every space of one geometry reads the same
+        decoded tuple.
         """
-        if not 0 <= index < self.size:
+        points = self._ordered()
+        if not 0 <= index < len(points):
             raise DesignSpaceError(
-                f"design-point index {index} out of range [0, {self.size})"
+                f"design-point index {index} out of range [0, {len(points)})"
             )
-        combinations = 2 ** self.num_variables
-        adder, rest = divmod(index, self.num_multipliers * combinations)
-        multiplier, mask_value = divmod(rest, combinations)
-        variables = tuple(
-            bool((mask_value >> (self.num_variables - 1 - position)) & 1)
-            for position in range(self.num_variables)
-        )
-        return DesignPoint(adder + 1, multiplier + 1, variables)
+        return points[index]
 
     def iter_range(self, start: int, stop: int) -> Iterator[DesignPoint]:
         """Iterate over the enumeration slice ``[start, stop)`` (clamped)."""
         if start < 0:
             raise DesignSpaceError(f"chunk start must be non-negative, got {start}")
-        for index in range(start, min(stop, self.size)):
-            yield self.point_at(index)
+        return iter(self._ordered()[start:max(start, stop)])
 
     def __repr__(self) -> str:
         return (
