@@ -18,12 +18,15 @@ batch of a few episodes far less than NumPy calls on arrays that small:
   current design-point *enumeration indices* (the dense state of
   :meth:`~repro.dse.design_space.DesignSpace.point_at`) and cumulative
   rewards — and applies actions through a transition table built once
-  per environment (one list of next indices per design point).  A design
-  point is evaluated once per (workload, point) through
-  :meth:`~repro.dse.evaluator.Evaluator.evaluate_many`, and the
-  environment's reward function is called on it right then; its reward,
-  terminate and violation flags land in flat per-cell lists, so a step's
-  outcome is a few list lookups.
+  per environment (one list of next indices per design point).  A
+  context is a table: when the environment is built it fills each
+  workload's whole design space with one
+  :meth:`~repro.dse.evaluator.Evaluator.evaluate_index_range` call
+  (stored points come from the store, the rest run as one stacked kernel
+  pass) and calls the environment's reward function once per point; the
+  reward, terminate and violation flags land in flat per-cell lists.  A
+  reset or a step then makes no evaluator or store call: its outcome is a
+  few list lookups.
 * :class:`BatchedExplorer` drives a vectorized agent
   (:mod:`repro.agents.vectorized`) through the batched environment in
   lockstep, appending each step's state and action to the episode's trace
@@ -44,11 +47,22 @@ point) gives every visit the serial outcome, and cumulative rewards add in
 step order, so the float64 traces are IEEE-identical.  The test suite
 asserts this per agent per benchmark.
 
-The one observable difference is bookkeeping, not results: the outcome
-lists serve repeat visits without consulting the shared
-:class:`~repro.runtime.store.EvaluationStore`, so store hit/lookup
-*statistics* differ from a serial run (the stored records themselves are
-identical).
+The one observable difference is bookkeeping, not results.  The fill
+evaluates every point of a context, visited or not, so a store holds whole
+contexts: a cold 300-step run of a 288-point context evaluates all 288
+points where the serial engine evaluates the 140 or so it visits, and the
+store's size and hit/lookup *statistics* differ from a serial run (every
+record the serial run stores is stored, bit for bit).  Canonical report
+bytes carry neither, and ``metadata["evaluations"]`` counts the points the
+trace itself visited.
+
+One path serves every design space: the largest registered space has 576
+points, so filling it costs a few hundredths of a second next to a run's
+steps.  A space far larger than its step budget would pay for points the
+run never visits.  The fill also moves where a failing unit shows: a unit
+that raises :class:`~repro.errors.OperatorError` at any point of the
+context raises when the environment is built, even if the agent would
+never reach that point.
 """
 
 from __future__ import annotations
@@ -110,7 +124,9 @@ class BatchedAxcDseEnv:
     one-seed :class:`~repro.runtime.jobs.ExplorationJob` uses its seed.
     Episodes sharing a seed share one evaluator (one precise baseline run);
     distinct seeds get their own evaluator, workload and derived thresholds,
-    exactly like their serial counterparts.
+    exactly like their serial counterparts.  Construction fills every
+    workload's whole context (see the module docstring), so it raises
+    where evaluating any point of the space raises.
     """
 
     def __init__(self, benchmark: Benchmark, seeds: Sequence[int],
@@ -187,23 +203,16 @@ class BatchedAxcDseEnv:
             4 + self._space.num_variables if action_scheme == "directional" else 3
         )
 
-        num_evaluators = len(self._evaluators)
-        cells = num_evaluators * self._space.size
-        # Per-workload step outcomes, flat: workload ``w``'s design point
-        # ``i`` is cell ``w * size + i``.  A cell is filled when its point
-        # is first evaluated; its reward stays ``None`` until then.
-        # ``_records`` keeps the full EvaluationRecord for the result's
-        # point table.
-        self._rewards: List[Optional[float]] = [None] * cells
-        self._terminate = [False] * cells
-        self._violated = [False] * cells
-        self._records: List[Dict[int, EvaluationRecord]] = [
-            {} for _ in range(num_evaluators)
-        ]
-        # Enumeration index -> DesignPoint, shared across evaluators (the
-        # mapping is workload-independent), so each point is decoded once
-        # per environment instead of once per (workload, point).
-        self._points: Dict[int, DesignPoint] = {}
+        # The context tables: every workload's whole design space, filled
+        # once here.  ``_tables[w][i]`` is workload ``w``'s record of design
+        # point ``i``; the step outcomes are flat, so workload ``w``'s point
+        # ``i`` is cell ``w * size + i``.
+        self._tables: List[List[EvaluationRecord]] = []
+        self._rewards: List[float] = []
+        self._terminate: List[bool] = []
+        self._violated: List[bool] = []
+        for evaluator, limits in zip(self._evaluators, self._thresholds_by_eval):
+            self._fill(evaluator, limits)
 
         self._rngs: Optional[List[np.random.Generator]] = None
         self._states: Optional[List[int]] = None
@@ -248,13 +257,16 @@ class BatchedAxcDseEnv:
         """The constraint thresholds of the given episode."""
         return self._thresholds_by_eval[self._eval_ids[episode]]
 
-    def records_map_for(self, episode: int) -> Dict[int, EvaluationRecord]:
-        """The episode's live index -> record mapping (treat as read-only)."""
-        return self._records[self._eval_ids[episode]]
+    def table_for(self, episode: int) -> List[EvaluationRecord]:
+        """The records of the episode's whole context, by enumeration index.
+
+        The live list the environment steps against; treat it as read-only.
+        """
+        return self._tables[self._eval_ids[episode]]
 
     def outcomes_for(self, episode: int,
                      indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Rewards and violation flags of visiting evaluated ``indices``."""
+        """Rewards and violation flags of visiting ``indices``."""
         cells = [self._offsets[episode] + index for index in indices]
         rewards = self._rewards
         violated = self._violated
@@ -279,8 +291,8 @@ class BatchedAxcDseEnv:
         """Start every episode afresh; returns the starting state indices.
 
         Episode ``i``'s RNG is re-created from ``seeds[i]`` exactly like
-        ``AxcDseEnv.reset(seed=seeds[i])``, and its starting design point
-        is evaluated (a cache/store hit when already known).
+        ``AxcDseEnv.reset(seed=seeds[i])``; every starting point is already
+        in its context table.
         """
         self._rngs = [np_random(seed)[0] for seed in self._seeds]
         if random_start:
@@ -289,8 +301,6 @@ class BatchedAxcDseEnv:
             # The initial point (adder 1, multiplier 1, nothing approximated)
             # enumerates to index 0.
             starts = [0] * len(self._seeds)
-        self._ensure_evaluated([offset + start
-                                for offset, start in zip(self._offsets, starts)])
         self._cumulative = [0.0] * len(starts)
         self._states = list(starts)
         return starts
@@ -318,17 +328,14 @@ class BatchedAxcDseEnv:
             next_states = self._apply_compact(actions, active)
 
         offsets = self._offsets
-        cells = [offsets[episode] + state for episode, state in zip(active, next_states)]
         rewards = self._rewards
-        if None in [rewards[cell] for cell in cells]:
-            self._ensure_evaluated(cells)
-
         terminate = self._terminate
         cumulative = self._cumulative
         ceiling = self._max_cumulative_reward
         step_rewards = []
         terminated = []
-        for episode, state, cell in zip(active, next_states, cells):
+        for episode, state in zip(active, next_states):
+            cell = offsets[episode] + state
             reward = rewards[cell]
             total = cumulative[episode] + reward
             cumulative[episode] = total
@@ -362,36 +369,25 @@ class BatchedAxcDseEnv:
 
     # ------------------------------------------------------------ evaluation
 
-    def _ensure_evaluated(self, cells: Sequence[int]) -> None:
-        """Evaluate the never-seen cells, per evaluator, in slot order."""
+    def _fill(self, evaluator: Evaluator, thresholds: ExplorationThresholds) -> None:
+        """Append one workload's whole context to the tables and outcomes.
+
+        One :meth:`~repro.dse.evaluator.Evaluator.evaluate_index_range` call
+        serves the stored points from the store and runs the rest as one
+        stacked pass; the reward function then runs once per point.
+        """
         space = self._space
+        records = evaluator.evaluate_index_range(0, space.size)
+        reward_function = self._reward_function
         rewards = self._rewards
-        pending: Dict[int, List[int]] = {}
-        for cell in cells:
-            if rewards[cell] is None:
-                eval_id, index = divmod(cell, space.size)
-                bucket = pending.setdefault(eval_id, [])
-                if index not in bucket:
-                    bucket.append(index)
-        points_cache = self._points
-        for eval_id, bucket in pending.items():
-            points = []
-            for index in bucket:
-                point = points_cache.get(index)
-                if point is None:
-                    point = space.point_at(index)
-                    points_cache[index] = point
-                points.append(point)
-            records = self._evaluators[eval_id].evaluate_many(points)
-            thresholds = self._thresholds_by_eval[eval_id]
-            for index, record in zip(bucket, records):
-                outcome = self._reward_function(record.point, record.deltas,
-                                                thresholds, space)
-                cell = eval_id * space.size + index
-                rewards[cell] = float(outcome.reward)
-                self._terminate[cell] = bool(outcome.terminate)
-                self._violated[cell] = bool(outcome.constraint_violated)
-                self._records[eval_id][index] = record
+        terminate = self._terminate
+        violated = self._violated
+        for record in records:
+            outcome = reward_function(record.point, record.deltas, thresholds, space)
+            rewards.append(float(outcome.reward))
+            terminate.append(bool(outcome.terminate))
+            violated.append(bool(outcome.constraint_violated))
+        self._tables.append(records)
 
 
 class BatchedExplorer:
@@ -477,8 +473,8 @@ class BatchedExplorer:
         order = np.argsort(first)
         rows = np.empty(order.size, dtype=np.int32)
         rows[order] = np.arange(order.size, dtype=np.int32)
-        point_records = environment.records_map_for(episode)
-        table = [point_records[index] for index in visited[order].tolist()]
+        context = environment.table_for(episode)
+        table = [context[index] for index in visited[order].tolist()]
         rewards, violated = environment.outcomes_for(episode, visited.tolist())
         rewards = rewards[inverse]
         violated = violated[inverse]

@@ -18,7 +18,10 @@ through it:
   the now-warm store, so every design-point evaluation is a store hit: a
   replayed sweep chunk is store lookups, and a replayed exploration runs
   no kernel but still steps its agent, as a one-episode batch on the
-  batched engine like any one-seed job;
+  batched engine like any one-seed job.  Every exploration leaves its
+  context complete in the store, so a later unit over that context always
+  replays; replays therefore consult the checkpoint journal too, and a
+  journaled unit is restored instead of re-stepped;
 * :class:`~repro.planner.plan.MergeReports` nodes assemble one spec's
   :class:`~repro.experiments.report.ExperimentReport` from the shared unit
   outcomes, re-attaching the spec's own benchmark/agent labels.
@@ -304,8 +307,10 @@ def execute_plan(plan: ExperimentPlan,
         and replays are not reported.
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.CampaignCheckpoint`
-        applied to :class:`EvaluateJobs` nodes (the paid work); replay
-        nodes skip it — re-running them runs no kernel.
+        applied to :class:`EvaluateJobs` and :class:`ReplayFromStore` nodes
+        alike: journaled units are restored instead of run, and finished
+        ones are journaled.  A replayed exploration runs no kernel but
+        still steps its agent, so a journaled one is worth restoring.
     """
     if not isinstance(plan, ExperimentPlan):
         raise ConfigurationError(
@@ -336,7 +341,8 @@ def execute_plan(plan: ExperimentPlan,
     for node in plan.nodes:
         if isinstance(node, ReplayFromStore):
             jobs = [_job_for(unit, resolver, first) for unit in node.units]
-            _record(node.units, replayer.run(jobs, store=store), outcomes)
+            _record(node.units,
+                    replayer.run(jobs, store=store, checkpoint=checkpoint), outcomes)
         elif isinstance(node, MergeReports):
             wall_clock_s = time.perf_counter() - started
             execution.reports[node.spec_fingerprint] = _merge_report(
