@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class DesignPoint:
         return f"(adder={self.adder_index}, multiplier={self.multiplier_index}, variables={mask})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _decode(num_adders: int, num_multipliers: int,
             num_variables: int) -> Tuple[DesignPoint, ...]:
     """Every point of one geometry, in enumeration order, decoded once.
@@ -123,7 +123,8 @@ class DesignSpace:
             )
         self._benchmark = benchmark
         self._catalog = catalog
-        self._table: Optional[Tuple[DesignPoint, ...]] = None
+        self._enumeration = _decode(catalog.num_adders, catalog.num_multipliers,
+                                    benchmark.num_variables)
 
     # ------------------------------------------------------------ dimensions
 
@@ -150,7 +151,7 @@ class DesignSpace:
     @property
     def size(self) -> int:
         """Total number of design points."""
-        return self.num_adders * self.num_multipliers * (2 ** self.num_variables)
+        return len(self._enumeration)
 
     # -------------------------------------------------------------- creation
 
@@ -204,18 +205,9 @@ class DesignSpace:
         for position in range(self.num_variables):
             yield point.with_variable_toggled(position)
 
-    def _ordered(self) -> Tuple[DesignPoint, ...]:
-        """The space's points in enumeration order (one shared decode)."""
-        table = self._table
-        if table is None:
-            table = self._table = _decode(
-                self.num_adders, self.num_multipliers, self.num_variables
-            )
-        return table
-
     def enumerate(self) -> Iterator[DesignPoint]:
         """Iterate over every design point (exhaustive search support)."""
-        return iter(self._ordered())
+        return iter(self._enumeration)
 
     def point_at(self, index: int) -> DesignPoint:
         """The ``index``-th point of :meth:`enumerate`, in O(1).
@@ -224,7 +216,7 @@ class DesignSpace:
         enumeration index; every space of one geometry reads the same
         decoded tuple.
         """
-        points = self._ordered()
+        points = self._enumeration
         if not 0 <= index < len(points):
             raise DesignSpaceError(
                 f"design-point index {index} out of range [0, {len(points)})"
@@ -235,7 +227,7 @@ class DesignSpace:
         """Iterate over the enumeration slice ``[start, stop)`` (clamped)."""
         if start < 0:
             raise DesignSpaceError(f"chunk start must be non-negative, got {start}")
-        return iter(self._ordered()[start:max(start, stop)])
+        return iter(self._enumeration[start:max(start, stop)])
 
     def __repr__(self) -> str:
         return (

@@ -418,10 +418,13 @@ class Evaluator:
     def evaluate_index_range(self, start: int, stop: int) -> List[EvaluationRecord]:
         """Evaluate the enumeration slice ``[start, stop)`` of the space.
 
-        The workhorse of exhaustive sweeps.  With behaviour sharing on and
-        a benchmark that keeps the row-axis contract, the slice's points
-        that are neither stored nor in the behaviour cache first run their
-        distinct classes as the rows of one stacked pass
+        The one entry of sweep chunks and of the batched environment's
+        context fill (:class:`~repro.dse.batched_env.BatchedAxcDseEnv`
+        evaluates ``[0, size)`` per workload when it is built).  With
+        behaviour sharing on and a benchmark that keeps the row-axis
+        contract, the slice's points that are neither stored nor in the
+        behaviour cache first run their distinct classes as the rows of one
+        stacked pass
         (:class:`~repro.instrumentation.context.StackedContext`), which
         fills the behaviour cache; every point is then evaluated as
         :meth:`evaluate_many` would, so the records, the store contents and

@@ -17,8 +17,9 @@
      replays; overlapping sweeps (different chunk grids over one context)
      evaluate the first grid and replay the rest;
    * an exploration over a *complete* context (every design point cached)
-     replays — a finished exhaustive sweep therefore answers any
-     explore/compare/campaign over the same benchmark + catalog + seed;
+     replays — a finished exhaustive sweep, or any finished exploration
+     (the batched environment fills its whole context), therefore answers
+     any explore/compare/campaign over the same benchmark + catalog + seed;
    * an exploration whose context a sweep *in this same batch* will
      complete replays with a dependency edge on that sweep's evaluate
      node;
