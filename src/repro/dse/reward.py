@@ -37,8 +37,8 @@ class RewardFunction(ABC):
 
     A reward function must be a pure function of its arguments: no state,
     no randomness.  The batched engine (:mod:`repro.dse.batched_env`) calls
-    it once per workload and design point, when the point is first
-    evaluated, and replays that outcome on every later visit.
+    it once per workload and design point, when the environment fills its
+    context, and replays that outcome on every visit.
     """
 
     @abstractmethod
