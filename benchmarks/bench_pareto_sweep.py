@@ -7,17 +7,21 @@ Two measurements, both asserting correctness before speed:
    The fronts must be bit-identical (same record objects, same order) and
    the vectorized engine at least 10x faster.
 2. **Exhaustive sweep** — the full design space of a benchmark evaluated
-   by a sweep spec through :func:`run_experiment` (chunked
-   :class:`SweepJob`\\ s): cold serial, cold parallel (``ProcessExecutor``),
-   and warm parallel (re-sweeping against the serial run's store).  All
-   three must produce identical true fronts and evaluate identical design
-   points; the cold parallel sweep must beat the serial wall-clock on
-   multi-core machines, the warm one everywhere.
+   by a sweep spec through :func:`run_experiment`: cold serial, cold
+   parallel (a ``ProcessExecutor`` runtime), and warm parallel
+   (re-sweeping against the serial run's store).  The spec sweeps one
+   seed, so one context, which is one :class:`SweepJob`; the process
+   executor runs a one-job list in its own process, so the cold parallel
+   run reaches no worker.  It measures a second cold sweep in a process
+   whose operator tables the serial run already built.  All three must
+   produce identical true fronts and evaluate identical design points; the
+   cold parallel sweep must beat the serial wall-clock on multi-core
+   machines, the warm one everywhere.
 
 ``--smoke`` shrinks both problems and drops the wall-clock assertions so
-CI exercises every code path (chunking, fan-out, merge-back, front
-assembly) in seconds; results are still asserted identical.  All timings
-land in ``benchmark.extra_info`` for the perf trajectory.
+CI exercises the sweep job, the executors and front assembly in seconds;
+results are still asserted identical.  All timings land in
+``benchmark.extra_info`` for the perf trajectory.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ def _front_identity(front):
 
 def test_pareto_sweep_speedup(benchmark, smoke):
     trace_steps = 2_000 if smoke else 10_000
-    chunk_size = 48
     n_jobs = max(2, min(4, os.cpu_count() or 1))
     serial_spec = ExperimentSpec.from_dict({
         "kind": "sweep",
@@ -76,10 +79,8 @@ def test_pareto_sweep_speedup(benchmark, smoke):
                         "params": {"length": 16 if smoke else 2048},
                         "label": "dotproduct"}],
         "seeds": [0],
-        "runtime": {"chunk_size": chunk_size},
     })
-    parallel_spec = serial_spec.with_runtime(
-        RuntimeSpec(executor="process", jobs=n_jobs, chunk_size=chunk_size))
+    parallel_spec = serial_spec.with_runtime(RuntimeSpec(executor="process", jobs=n_jobs))
 
     def sweep_results(spec, store):
         return run_experiment(spec, store=store).sweep_results()
@@ -95,7 +96,7 @@ def test_pareto_sweep_speedup(benchmark, smoke):
         vectorized_front = ParetoArchive(trace).front()
         vectorized_s = time.perf_counter() - started
 
-        # -- sweep: serial vs process fan-out over chunk jobs -------------
+        # -- sweep: serial vs process executor, one job per context -------
         serial_store = EvaluationStore()
         started = time.perf_counter()
         serial_results = sweep_results(serial_spec, serial_store)
@@ -154,7 +155,7 @@ def test_pareto_sweep_speedup(benchmark, smoke):
     print(f"  brute force   {brute_s * 1000:9.1f} ms   (baseline)")
     print(f"  vectorized    {vectorized_s * 1000:9.1f} ms   ({frontier_speedup:.0f}x)")
     print(f"Exhaustive sweep ({serial_sweep.space_size} design points, "
-          f"chunks of {chunk_size}, n_jobs={n_jobs}, cpus={os.cpu_count()})")
+          f"one context, n_jobs={n_jobs}, cpus={os.cpu_count()})")
     print(f"  serial        {serial_s:9.2f} s    (baseline)")
     print(f"  parallel      {parallel_s:9.2f} s    ({sweep_speedup:.2f}x)")
     print(f"  warm parallel {warm_s:9.2f} s    ({warm_speedup:.2f}x, "

@@ -1,8 +1,9 @@
 """Planner reuse — evaluations avoided and wall-clock vs cold runs.
 
 A batch of overlapping experiment specs over one benchmark — an explore,
-a compare, a two-seed campaign, and a second exhaustive sweep on a
-different chunk grid — is answered twice:
+a compare, a two-seed campaign, and a second exhaustive sweep of the
+warming sweep's two contexts, which plans the same units — is answered
+twice:
 
 1. **cold** — each spec alone on a cold store: ``run_experiment`` with
    its own fresh store (no cross-spec sharing, nothing to replay), the
@@ -40,10 +41,9 @@ from repro.runtime import EvaluationStore
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner_reuse.json"
 
 
-def _batch_specs(bench: str, max_steps: int, chunk_size: int):
+def _batch_specs(bench: str, max_steps: int):
     """The overlapping batch: every spec is answerable by one full sweep."""
-    base = {"benchmarks": [bench], "max_steps": max_steps,
-            "runtime": {"chunk_size": chunk_size}}
+    base = {"benchmarks": [bench], "max_steps": max_steps}
     return [
         ExperimentSpec.from_dict({**base, "kind": "explore",
                                   "agents": ["q-learning"], "seeds": [0]}),
@@ -53,16 +53,14 @@ def _batch_specs(bench: str, max_steps: int, chunk_size: int):
         ExperimentSpec.from_dict({**base, "kind": "campaign",
                                   "agents": ["q-learning", "random"],
                                   "seeds": [0, 1]}),
-        # Same sweep on a different chunk grid: subsumed chunk-for-chunk.
-        ExperimentSpec.from_dict({**base, "kind": "sweep", "seeds": [0, 1],
-                                  "runtime": {"chunk_size": chunk_size + 32}}),
+        # The warming sweep's contexts again: its units, replayed.
+        ExperimentSpec.from_dict({**base, "kind": "sweep", "seeds": [0, 1]}),
     ]
 
 
-def _warming_sweep(bench: str, chunk_size: int) -> ExperimentSpec:
+def _warming_sweep(bench: str) -> ExperimentSpec:
     return ExperimentSpec.from_dict({
         "kind": "sweep", "benchmarks": [bench], "seeds": [0, 1],
-        "runtime": {"chunk_size": chunk_size},
     })
 
 
@@ -75,11 +73,10 @@ def _assert_identical(reference, candidate):
 
 def test_planner_reuse_speedup(benchmark, smoke):
     if smoke:
-        bench, max_steps, chunk_size, floor = "dotproduct:length=4", 60, 64, None
+        bench, max_steps, floor = "dotproduct:length=4", 60, None
     else:
-        bench, max_steps, chunk_size, floor = \
-            "matmul:rows=50,inner=50,cols=50", 400, 64, 5.0
-    specs = _batch_specs(bench, max_steps, chunk_size)
+        bench, max_steps, floor = "matmul:rows=50,inner=50,cols=50", 400, 5.0
+    specs = _batch_specs(bench, max_steps)
 
     def run_all():
         # Materialize the design space once.  The cold baseline ignores
@@ -87,7 +84,7 @@ def test_planner_reuse_speedup(benchmark, smoke):
         # "unplanned" key for it.
         warm_store = EvaluationStore()
         started = time.perf_counter()
-        run_experiment(_warming_sweep(bench, chunk_size), store=warm_store)
+        run_experiment(_warming_sweep(bench), store=warm_store)
         warm_s = time.perf_counter() - started
         materialized = warm_store.stats.misses
 
@@ -148,7 +145,6 @@ def test_planner_reuse_speedup(benchmark, smoke):
             "benchmark": bench,
             "specs": [spec.kind for spec in specs],
             "max_steps": max_steps,
-            "chunk_size": chunk_size,
         },
         "warming_sweep": {
             "wall_clock_s": round(warm_s, 3),

@@ -23,8 +23,9 @@
 * ``campaign`` — sweep benchmarks x seeds x agents through the campaign
   runtime, optionally in parallel (``--jobs``) and with a persistent
   evaluation store (``--store``);
-* ``sweep`` — exhaustively evaluate whole design spaces (chunked, same
-  runtime) and print each benchmark's ground-truth Pareto front;
+* ``sweep`` — exhaustively evaluate whole design spaces (one job per
+  benchmark x seed, same runtime) and print each benchmark's ground-truth
+  Pareto front;
 * ``paper`` — regenerate every table and figure of the paper through the
   artifact pipeline (incremental, fingerprinted, parallel; see
   :mod:`repro.reporting`);
@@ -467,7 +468,7 @@ def _expansion_summary(spec: ExperimentSpec, store) -> str:
     """The one-line expansion header shared by `run` and the legacy builders."""
     if spec.kind == "sweep":
         return (f"{len(spec.benchmarks)} benchmark(s) x {len(spec.seeds)} seed(s), "
-                f"chunks of {spec.runtime.chunk_size} design points, running "
+                f"one job per context, running "
                 f"{_execution_mode(spec.runtime)}{_warm_suffix(store)}")
     runs = len(spec.benchmarks) * len(spec.agents) * len(spec.seeds)
     batch = spec.runtime.effective_batch_size(len(spec.seeds))

@@ -399,9 +399,9 @@ class Evaluator:
         """Rebind this evaluator to another shared store (same context).
 
         The expensive part of an evaluator is its precise baseline run;
-        sweep chunks reuse one evaluator per evaluation context and attach
-        each job's store through this method instead of rebuilding the
-        evaluator.  Served-point tracking resets — it is per-store.
+        rebinding keeps it, so a timing harness can measure repeated
+        evaluations against fresh stores without rebuilding the evaluator.
+        Served-point tracking resets — it is per-store.
         """
         self._store = store
         self._served = set()
@@ -418,9 +418,11 @@ class Evaluator:
     def evaluate_index_range(self, start: int, stop: int) -> List[EvaluationRecord]:
         """Evaluate the enumeration slice ``[start, stop)`` of the space.
 
-        The one entry of sweep chunks and of the batched environment's
-        context fill (:class:`~repro.dse.batched_env.BatchedAxcDseEnv`
-        evaluates ``[0, size)`` per workload when it is built).  With
+        Sweeps and the batched environment's context fill call it with the
+        whole space, ``[0, size)``: a sweep job per context
+        (:func:`~repro.dse.sweep.execute_sweep_job`), the environment per
+        workload when it is built
+        (:class:`~repro.dse.batched_env.BatchedAxcDseEnv`).  With
         behaviour sharing on and a benchmark that keeps the row-axis
         contract, the slice's points that are neither stored nor in the
         behaviour cache first run their distinct classes as the rows of one

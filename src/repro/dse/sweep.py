@@ -6,19 +6,25 @@ Sweeping the whole space therefore yields, at modest cost, the *true*
 Pareto front of every benchmark — the yardstick an agent's discovered
 front can be judged against (see :func:`repro.dse.frontier.front_quality`).
 
-A sweep is chunked: a sweep-kind
-:class:`~repro.experiments.spec.ExperimentSpec` plans into disjoint index
-ranges of the enumerated space, each run as a picklable
-:class:`~repro.runtime.jobs.SweepJob` on any
-:class:`~repro.runtime.executor.Executor`.  Every chunk evaluates its
-points through a shared :class:`~repro.runtime.store.EvaluationStore` (so
-sweeps warm-start campaigns and vice versa) and returns its chunk-local
-front (:func:`execute_sweep_job`); plan execution merges those into one
-:class:`SweepResult` per benchmark x seed through a
-:class:`~repro.dse.frontier.ParetoArchive` — the front of a union is the
-front of the union of the chunk fronts, so only tiny payloads cross process
-boundaries.  Both executors produce identical results for the same
-definition: parallelism changes wall-clock, never output.
+The unit of a sweep is one evaluation context (benchmark, catalog and
+workload seed): a sweep-kind :class:`~repro.experiments.spec.ExperimentSpec`
+plans into one picklable :class:`~repro.runtime.jobs.SweepJob` per
+benchmark x seed, run on any :class:`~repro.runtime.executor.Executor`.
+:func:`execute_sweep_job` builds one :class:`~repro.dse.evaluator.Evaluator`
+and evaluates ``[0, size)`` exactly as the batched environment's context
+fill does — stored points from the shared
+:class:`~repro.runtime.store.EvaluationStore` (so sweeps warm-start
+campaigns and vice versa), the rest as one stacked kernel pass — and
+returns the context's front.  Both executors produce identical results for
+the same definition: parallelism changes wall-clock, never output.
+
+Parallelism is across contexts, never inside one.  A sweep of a single
+context runs as one job, and the process executor runs a one-job list in
+its own process, so a one-seed sweep of one benchmark gains nothing from
+workers.  Splitting a context pays off only for large kernels: on a
+2-vCPU host a 2,048-long dot product took 157 ms as 48-point slices on two
+workers against 227 ms as one job, while ``sobel`` and ``matmul_50x50``
+ran as fast or faster as one job.
 """
 
 from __future__ import annotations
@@ -35,27 +41,24 @@ from repro.dse.frontier import (
     hypervolume_proxy,
 )
 from repro.dse.thresholds import ExplorationThresholds, derive_thresholds
-from repro.errors import ExplorationError
 from repro.operators.energy import RunCost
 from repro.runtime.jobs import SweepJob
-from repro.runtime.store import EvaluationStore, benchmark_fingerprint
+from repro.runtime.store import EvaluationStore
 
 __all__ = ["SweepChunk", "SweepResult", "execute_sweep_job"]
 
 
 @dataclass(frozen=True)
 class SweepChunk:
-    """Result of one executed sweep chunk (picklable, outputs-free).
+    """Result of one executed :class:`~repro.runtime.jobs.SweepJob` (picklable).
 
-    Carries the chunk-local Pareto front plus the benchmark-level context
-    (space size, thresholds, precise baseline) so the driver can assemble
-    a :class:`SweepResult` without re-running the precise version.
+    Carries the context's Pareto front plus its space size, thresholds and
+    precise baseline, so the driver can assemble a :class:`SweepResult`
+    without re-running the precise version.
     """
 
     benchmark_label: str
     seed: int
-    start: int
-    stop: int
     evaluated: int
     space_size: int
     front: Tuple[EvaluationRecord, ...]
@@ -75,9 +78,8 @@ class SweepResult:
     front: List[EvaluationRecord]
     thresholds: ExplorationThresholds
     precise_cost: RunCost
-    #: Summed durations of this sweep's chunks — exact wall-clock when run
-    #: serially, an upper bound under a process executor (chunks overlap);
-    #: ``metadata["sweep_wall_clock_s"]`` holds the whole run's wall-clock.
+    #: Duration of this context's job; ``metadata["sweep_wall_clock_s"]``
+    #: holds the whole run's wall-clock.
     duration_s: float = 0.0
     metadata: Dict[str, object] = field(default_factory=dict)
 
@@ -105,66 +107,28 @@ class SweepResult:
         return front_quality(ParetoArchive(records).front(), self.front)
 
 
-# Process-local evaluator reuse: building an evaluator runs the precise
-# benchmark once, and a sweep executes many chunks of the same evaluation
-# context in the same process (serially, or on a pooled worker, job after
-# job).  Caching the evaluator pays that baseline once per context per
-# process; each chunk then attaches its own store via `use_store`.
-_EVALUATOR_CACHE: Dict[Tuple, Evaluator] = {}
-_EVALUATOR_CACHE_LIMIT = 8
-
-
-def _evaluator_for(job: SweepJob, store: EvaluationStore) -> Evaluator:
-    key = (
-        benchmark_fingerprint(job.benchmark),
-        job.seed,
-        job.signed_accuracy,
-        job.restrict_to_benchmark_widths,
-    )
-    evaluator = _EVALUATOR_CACHE.get(key)
-    if evaluator is None:
-        if len(_EVALUATOR_CACHE) >= _EVALUATOR_CACHE_LIMIT:
-            # Evict the oldest context only; the active one stays cached.
-            _EVALUATOR_CACHE.pop(next(iter(_EVALUATOR_CACHE)))
-        evaluator = Evaluator(
-            job.benchmark,
-            seed=job.seed,
-            signed_accuracy=job.signed_accuracy,
-            restrict_to_benchmark_widths=job.restrict_to_benchmark_widths,
-            store=store,
-        )
-        _EVALUATOR_CACHE[key] = evaluator
-    return evaluator.use_store(store)
-
-
 def execute_sweep_job(job: SweepJob, store: Optional[EvaluationStore] = None) -> SweepChunk:
-    """Evaluate one chunk of the design space and return its local front."""
-    evaluator = _evaluator_for(job, store if store is not None else EvaluationStore())
-    try:
-        space = evaluator.design_space
-        if job.start >= space.size:
-            raise ExplorationError(
-                f"sweep chunk {job.describe()} starts beyond the space (size {space.size})"
-            )
-        records = evaluator.evaluate_index_range(job.start, job.stop)
-        archive = ParetoArchive(records)
-        thresholds = derive_thresholds(
-            evaluator.precise_outputs,
-            evaluator.precise_cost.power_mw,
-            evaluator.precise_cost.time_ns,
-        )
-    finally:
-        # Detach the job's store so the cached evaluator does not pin it (or
-        # a worker's slice of it) for the life of the process.
-        evaluator.use_store(EvaluationStore())
+    """Evaluate one context's whole design space and return its front."""
+    evaluator = Evaluator(
+        job.benchmark,
+        seed=job.seed,
+        signed_accuracy=job.signed_accuracy,
+        restrict_to_benchmark_widths=job.restrict_to_benchmark_widths,
+        store=store,
+    )
+    space_size = evaluator.design_space.size
+    records = evaluator.evaluate_index_range(0, space_size)
+    thresholds = derive_thresholds(
+        evaluator.precise_outputs,
+        evaluator.precise_cost.power_mw,
+        evaluator.precise_cost.time_ns,
+    )
     return SweepChunk(
         benchmark_label=job.benchmark_label,
         seed=job.seed,
-        start=job.start,
-        stop=min(job.stop, space.size),
         evaluated=len(records),
-        space_size=space.size,
-        front=tuple(archive.front()),
+        space_size=space_size,
+        front=tuple(ParetoArchive(records).front()),
         thresholds=thresholds,
         precise_cost=evaluator.precise_cost,
     )

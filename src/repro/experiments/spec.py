@@ -180,11 +180,12 @@ class _FieldTable:
 
     Every field is declared with :func:`_row`; ``_CONTEXT`` prefixes error
     messages and document names, and ``_RETIRED`` maps each key of a removed
-    option to the one value old documents may still carry (others fail).
+    option to the rule its value in old documents must meet (others fail)
+    and the phrase saying why the option went.
     """
 
     _CONTEXT = ""
-    _RETIRED: Mapping[str, Tuple[object, str]] = {}
+    _RETIRED: Mapping[str, Tuple[Callable[[Any], bool], str]] = {}
 
     def _check_rows(self) -> None:
         """Check every row, storing number rows as floats; call in ``__post_init__``."""
@@ -208,10 +209,10 @@ class _FieldTable:
     def from_dict(cls: Type[_T], payload: object) -> _T:
         context = f"{cls._CONTEXT} spec"
         payload = dict(_require_mapping(payload, context))
-        for key, (kept, behaviour) in cls._RETIRED.items():
+        for key, (accepted, behaviour) in cls._RETIRED.items():
             if key in payload:
                 legacy = payload.pop(key)
-                if legacy is not kept:
+                if not accepted(legacy):
                     raise ConfigurationError(
                         f"{cls._CONTEXT} {key} is no longer an option "
                         f"({behaviour}); remove the key, got {legacy!r}"
@@ -426,7 +427,7 @@ class ThresholdSpec(_FieldTable):
 
 @dataclass(frozen=True)
 class RuntimeSpec(_FieldTable):
-    """How an experiment executes: parallelism, store, chunking, resilience.
+    """How an experiment executes: parallelism, store, batching, resilience.
 
     The runtime never changes results — only wall-clock — which is why it is
     excluded from :meth:`ExperimentSpec.fingerprint`.
@@ -434,8 +435,12 @@ class RuntimeSpec(_FieldTable):
 
     _CONTEXT = "runtime"
     _RETIRED = {
-        "compiled": (True, "evaluation always uses the compiled kernels"),
-        "store_outputs": (False, "records hold measurements, never raw outputs"),
+        "compiled": (lambda v: v is True,
+                     "evaluation always uses the compiled kernels"),
+        "store_outputs": (lambda v: v is False,
+                          "records hold measurements, never raw outputs"),
+        "chunk_size": (lambda v: _is_int(v) and v >= 1,
+                       "a sweep evaluates each context as one job"),
     }
 
     #: Follows ``jobs``: ``"serial"`` exactly when ``jobs == 1``.  Kept so
@@ -450,9 +455,6 @@ class RuntimeSpec(_FieldTable):
         help="sqlite file persisting the evaluation store across runs (default: in "
              "memory); 'run --store' must name an existing file, create one with "
              "--set runtime.store_path=PATH")
-    chunk_size: int = _row(
-        256, lambda v: _is_int(v) and v >= 1, "a positive integer", flag="--chunk-size",
-        metavar="N", help="design points per sweep chunk job")
     batch_size: int = _row(
         0, lambda v: _is_int(v) and v >= 0, "a non-negative integer (0 = auto)",
         flag="--batch-size", metavar="N",
@@ -573,7 +575,7 @@ class ExperimentSpec:
     * ``"compare"`` — one benchmark, several agents, shared seeds;
     * ``"campaign"`` — benchmarks x agents x seeds through the job runtime;
     * ``"sweep"`` — exhaustive design-space evaluation (no agents; the
-      chunked ground-truth front of every benchmark x seed).
+      ground-truth front of every benchmark x seed, one job each).
     """
 
     kind: str

@@ -16,7 +16,7 @@ through it:
 * :class:`~repro.planner.plan.ReplayFromStore` nodes then re-run the same
   deterministic job code, one job per unit on the serial executor, against
   the now-warm store, so every design-point evaluation is a store hit: a
-  replayed sweep chunk is store lookups, and a replayed exploration runs
+  replayed sweep is store lookups, and a replayed exploration runs
   no kernel but still steps its agent, as a one-episode batch on the
   batched engine like any one-seed job.  Every exploration leaves its
   context complete in the store, so a later unit over that context always
@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ExplorationError
 from repro.experiments.report import ExperimentEntry, ExperimentReport
-from repro.experiments.spec import ExperimentSpec, ThresholdSpec
+from repro.experiments.spec import ThresholdSpec
 from repro.planner.coverage import BenchmarkResolver
 from repro.planner.plan import (
     EntryBinding,
@@ -82,13 +82,8 @@ def _build_job(unit: PlanUnit, resolver: BenchmarkResolver,
 
     resolved = resolver.resolve_unit(unit)
     if isinstance(unit, SweepChunkUnit):
-        return SweepJob(
-            benchmark_label=label,
-            benchmark=resolved.benchmark,
-            seed=unit.seed,
-            start=unit.start,
-            stop=unit.stop,
-        )
+        return SweepJob(benchmark_label=label, benchmark=resolved.benchmark,
+                        seed=unit.seed)
     thresholds = ThresholdSpec.from_dict(json.loads(unit.thresholds))
     return ExplorationJob(
         benchmark_label=label,
@@ -136,7 +131,7 @@ def _batched_jobs(units: Sequence[PlanUnit], plan: ExperimentPlan,
 
     def run_key(unit: PlanUnit) -> Tuple[object, ...]:
         if isinstance(unit, SweepChunkUnit):
-            return (unit,)  # every chunk is its own job
+            return (unit,)  # every sweep is its own job
         return (first[unit.fingerprint()][0], dataclasses.replace(unit, seed=0))
 
     jobs: List[object] = []
@@ -168,7 +163,7 @@ def _record(units: Sequence[PlanUnit], results: Sequence[object],
 
 
 def _explorations_only(on_outcome: Optional[Callable]) -> Optional[Callable]:
-    """Forward exploration outcomes only: sweep chunks are not progress events."""
+    """Forward exploration outcomes only: sweeps are not progress events."""
     if on_outcome is None:
         return None
     from repro.runtime.jobs import SweepJob
@@ -180,56 +175,40 @@ def _explorations_only(on_outcome: Optional[Callable]) -> Optional[Callable]:
     return forward
 
 
-def _sweep_entry(binding: EntryBinding, plan: ExperimentPlan,
-                 spec: ExperimentSpec, outcomes: Dict[str, object],
+def _sweep_entry(binding: EntryBinding, outcomes: Dict[str, object],
                  wall_clock_s: float) -> ExperimentEntry:
-    """Assemble one benchmark x seed sweep entry from its chunk outcomes."""
-    from repro.dse.frontier import ParetoArchive
+    """One benchmark x seed sweep entry from its context's outcome."""
     from repro.dse.sweep import SweepResult
 
-    chunks = [outcomes[fingerprint].result
-              for fingerprint in binding.unit_fingerprints]
-    archive = ParetoArchive()
-    for chunk in chunks:  # ascending chunk order
-        archive.add_many(chunk.front)
-    first = chunks[0]
+    outcome = outcomes[binding.unit_fingerprints[0]]
+    chunk = outcome.result
     result = SweepResult(
         benchmark_label=binding.benchmark_label,
         benchmark_name=binding.benchmark_name,
         seed=binding.seed,
-        space_size=first.space_size,
-        evaluations=sum(chunk.evaluated for chunk in chunks),
-        front=archive.front(),
-        thresholds=first.thresholds,
-        precise_cost=first.precise_cost,
-        duration_s=sum(outcomes[fingerprint].duration_s
-                       for fingerprint in binding.unit_fingerprints),
-        metadata={"chunks": len(chunks), "chunk_size": spec.runtime.chunk_size,
-                  "sweep_wall_clock_s": wall_clock_s},
+        space_size=chunk.space_size,
+        evaluations=chunk.evaluated,
+        front=list(chunk.front),
+        thresholds=chunk.thresholds,
+        precise_cost=chunk.precise_cost,
+        duration_s=outcome.duration_s,
+        metadata={"sweep_wall_clock_s": wall_clock_s},
     )
     return ExperimentEntry.from_sweep(result)
 
 
-def _check_sweep_failures(node: MergeReports, plan: ExperimentPlan,
-                          outcomes: Dict[str, object]) -> None:
-    """Raise once every chunk ran if any chunk of the spec failed."""
-    failed: List[Tuple[SweepChunkUnit, object, str]] = []
-    total = 0
+def _check_sweep_failures(node: MergeReports, outcomes: Dict[str, object]) -> None:
+    """Raise once every sweep ran if any sweep of the spec failed."""
+    failed: List[str] = []
     for binding in node.bindings:
-        for fingerprint in binding.unit_fingerprints:
-            total += 1
-            outcome = outcomes[fingerprint]
-            if not outcome.ok:
-                unit = plan.units[fingerprint]
-                describe = (f"{binding.benchmark_label}"
-                            f"[sweep {unit.start}:{unit.stop}, seed={unit.seed}]")
-                failed.append((unit, outcome, describe))
+        outcome = outcomes[binding.unit_fingerprints[0]]
+        if not outcome.ok:
+            failed.append(f"  {binding.benchmark_label}[sweep, seed={binding.seed}]:"
+                          f"\n{outcome.error}")
     if failed:
-        details = "\n".join(
-            f"  {describe}:\n{outcome.error}" for _, outcome, describe in failed
-        )
+        details = "\n".join(failed)
         raise ExplorationError(
-            f"{len(failed)} of {total} sweep chunk(s) failed:\n{details}"
+            f"{len(failed)} of {len(node.bindings)} sweep(s) failed:\n{details}"
         )
 
 
@@ -242,10 +221,9 @@ def _merge_report(node: MergeReports, plan: ExperimentPlan, store, executor,
     spec = next(s for s in plan.specs if s.fingerprint() == node.spec_fingerprint)
     entries: List[ExperimentEntry] = []
     if node.spec_kind == "sweep":
-        _check_sweep_failures(node, plan, outcomes)
+        _check_sweep_failures(node, outcomes)
         for binding in node.bindings:
-            entries.append(_sweep_entry(binding, plan, spec, outcomes,
-                                        wall_clock_s))
+            entries.append(_sweep_entry(binding, outcomes, wall_clock_s))
     else:
         for binding in node.bindings:
             outcome = outcomes[binding.unit_fingerprints[0]]
@@ -299,12 +277,13 @@ def execute_plan(plan: ExperimentPlan,
         Runtime pieces; default to an in-memory store and the serial
         executor.  ``executor`` runs the units of every
         :class:`EvaluateJobs` node, in one call; replay always runs on the
-        serial executor (it runs no kernel: sweep chunks are store
-        lookups, explorations step their agent on the warm store).
+        serial executor (it runs no kernel but each context's precise
+        baseline: sweeps are store lookups, explorations step their agent
+        on the warm store).
     on_outcome:
         Optional progress callback for evaluated exploration outcomes (a
-        batched job reports once, with its batched outcome); sweep chunks
-        and replays are not reported.
+        batched job reports once, with its batched outcome); sweeps and
+        replays are not reported.
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.CampaignCheckpoint`
         applied to :class:`EvaluateJobs` and :class:`ReplayFromStore` nodes

@@ -7,8 +7,9 @@ pieces of computation whose results the evaluation store can answer:
   its step budget and thresholds.  Identity deliberately excludes the
   benchmark/agent *labels*: relabelling never changes what is computed, so
   two specs spelling the same exploration differently collide on one unit.
-* :class:`SweepChunkUnit` — one ``[start, stop)`` slice of an exhaustive
-  design-space sweep under one evaluation context.
+* :class:`SweepChunkUnit` — the exhaustive sweep of one evaluation
+  context's whole design space.  Two sweep specs over one context share
+  one unit.
 
 Units are wired into three node kinds — :class:`EvaluateJobs` (run jobs on
 an executor), :class:`ReplayFromStore` (re-run the same deterministic code
@@ -99,7 +100,7 @@ class ExplorationUnit:
 
 @dataclass(frozen=True)
 class SweepChunkUnit:
-    """One ``[start, stop)`` slice of an exhaustive sweep under one context."""
+    """The exhaustive sweep of one evaluation context (benchmark, catalog, seed)."""
 
     benchmark_name: str
     benchmark_params: str
@@ -107,27 +108,19 @@ class SweepChunkUnit:
     catalog_fingerprint: str
     space_size: int
     seed: int
-    start: int
-    stop: int
 
     @property
     def context(self) -> Tuple[str, str, int, bool]:
-        """The store context every evaluation of this chunk lands under."""
+        """The store context every evaluation of this sweep lands under."""
         return (self.benchmark_fingerprint, self.catalog_fingerprint,
                 self.seed, False)
 
-    @property
-    def points(self) -> int:
-        return self.stop - self.start
-
     def fingerprint(self) -> str:
-        return _digest((
-            "sweep-chunk", self.benchmark_fingerprint, self.catalog_fingerprint,
-            str(self.seed), str(self.start), str(self.stop),
-        ))
+        return _digest(("sweep", self.benchmark_fingerprint,
+                        self.catalog_fingerprint, str(self.seed)))
 
     def describe(self) -> str:
-        return f"{self.benchmark_name}[sweep {self.start}:{self.stop}, seed={self.seed}]"
+        return f"{self.benchmark_name}[sweep, seed={self.seed}]"
 
 
 PlanUnit = Union[ExplorationUnit, SweepChunkUnit]
@@ -140,9 +133,8 @@ PlanUnit = Union[ExplorationUnit, SweepChunkUnit]
 class EntryBinding:
     """How one report entry of a spec maps onto shared work units.
 
-    ``kind`` is ``"exploration"`` (one unit, the spec's benchmark/agent
-    labels re-attached at merge time) or ``"sweep"`` (the chunk units of one
-    benchmark x seed sweep, in ascending chunk order).
+    ``kind`` is ``"exploration"`` or ``"sweep"``; either way the entry is
+    one unit, with the spec's own labels re-attached at merge time.
     """
 
     kind: str

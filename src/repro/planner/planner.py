@@ -9,20 +9,19 @@
    work units (label-free, see :mod:`repro.planner.plan`), so a superset
    campaign automatically subsumes every sub-campaign sharing its
    (benchmark, agent, seed, budget, thresholds) cells;
-2. the store's coverage is computed per evaluation context
-   (:mod:`repro.planner.coverage`);
-3. subsumption decides replay vs. evaluate:
+2. the store's coverage is counted per evaluation context
+   (:mod:`repro.planner.coverage`): a context is *complete* when the store
+   holds every design point of it;
+3. subsumption decides replay vs. evaluate, per unit and by its context:
 
-   * a sweep chunk whose ``[start, stop)`` indices the store materializes
-     replays; overlapping sweeps (different chunk grids over one context)
-     evaluate the first grid and replay the rest;
-   * an exploration over a *complete* context (every design point cached)
-     replays — a finished exhaustive sweep, or any finished exploration
-     (the batched environment fills its whole context), therefore answers
-     any explore/compare/campaign over the same benchmark + catalog + seed;
+   * a unit over a complete context replays — a finished exhaustive sweep,
+     or any finished exploration (the batched environment fills its whole
+     context), therefore answers any sweep, explore, compare or campaign
+     over the same benchmark + catalog + seed;
+   * a sweep of an incomplete context evaluates; a sweep unit is one
+     context, so sweep specs over one context share one unit;
    * an exploration whose context a sweep *in this same batch* will
-     complete replays with a dependency edge on that sweep's evaluate
-     node;
+     complete replays with a dependency edge on the sweeps' evaluate node;
    * everything else evaluates (partially-covered work still wins: the
      store serves every cached point at evaluation time).
 
@@ -38,13 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
-from repro.planner.coverage import (
-    BenchmarkResolver,
-    Context,
-    ResolvedBenchmark,
-    context_coverage,
-    covers,
-)
+from repro.planner.coverage import BenchmarkResolver, Context, context_coverage
 from repro.planner.plan import (
     EntryBinding,
     EvaluateJobs,
@@ -91,32 +84,29 @@ class QueryPlanner:
 
         resolver = BenchmarkResolver()
         units: Dict[str, PlanUnit] = {}
-        geometries: Dict[Context, ResolvedBenchmark] = {}
-        #: sweep unit fingerprints per context, in first-seen order
-        sweep_by_context: Dict[Context, List[str]] = {}
+        sweep_order: List[str] = []
         explore_order: List[str] = []
         spec_bindings: List[Tuple[ExperimentSpec, List[EntryBinding]]] = []
 
         for spec in deduped:
             bindings: List[EntryBinding] = []
             if spec.kind == "sweep":
-                self._expand_sweep(spec, resolver, units, geometries,
-                                   sweep_by_context, bindings)
+                self._expand_sweep(spec, resolver, units, sweep_order, bindings)
             else:
-                self._expand_explorations(spec, resolver, units, geometries,
-                                          explore_order, bindings)
+                self._expand_explorations(spec, resolver, units, explore_order,
+                                          bindings)
             spec_bindings.append((spec, bindings))
 
+        contexts = {unit.context for unit in units.values()}
         if store is not None and self.reuse:
-            covered = context_coverage(store, geometries)
+            covered = context_coverage(store, contexts)
         else:
-            covered = {context: frozenset() for context in geometries}
+            covered = dict.fromkeys(contexts, 0)
         store_records = 0 if store is None else len(store)
         store_path = None if store is None or store.path is None else str(store.path)
 
-        nodes, unit_homes = self._assemble_nodes(
-            units, geometries, sweep_by_context, explore_order, covered
-        )
+        nodes, unit_homes = self._assemble_nodes(units, sweep_order, explore_order,
+                                                 covered)
         for spec, bindings in spec_bindings:
             depends_on = sorted(
                 {unit_homes[fp] for binding in bindings
@@ -140,34 +130,25 @@ class QueryPlanner:
         )
 
     def _expand_sweep(self, spec: ExperimentSpec, resolver: BenchmarkResolver,
-                      units: Dict[str, PlanUnit],
-                      geometries: Dict[Context, ResolvedBenchmark],
-                      sweep_by_context: Dict[Context, List[str]],
+                      units: Dict[str, PlanUnit], sweep_order: List[str],
                       bindings: List[EntryBinding]) -> None:
-        """One binding per benchmark x seed, one chunk unit per index range."""
+        """One binding, and one sweep unit, per benchmark x seed."""
         for bspec in spec.benchmarks:
             resolved = resolver.resolve(bspec)
             params = canonical_json(dict(bspec.params))
             for seed in spec.seeds:
-                chunk_fingerprints: List[str] = []
-                for start in range(0, resolved.space_size, spec.runtime.chunk_size):
-                    unit = SweepChunkUnit(
-                        benchmark_name=bspec.name,
-                        benchmark_params=params,
-                        benchmark_fingerprint=resolved.benchmark_fingerprint,
-                        catalog_fingerprint=resolved.catalog_fingerprint,
-                        space_size=resolved.space_size,
-                        seed=seed,
-                        start=start,
-                        stop=min(start + spec.runtime.chunk_size,
-                                 resolved.space_size),
-                    )
-                    fingerprint = unit.fingerprint()
-                    if fingerprint not in units:
-                        units[fingerprint] = unit
-                        geometries[unit.context] = resolved
-                        sweep_by_context.setdefault(unit.context, []).append(fingerprint)
-                    chunk_fingerprints.append(fingerprint)
+                unit = SweepChunkUnit(
+                    benchmark_name=bspec.name,
+                    benchmark_params=params,
+                    benchmark_fingerprint=resolved.benchmark_fingerprint,
+                    catalog_fingerprint=resolved.catalog_fingerprint,
+                    space_size=resolved.space_size,
+                    seed=seed,
+                )
+                fingerprint = unit.fingerprint()
+                if fingerprint not in units:
+                    units[fingerprint] = unit
+                    sweep_order.append(fingerprint)
                 bindings.append(EntryBinding(
                     kind="sweep",
                     benchmark_label=bspec.label,
@@ -175,13 +156,12 @@ class QueryPlanner:
                     # parameters), not the registry name.
                     benchmark_name=resolved.benchmark.name,
                     seed=seed,
-                    unit_fingerprints=tuple(chunk_fingerprints),
+                    unit_fingerprints=(fingerprint,),
                 ))
 
     def _expand_explorations(self, spec: ExperimentSpec,
                              resolver: BenchmarkResolver,
                              units: Dict[str, PlanUnit],
-                             geometries: Dict[Context, ResolvedBenchmark],
                              explore_order: List[str],
                              bindings: List[EntryBinding]) -> None:
         """One binding (and one unit) per benchmark x agent x seed."""
@@ -207,7 +187,6 @@ class QueryPlanner:
                     fingerprint = unit.fingerprint()
                     if fingerprint not in units:
                         units[fingerprint] = unit
-                        geometries[unit.context] = resolved
                         explore_order.append(fingerprint)
                     bindings.append(EntryBinding(
                         kind="exploration",
@@ -221,112 +200,61 @@ class QueryPlanner:
 
     # --------------------------------------------------------- node assembly
 
-    def _assemble_nodes(self, units: Dict[str, PlanUnit],
-                        geometries: Dict[Context, ResolvedBenchmark],
-                        sweep_by_context: Dict[Context, List[str]],
-                        explore_order: List[str],
-                        covered: Dict[Context, frozenset],
+    def _assemble_nodes(self, units: Dict[str, PlanUnit], sweep_order: List[str],
+                        explore_order: List[str], covered: Dict[Context, int],
                         ) -> Tuple[List[PlanNode], Dict[str, str]]:
         """Partition units into evaluate/replay nodes; returns (nodes, homes).
 
         ``homes`` maps every unit fingerprint to the node executing it.
-        Nodes are emitted in a valid topological order: per-context sweep
-        evaluation first, then sweep replays, then exploration nodes.
+        Nodes are emitted in a valid topological order: sweeps first, then
+        explorations, whose replays over a context this plan sweeps depend
+        on the sweeps' evaluate node.
         """
         nodes: List[PlanNode] = []
         unit_homes: Dict[str, str] = {}
-        #: evaluate-node id completing each context within this plan
-        completers: Dict[Context, str] = {}
 
-        def emit(node: PlanNode) -> str:
-            nodes.append(node)
-            return node.node_id
-
-        def next_id() -> str:
-            return f"n{len(nodes) + 1}"
-
-        for context, fingerprints in sweep_by_context.items():
-            stored = covered.get(context, frozenset())
-            space_size = geometries[context].space_size
-            planned = set(stored)
-            evaluate: List[str] = []
-            replay_now: List[str] = []
-            replay_after: List[str] = []
-            for fingerprint in fingerprints:
-                unit = units[fingerprint]
-                if len(stored) >= space_size or covers(stored, unit.start, unit.stop):
-                    replay_now.append(fingerprint)
-                elif covers(planned, unit.start, unit.stop):
-                    replay_after.append(fingerprint)
-                else:
-                    evaluate.append(fingerprint)
-                    planned.update(range(unit.start, unit.stop))
-            missing = space_size - len(stored)
-            if evaluate:
-                node_id = emit(EvaluateJobs(
-                    node_id=next_id(), depends_on=(),
-                    units=tuple(units[fp] for fp in evaluate),
-                    reason=(f"sweep chunks not materialized by the store "
-                            f"({missing} of {space_size} point(s) missing)"),
-                ))
-                completers[context] = node_id
-                unit_homes.update({fp: node_id for fp in evaluate})
-            if replay_now:
-                node_id = emit(ReplayFromStore(
-                    node_id=next_id(), depends_on=(),
-                    units=tuple(units[fp] for fp in replay_now),
-                    reason="sweep chunks fully materialized by the store",
-                ))
-                unit_homes.update({fp: node_id for fp in replay_now})
-            if replay_after:
-                node_id = emit(ReplayFromStore(
-                    node_id=next_id(), depends_on=(completers[context],),
-                    units=tuple(units[fp] for fp in replay_after),
-                    reason=("overlapping sweep chunks materialized once this "
-                            "plan's sweep of the same context runs"),
-                ))
-                unit_homes.update({fp: node_id for fp in replay_after})
-
-        evaluate_units: List[str] = []
-        replay_now_units: List[str] = []
-        replay_after_units: Dict[str, List[str]] = {}
-        for fingerprint in explore_order:
+        def complete(fingerprint: str) -> bool:
             unit = units[fingerprint]
-            context = unit.context
-            stored = covered.get(context, frozenset())
-            if len(stored) >= unit.space_size:
-                replay_now_units.append(fingerprint)
-            elif context in sweep_by_context:
-                completer = completers.get(context)
-                if completer is None:  # sweep itself replays: store complete
-                    replay_now_units.append(fingerprint)
-                else:
-                    replay_after_units.setdefault(completer, []).append(fingerprint)
+            return covered[unit.context] == unit.space_size
+
+        def emit(kind, fingerprints: List[str], reason: str,
+                 depends_on: Tuple[str, ...] = ()) -> Optional[str]:
+            if not fingerprints:
+                return None
+            node_id = f"n{len(nodes) + 1}"
+            nodes.append(kind(node_id=node_id, depends_on=depends_on,
+                              units=tuple(units[fp] for fp in fingerprints),
+                              reason=reason))
+            unit_homes.update(dict.fromkeys(fingerprints, node_id))
+            return node_id
+
+        swept = [fp for fp in sweep_order if not complete(fp)]
+        sweeper = emit(EvaluateJobs, swept,
+                       "sweeps of contexts the store does not complete")
+        emit(ReplayFromStore, [fp for fp in sweep_order if complete(fp)],
+             "sweeps of store-complete contexts: every design-point "
+             "evaluation is a store hit")
+
+        swept_contexts = {units[fp].context for fp in swept}
+        evaluate: List[str] = []
+        replay_now: List[str] = []
+        replay_after: List[str] = []
+        for fingerprint in explore_order:
+            if complete(fingerprint):
+                replay_now.append(fingerprint)
+            elif units[fingerprint].context in swept_contexts:
+                replay_after.append(fingerprint)
             else:
-                evaluate_units.append(fingerprint)
-        if evaluate_units:
-            node_id = emit(EvaluateJobs(
-                node_id=next_id(), depends_on=(),
-                units=tuple(units[fp] for fp in evaluate_units),
-                reason="explorations over contexts the store does not complete",
-            ))
-            unit_homes.update({fp: node_id for fp in evaluate_units})
-        if replay_now_units:
-            node_id = emit(ReplayFromStore(
-                node_id=next_id(), depends_on=(),
-                units=tuple(units[fp] for fp in replay_now_units),
-                reason=("explorations over store-complete contexts: every "
-                        "design-point evaluation is a store hit"),
-            ))
-            unit_homes.update({fp: node_id for fp in replay_now_units})
-        for completer, fingerprints in replay_after_units.items():
-            node_id = emit(ReplayFromStore(
-                node_id=next_id(), depends_on=(completer,),
-                units=tuple(units[fp] for fp in fingerprints),
-                reason=("explorations over contexts completed by this plan's "
-                        "sweeps"),
-            ))
-            unit_homes.update({fp: node_id for fp in fingerprints})
+                evaluate.append(fingerprint)
+        emit(EvaluateJobs, evaluate,
+             "explorations over contexts the store does not complete")
+        emit(ReplayFromStore, replay_now,
+             "explorations over store-complete contexts: every design-point "
+             "evaluation is a store hit")
+        if sweeper is not None:
+            emit(ReplayFromStore, replay_after,
+                 "explorations over contexts completed by this plan's sweeps",
+                 depends_on=(sweeper,))
         return nodes, unit_homes
 
 

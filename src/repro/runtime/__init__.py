@@ -4,8 +4,8 @@ This package turns a sweep definition into throughput:
 
 * :mod:`~repro.runtime.jobs` — :class:`ExplorationJob`, a fully picklable
   description of one exploration, plus deterministic expansion of a
-  campaign definition into its job list; :class:`SweepJob` chunks an
-  exhaustive design-space sweep over the same executors;
+  campaign definition into its job list; :class:`SweepJob` sweeps one
+  evaluation context's whole design space over the same executors;
 * :mod:`~repro.runtime.executor` — one executor interface with two
   strategies: :class:`SerialExecutor` (inline, the default) and
   :class:`ProcessExecutor` (multiprocessing fan-out with per-job error

@@ -369,13 +369,12 @@ def expand_jobs(benchmarks: Mapping[str, "Benchmark"],
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One chunk of an exhaustive design-space sweep, as shippable data.
+    """The exhaustive sweep of one evaluation context, as shippable data.
 
-    Addresses the enumeration slice ``[start, stop)`` of the benchmark's
-    design space (see :meth:`~repro.dse.design_space.DesignSpace.point_at`),
-    so a sweep fans out over executors exactly like exploration jobs: every
-    chunk evaluates its points against the shared store and returns its
-    chunk-local Pareto front for the driver to merge.
+    A context is a benchmark, its operator catalog and a workload seed.  The
+    job evaluates the context's whole design space against the shared store
+    and returns its Pareto front, so a sweep fans out over executors one
+    context per job, like exploration jobs.
 
     Attributes
     ----------
@@ -384,34 +383,23 @@ class SweepJob:
     benchmark:
         The benchmark instance (picklable by construction).
     seed:
-        Workload seed the chunk is evaluated under.
-    start, stop:
-        Enumeration index range of the chunk (``stop`` is clamped to the
-        space size at execution time).
+        Workload seed the context is evaluated under.
     signed_accuracy, restrict_to_benchmark_widths:
-        Evaluator settings; must match across the chunks of one sweep.
+        Evaluator settings.
     """
 
     benchmark_label: str
     benchmark: "Benchmark"
     seed: int
-    start: int
-    stop: int
     signed_accuracy: bool = False
     restrict_to_benchmark_widths: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "stop", int(self.stop))
-        if self.start < 0 or self.stop <= self.start:
-            raise ConfigurationError(
-                f"sweep chunk requires 0 <= start < stop, got [{self.start}, {self.stop})"
-            )
 
     def describe(self) -> str:
         """Short human-readable identity, used in error reports and logs."""
-        return f"{self.benchmark_label}[sweep {self.start}:{self.stop}, seed={self.seed}]"
+        return f"{self.benchmark_label}[sweep, seed={self.seed}]"
 
 
 def execute_job(job: ExplorationJob,
@@ -428,7 +416,7 @@ def execute_job(job: ExplorationJob,
     faster.  A :class:`BatchedExplorationJob` returns its per-seed results
     as a list.
 
-    :class:`SweepJob` chunks funnel through here too, so both executors run
+    Sweeps (:class:`SweepJob`) funnel through here too, so both executors run
     sweeps and explorations interchangeably; they return a
     :class:`~repro.dse.sweep.SweepChunk` instead of an exploration result.
 

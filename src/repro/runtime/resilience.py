@@ -94,11 +94,11 @@ def job_fingerprint(job) -> str:
 
     Covers exactly the result-determining fields — benchmark content
     fingerprint, seed(s), agent identity, step budget, environment
-    settings for explorations; index range and evaluator settings for
-    sweep chunks — and excludes the presentation-only benchmark label, so
-    the same work relabeled by a different spec still matches.  Identical
-    across processes and runs; used to key checkpoint journal entries and
-    to derive deterministic backoff jitter.
+    settings for explorations; seed and evaluator settings for sweeps —
+    and excludes the presentation-only benchmark label, so the same work
+    relabeled by a different spec still matches.  Identical across
+    processes and runs; used to key checkpoint journal entries and to
+    derive deterministic backoff jitter.
     """
     from repro.runtime.jobs import BatchedExplorationJob, ExplorationJob, SweepJob
     from repro.runtime.store import _stable_repr, benchmark_fingerprint
@@ -108,7 +108,6 @@ def job_fingerprint(job) -> str:
             "sweep",
             benchmark_fingerprint(job.benchmark),
             f"seed={job.seed}",
-            f"range={job.start}:{job.stop}",
             f"signed={job.signed_accuracy}",
             f"restrict={job.restrict_to_benchmark_widths}",
         ]

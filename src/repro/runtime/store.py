@@ -256,6 +256,9 @@ class EvaluationStore:
         #: order (a dict, so the write order never depends on hash seeds).
         #: ``None`` for pathless stores, which never flush.
         self._pending: Optional[Dict[EvaluationKey, None]] = None
+        #: The lifetime counters the backend holds (last committed or
+        #: loaded); ``None`` until known, so the next flush writes them.
+        self._committed_stats: Optional[StoreStats] = None
         #: Per-context key index, built by the first context query.
         self._contexts: Optional[Dict[_Context, Dict[EvaluationKey, None]]] = None
         if self._path is not None:
@@ -437,6 +440,7 @@ class EvaluationStore:
         if stats_row is not None:
             self._base_stats = StoreStats(hits=int(stats_row[0]),
                                           misses=int(stats_row[1]))
+            self._committed_stats = self._base_stats
 
     def flush(self) -> int:
         """Commit the changes since the last flush to the sqlite backend.
@@ -447,8 +451,9 @@ class EvaluationStore:
         added and rewrites the lifetime-counter row, so the file mirrors
         the in-memory contents exactly and readers only ever see a
         committed flush.  Every record is written when the file does not
-        exist yet.  The pending changes are dropped once the transaction
-        commits, never before.
+        exist yet; when nothing was added and the counters equal those the
+        file already holds, the flush touches no file.  The pending changes
+        are dropped once the transaction commits, never before.
 
         Lock contention (``sqlite3.OperationalError`` — a concurrent writer
         holding the file past the connection's own busy timeout) is retried
@@ -471,8 +476,14 @@ class EvaluationStore:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _flush_once(self) -> int:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        changed = self._pending if self._path.exists() else self._records
+        lifetime = self.lifetime_stats
+        if self._path.exists():
+            if not self._pending and lifetime == self._committed_stats:
+                return len(self._records)  # the file already mirrors the store
+            changed = self._pending
+        else:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            changed = self._records
         upserts = [(_encode_key(key), _encode_record(self._records[key]))
                    for key in changed]
         connection = self._connect()
@@ -493,7 +504,6 @@ class EvaluationStore:
                     "CREATE TABLE store_stats "
                     "(hits INTEGER NOT NULL, misses INTEGER NOT NULL)"
                 )
-                lifetime = self.lifetime_stats
                 connection.execute(
                     "INSERT INTO store_stats (hits, misses) VALUES (?, ?)",
                     (lifetime.hits, lifetime.misses),
@@ -501,6 +511,7 @@ class EvaluationStore:
         finally:
             connection.close()
         self._pending.clear()
+        self._committed_stats = lifetime
         return len(self._records)
 
     def close(self) -> None:

@@ -32,7 +32,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.benchmarks == ["dotproduct"]
         assert args.jobs == 1
-        assert args.chunk_size == 256
         assert args.store_path is None and args.out is None
 
 
@@ -72,7 +71,7 @@ class TestCommands:
     def test_sweep_prints_true_front_and_writes_json(self, capsys, tmp_path):
         out = tmp_path / "fronts.json"
         store = tmp_path / "sweep.sqlite"
-        assert main(["sweep", "--benchmarks", "dotproduct", "--chunk-size", "96",
+        assert main(["sweep", "--benchmarks", "dotproduct",
                      "--store", str(store), "--out", str(out)]) == 0
         output = capsys.readouterr().out
         assert "true front:" in output
@@ -85,7 +84,7 @@ class TestCommands:
         assert payload[0]["front_size"] == len(payload[0]["front"])
 
         # Re-sweeping against the persisted store serves everything cached.
-        assert main(["sweep", "--benchmarks", "dotproduct", "--chunk-size", "96",
+        assert main(["sweep", "--benchmarks", "dotproduct",
                      "--store", str(store)]) == 0
         assert "(100 % hit rate)" in capsys.readouterr().out
 
@@ -324,7 +323,6 @@ class TestPlanAndStore:
         "kind": "sweep",
         "benchmarks": ["dotproduct:length=4"],
         "seeds": [0],
-        "runtime": {"chunk_size": 64},
     }
     COMPARE = {
         "kind": "compare",
@@ -375,8 +373,9 @@ class TestPlanAndStore:
         kinds = {node["kind"] for node in payload["nodes"]}
         assert kinds == {"EvaluateJobs", "MergeReports"}
 
-    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False)],
-                             ids=["compiled", "store_outputs"])
+    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False),
+                                           ("chunk_size", 64)],
+                             ids=["compiled", "store_outputs", "chunk_size"])
     def test_plan_of_legacy_spec_matches_current_form(self, capsys, tmp_path, key, kept):
         for payload in (self.SWEEP, self.COMPARE):
             current = self._write_spec(tmp_path, payload)
@@ -389,12 +388,13 @@ class TestPlanAndStore:
             assert main(["plan", str(legacy), "--format", "json"]) == 0
             assert json.loads(capsys.readouterr().out) == expected
 
-    @pytest.mark.parametrize("key, refused", [("compiled", False), ("store_outputs", True)],
-                             ids=["compiled", "store_outputs"])
+    @pytest.mark.parametrize("key, refused", [("compiled", False), ("store_outputs", True),
+                                              ("chunk_size", "64")],
+                             ids=["compiled", "store_outputs", "chunk_size"])
     def test_run_refuses_other_legacy_values_in_spec_file(self, capsys, tmp_path, key,
                                                           refused):
         spec_path = self._write_spec(
-            tmp_path, {**self.SWEEP, "runtime": {"chunk_size": 64, key: refused}}
+            tmp_path, {**self.SWEEP, "runtime": {"retries": 3, key: refused}}
         )
         assert main(["run", str(spec_path)]) == 2
         err = capsys.readouterr().err
@@ -523,7 +523,7 @@ CAMPAIGN_EXAMPLE = REPO_ROOT / "examples" / "experiment_campaign.json"
 #: One invalid value per RuntimeSpec field (NaN goes through the spec file
 #: as a literal, which Python's json reads).
 INVALID_RUNTIME = {
-    "executor": "threads", "jobs": 0, "store_path": "", "chunk_size": 0,
+    "executor": "threads", "jobs": 0, "store_path": "",
     "batch_size": -1, "retries": 0, "job_timeout_s": float("nan"),
     "checkpoint_interval": -1, "resume": "yes", "remote": "",
 }

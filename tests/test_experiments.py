@@ -32,9 +32,9 @@ from repro.experiments.spec import EXECUTOR_KINDS
 from repro.runtime import AgentSpec, ProcessExecutor, execute_job
 from repro.runtime.jobs import ExplorationJob
 
-#: Runtime keys of removed options, each with the one value old specs may
-#: still carry (the behaviour that remains).
-LEGACY_RUNTIME_KEYS = [("compiled", True), ("store_outputs", False)]
+#: Runtime keys of removed options, each with a value old specs may still
+#: carry (the behaviour that remains, or any value the option once took).
+LEGACY_RUNTIME_KEYS = [("compiled", True), ("store_outputs", False), ("chunk_size", 64)]
 LEGACY_IDS = [key for key, _ in LEGACY_RUNTIME_KEYS]
 
 
@@ -176,7 +176,7 @@ class TestRuntimeSpec:
             RuntimeSpec(executor="threads")
 
     def test_round_trip(self):
-        spec = RuntimeSpec(jobs=2, chunk_size=64)
+        spec = RuntimeSpec(jobs=2, retries=3)
         assert RuntimeSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
@@ -186,8 +186,10 @@ class TestRuntimeSpec:
     @pytest.mark.parametrize("key, value", [
         ("compiled", False), ("compiled", 1), ("compiled", None), ("compiled", "true"),
         ("store_outputs", True), ("store_outputs", 1), ("store_outputs", "false"),
+        ("chunk_size", 0), ("chunk_size", True), ("chunk_size", "64"),
     ], ids=["compiled-false", "compiled-one", "compiled-none", "compiled-string",
-            "store_outputs-true", "store_outputs-one", "store_outputs-string"])
+            "store_outputs-true", "store_outputs-one", "store_outputs-string",
+            "chunk_size-zero", "chunk_size-true", "chunk_size-string"])
     def test_legacy_key_refuses_other_values(self, key, value):
         with pytest.raises(ConfigurationError, match="no longer an option") as info:
             RuntimeSpec.from_dict({key: value})
@@ -196,8 +198,8 @@ class TestRuntimeSpec:
 
     @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
     def test_legacy_key_is_not_written_back(self, key, kept):
-        spec = RuntimeSpec.from_dict({key: kept, "chunk_size": 64})
-        assert spec == RuntimeSpec(chunk_size=64)
+        spec = RuntimeSpec.from_dict({key: kept, "retries": 3})
+        assert spec == RuntimeSpec(retries=3)
         assert key not in spec.to_dict()
 
     @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
@@ -214,16 +216,16 @@ class TestRuntimeSpec:
     @pytest.mark.parametrize("key, kept", LEGACY_RUNTIME_KEYS, ids=LEGACY_IDS)
     def test_legacy_spec_keeps_its_fingerprint(self, key, kept):
         payload = {"kind": "sweep", "benchmarks": ["dotproduct:length=4"],
-                   "seeds": [0], "runtime": {"chunk_size": 64}}
+                   "seeds": [0], "runtime": {"retries": 3}}
         legacy = ExperimentSpec.from_dict(
-            {**payload, "runtime": {"chunk_size": 64, key: kept}}
+            {**payload, "runtime": {"retries": 3, key: kept}}
         )
         current = ExperimentSpec.from_dict(payload)
         assert legacy.runtime == current.runtime
         assert legacy.fingerprint() == current.fingerprint()
 
-    @pytest.mark.parametrize("key, refused", [("compiled", "false"), ("store_outputs", "true")],
-                             ids=LEGACY_IDS)
+    @pytest.mark.parametrize("key, refused", [("compiled", "false"), ("store_outputs", "true"),
+                                              ("chunk_size", "0")], ids=LEGACY_IDS)
     def test_cli_refuses_legacy_override(self, capsys, key, refused):
         from repro.cli import main
 
@@ -245,10 +247,10 @@ class TestExperimentSpec:
          "agents": ["q-learning", "hill-climbing"], "seeds": [0, 1, 2],
          "max_steps": 100,
          "runtime": {"executor": "process", "jobs": 2, "store_path": None,
-                     "chunk_size": 256}},
+                     "batch_size": 2}},
         {"kind": "sweep", "benchmarks": ["dotproduct"], "seeds": [0, 7],
          "runtime": {"executor": "serial", "jobs": 1, "store_path": "s.sqlite",
-                     "chunk_size": 64}},
+                     "retries": 2}},
     ])
     def test_round_trip_every_kind(self, payload):
         spec = ExperimentSpec.from_dict(payload)
@@ -330,8 +332,8 @@ class TestExperimentSpec:
             _tiny_campaign_spec(max_steps=True)
         with pytest.raises(ConfigurationError, match="jobs"):
             RuntimeSpec(executor="process", jobs=True)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            RuntimeSpec(chunk_size=True)
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            RuntimeSpec(batch_size=True)
 
     def test_fingerprint_ignores_runtime_and_description(self):
         spec = _tiny_campaign_spec()
@@ -371,7 +373,7 @@ class TestExperimentSpec:
 BELOW_BOUND = {
     "accuracy_factor": -0.1, "power_fraction": -0.1, "time_fraction": -0.1,
     "accuracy": -0.1, "power_mw": -0.1, "time_ns": -0.1,
-    "jobs": 0, "chunk_size": 0, "batch_size": -1, "retries": 0,
+    "jobs": 0, "batch_size": -1, "retries": 0,
     "job_timeout_s": 0.0, "checkpoint_interval": -1,
 }
 NAN, INF = float("nan"), float("inf")
@@ -669,8 +671,7 @@ class TestRunExperiment:
 
         spec = ExperimentSpec.from_dict({
             "kind": "sweep", "benchmarks": ["dotproduct:length=12"], "seeds": [0],
-            "runtime": {"executor": "serial", "jobs": 1, "store_path": None,
-                        "chunk_size": 96},
+            "runtime": {"executor": "serial", "jobs": 1, "store_path": None},
         })
         report = run_experiment(spec)
         evaluator = Evaluator(DotProductBenchmark(length=12), seed=0)
@@ -715,8 +716,7 @@ class TestRunExperiment:
         store_path = str(tmp_path / "cache.sqlite")
         spec = _tiny_campaign_spec(
             seeds=[0],
-            runtime={"executor": "serial", "jobs": 1, "store_path": store_path,
-                     "chunk_size": 256},
+            runtime={"executor": "serial", "jobs": 1, "store_path": store_path},
         )
         cold = run_experiment(spec)
         warm = run_experiment(spec)

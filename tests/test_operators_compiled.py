@@ -556,10 +556,19 @@ class TestOneKernelPath:
         batched = BatchedAxcDseEnv(benchmark, seeds=[0, 1])
         assert all(evaluator.compiled for evaluator in batched._evaluators)
 
-    def test_sweep_chunks_evaluate_on_compiled_kernels(self):
-        from repro.dse.sweep import _evaluator_for
+    def test_sweep_chunks_evaluate_on_compiled_kernels(self, monkeypatch):
+        from repro.dse import sweep
         from repro.runtime.jobs import SweepJob
 
+        built = []
+
+        class SpyEvaluator(sweep.Evaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(sweep, "Evaluator", SpyEvaluator)
         benchmark = registry.create("dotproduct", length=8)
-        job = SweepJob("dotproduct_8", benchmark, seed=0, start=0, stop=16)
-        assert _evaluator_for(job, EvaluationStore()).compiled is True
+        sweep.execute_sweep_job(SweepJob("dotproduct_8", benchmark, seed=0),
+                                EvaluationStore())
+        assert [evaluator.compiled for evaluator in built] == [True]

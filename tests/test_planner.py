@@ -8,8 +8,8 @@ Covers the contracts the planner makes:
    executors.
 2. **Subsumption** — a store-complete (or in-plan) exhaustive sweep
    answers explorations without new evaluations; superset campaigns share
-   units with their sub-campaigns; overlapping sweep grids evaluate the
-   design space once.
+   units with their sub-campaigns; overlapping sweeps evaluate each
+   context once.
 3. **Fingerprint hygiene** — no `RuntimeSpec` field may ever shift
    `ExperimentSpec.fingerprint()` (enumerated per field, so a future
    field cannot leak in silently).
@@ -32,12 +32,12 @@ from repro.planner import (
     MergeReports,
     QueryPlanner,
     ReplayFromStore,
+    SweepChunkUnit,
     execute_plan,
     normalize_spec,
     plan_experiments,
     semantic_fingerprint,
 )
-from repro.planner.coverage import BenchmarkResolver
 from repro.runtime import (
     BatchedExplorationJob,
     ProcessExecutor,
@@ -56,7 +56,6 @@ def _spec(kind: str, **overrides) -> ExperimentSpec:
         "benchmarks": [BENCH],
         "seeds": [0],
         "max_steps": 12,
-        "runtime": {"chunk_size": 64},
     }
     if kind == "explore":
         payload["agents"] = ["q-learning"]
@@ -85,7 +84,6 @@ ALTERNATE_RUNTIME_VALUES = {
     "executor": "process",
     "jobs": 4,
     "store_path": "elsewhere.sqlite",
-    "chunk_size": 7,
     "batch_size": 3,
     "retries": 3,
     "job_timeout_s": 12.5,
@@ -119,8 +117,9 @@ class TestRuntimeFingerprintInvariance:
         runtime = RuntimeSpec(**ALTERNATE_RUNTIME_VALUES)
         assert spec.with_runtime(runtime).fingerprint() == spec.fingerprint()
 
-    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False)],
-                             ids=["compiled", "store_outputs"])
+    @pytest.mark.parametrize("key, kept", [("compiled", True), ("store_outputs", False),
+                                           ("chunk_size", 64)],
+                             ids=["compiled", "store_outputs", "chunk_size"])
     def test_legacy_key_never_shifts_unit_fingerprints(self, key, kept):
         def unit_fingerprints(runtime):
             specs = [_spec(kind, runtime=runtime) for kind in ("sweep", "campaign")]
@@ -128,9 +127,9 @@ class TestRuntimeFingerprintInvariance:
             return sorted(unit.fingerprint() for node in plan.evaluate_nodes
                           for unit in node.units)
 
-        current = unit_fingerprints({"chunk_size": 64})
+        current = unit_fingerprints({"retries": 3})
         assert current
-        assert unit_fingerprints({"chunk_size": 64, key: kept}) == current
+        assert unit_fingerprints({"retries": 3, key: kept}) == current
 
 
 # --------------------------------------------------------------------------
@@ -163,15 +162,17 @@ class TestNormalization:
 
 def _runtime_for(executor: str) -> dict:
     if executor == "process":
-        return {"executor": "process", "jobs": 2, "chunk_size": 64}
-    return {"chunk_size": 64}
+        return {"executor": "process", "jobs": 2}
+    return {}
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("kind", ["explore", "compare", "campaign", "sweep"])
     def test_planned_equals_direct(self, kind, executor):
-        spec = _spec(kind, runtime=_runtime_for(executor))
+        # A sweep of two seeds is two contexts, so its jobs reach the pool.
+        seeds = [0, 1] if kind == "sweep" else [0]
+        spec = _spec(kind, seeds=seeds, runtime=_runtime_for(executor))
         direct = run_experiment(spec, store=EvaluationStore())
 
         store = _warmed_store()
@@ -219,7 +220,7 @@ class TestSubsumption:
                                 store=EvaluationStore())
         evaluates = plan.evaluate_nodes
         assert len(evaluates) == 1
-        assert all(isinstance(u.start, int) for u in evaluates[0].units)
+        assert [type(u) for u in evaluates[0].units] == [SweepChunkUnit]
         replays = plan.replay_nodes
         assert len(replays) == 1
         assert replays[0].depends_on == (evaluates[0].node_id,)
@@ -233,22 +234,23 @@ class TestSubsumption:
             assert execution.reports[spec.fingerprint()].entries == direct.entries
 
     def test_overlapping_sweep_grids_evaluate_the_space_once(self):
-        # Two sweeps over the same benchmark with different chunk grids and
-        # overlapping seed sets: the seed the grids share is evaluated by
-        # the first grid and replayed by the second.
+        # Two sweeps over the same benchmark with overlapping seed sets (and
+        # the chunk grids older documents chose): the seed they share is one
+        # unit, evaluated once.
         first = _spec("sweep", seeds=[0], runtime={"chunk_size": 64})
         second = _spec("sweep", seeds=[0, 1], runtime={"chunk_size": 96})
         plan = plan_experiments([first, second], store=EvaluationStore())
 
-        contexts = {unit.context for unit in plan.units.values()}
-        assert len(contexts) == 2  # seeds 0 and 1
-        assert len(plan.evaluate_nodes) == 2  # grid-64 seed 0, grid-96 seed 1
-        overlap_replays = [node for node in plan.replay_nodes if node.depends_on]
-        assert len(overlap_replays) == 1  # grid-96 seed 0 waits on grid-64
+        assert len(plan.units) == 2  # seeds 0 and 1, one context each
+        assert len(plan.evaluate_nodes) == 1 and plan.replay_nodes == ()
+        first_units, second_units = [
+            [fp for binding in node.bindings for fp in binding.unit_fingerprints]
+            for node in plan.merge_nodes]
+        assert first_units == second_units[:1]
 
         store = EvaluationStore()
         execution = execute_plan(plan, store=store)
-        assert execution.new_evaluations == 2 * 288  # once per seed, not per grid
+        assert execution.new_evaluations == 2 * 288  # once per seed, not per spec
         for spec in plan.specs:
             direct = run_experiment(spec, store=EvaluationStore())
             assert execution.reports[spec.fingerprint()].entries == direct.entries
@@ -439,21 +441,15 @@ class TestOneFrontDoor:
                              ids=["default", "reuse"])
     def test_sweep_runs_in_one_dispatch(self, planner):
         spec = _spec("sweep", benchmarks=[BENCH, "fir:num_samples=8"],
-                     seeds=[0, 1], runtime={"chunk_size": 100})
+                     seeds=[0, 1])
         spy = SpyProcessExecutor(n_jobs=2)
         report = run_experiment(spec, executor=spy, store=EvaluationStore(),
                                 planner=planner)
 
-        sizes = {bspec.label: BenchmarkResolver().resolve(bspec).space_size
-                 for bspec in spec.benchmarks}
-        assert all(size > 100 for size in sizes.values())  # >= 2 chunks each
         assert len(spy.calls) == 1
         assert all(isinstance(job, SweepJob) for job in spy.calls[0])
-        assert [(job.benchmark_label, job.seed, job.start)
-                for job in spy.calls[0]] == [
-            (bspec.label, seed, start) for bspec in spec.benchmarks
-            for seed in spec.seeds
-            for start in range(0, sizes[bspec.label], 100)
+        assert [(job.benchmark_label, job.seed) for job in spy.calls[0]] == [
+            (bspec.label, seed) for bspec in spec.benchmarks for seed in spec.seeds
         ]
         assert report.ok
         assert [entry.metrics["evaluations"] for entry in report.entries] == \
@@ -469,7 +465,7 @@ class TestOneFrontDoor:
         execution = execute_plan(plan, store=EvaluationStore(), executor=spy)
         assert len(spy.calls) == 1
         kinds = [type(job).__name__ for job in spy.calls[0]]
-        assert kinds == ["SweepJob"] * 5 + ["BatchedExplorationJob"] * 2
+        assert kinds == ["SweepJob"] + ["BatchedExplorationJob"] * 2
         for spec in (sweep, campaign):
             direct = run_experiment(spec, store=EvaluationStore())
             assert execution.reports[spec.fingerprint()].entries == direct.entries

@@ -161,7 +161,6 @@ class TestRecordsHoldMeasurementsOnly:
         "repro.runtime.jobs:execute_job",
         "repro.runtime.jobs:_execute_batched_job",
         "repro.dse.sweep:execute_sweep_job",
-        "repro.dse.sweep:_evaluator_for",
         "repro.runtime.executor:SerialExecutor.run",
         "repro.runtime.executor:SerialExecutor._run_one",
         "repro.runtime.executor:ProcessExecutor.run",
@@ -357,9 +356,9 @@ def _install_faults(plan, tmp_path, monkeypatch):
 class TestProcessDataPlane:
     def test_submissions_carry_only_the_jobs_own_records(self, monkeypatch):
         dot = DotProductBenchmark(length=12)
+        matmul = MatMulBenchmark(rows=3, inner=3, cols=3)
         store = EvaluationStore()
-        SerialExecutor().run([SweepJob("dot", dot, seed=0, start=0, stop=24)],
-                             store=store)
+        SerialExecutor().run([SweepJob("dot", dot, seed=0)], store=store)
         warm = len(store)
         template = next(iter(store.snapshot().values()))
         for index in range(10_000):  # another benchmark fingerprint
@@ -367,16 +366,16 @@ class TestProcessDataPlane:
                       template)
         shipped = _spy_on_submissions(monkeypatch)
         jobs = [
-            SweepJob("dot", dot, seed=0, start=24, stop=48),  # warm context
-            SweepJob("dot", dot, seed=1, start=0, stop=24),
-            SweepJob("matmul", MatMulBenchmark(rows=3, inner=3, cols=3), seed=0,
-                     start=0, stop=24),
+            SweepJob("dot", dot, seed=0),  # warm context
+            SweepJob("dot", dot, seed=1),
+            SweepJob("matmul", matmul, seed=0),
         ]
         outcomes = ProcessExecutor(n_jobs=2).run(jobs, store=store)
         assert all(outcome.ok for outcome in outcomes)
         assert shipped == {jobs[0].describe(): warm, jobs[1].describe(): 0,
                            jobs[2].describe(): 0}
-        assert len(store) == 10_000 + warm + 3 * 24
+        matmul_size = Evaluator(matmul, seed=0).design_space.size
+        assert len(store) == 10_000 + 2 * warm + matmul_size
 
     def test_outcomes_stream_back_without_a_barrier(self, tmp_path, monkeypatch):
         jobs = [ExplorationJob(benchmark_label="dot",
@@ -400,12 +399,12 @@ class TestProcessDataPlane:
     def test_second_run_is_served_entirely_from_the_merged_store(self,
                                                                  make_executor):
         dot = DotProductBenchmark(length=12)
-        jobs = [SweepJob("dot", dot, seed=0, start=start, stop=start + 8)
-                for start in (0, 8)]
+        jobs = [SweepJob("dot", dot, seed=seed) for seed in (0, 1)]
         store = EvaluationStore()
         executor = make_executor()
         executor.run(jobs, store=store)
-        assert len(store) == 16
+        size = Evaluator(dot, seed=0).design_space.size
+        assert len(store) == 2 * size
         first = store.snapshot()
 
         # Every record the first run merged back serves the second.
@@ -413,7 +412,7 @@ class TestProcessDataPlane:
         executor.run(jobs, store=store)
         assert store.snapshot() == first
         assert store.stats.misses == before.misses
-        assert store.stats.hits == before.hits + 16
+        assert store.stats.hits == before.hits + 2 * size
 
     def test_more_workers_than_cores_survive_a_kill(self, tmp_path, monkeypatch,
                                                    caplog):

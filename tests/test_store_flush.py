@@ -124,6 +124,21 @@ class TestIncrementalFlush:
         assert (lifetime.hits, lifetime.misses) == (1, 1)
         assert _stats_row(grown_store_path) == (1, 1)
 
+    def test_flush_with_nothing_new_touches_no_file(self, grown_store_path,
+                                                    monkeypatch):
+        store = EvaluationStore(path=grown_store_path)
+        [fresh] = _keys(2001)[2000:]
+        store.put(fresh, _record(fresh, 7))
+        assert store.flush() == 2001
+        before = grown_store_path.read_bytes()
+        connects = []
+        connect = store._connect
+        monkeypatch.setattr(store, "_connect",
+                            lambda: connects.append(1) or connect())
+        assert store.flush() == 2001  # no put and no lookup since
+        assert connects == []
+        assert grown_store_path.read_bytes() == before
+
     def test_overwrite_writes_only_its_keys(self, grown_store_path, encoded):
         store = EvaluationStore(path=grown_store_path)
         [first, *_] = store.keys()

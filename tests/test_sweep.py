@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.benchmarks import DotProductBenchmark
+from repro.benchmarks import DotProductBenchmark, MatMulBenchmark
+from repro.benchmarks.base import Benchmark
 from repro.dse import Evaluator, ParetoArchive
 from repro.dse.sweep import SweepChunk, execute_sweep_job
-from repro.errors import ConfigurationError, DesignSpaceError, ExplorationError
+from repro.errors import (ConfigurationError, DesignSpaceError, ExplorationError,
+                          OperatorError)
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.planner import SweepChunkUnit, plan_experiments
+from repro.operators.base import Operator
 from repro.runtime import EvaluationStore, SerialExecutor, SweepJob
 
 
@@ -18,20 +20,20 @@ def tiny_benchmarks():
     return {"dot": DotProductBenchmark(length=8)}
 
 
-def _sweep_spec(chunk_size, seeds=(0,), **runtime):
+def _sweep_spec(seeds=(0,), **runtime):
     """An exhaustive sweep of ``tiny_benchmarks`` under the label ``dot``."""
     return ExperimentSpec.from_dict({
         "kind": "sweep",
         "benchmarks": [{"name": "dotproduct", "params": {"length": 8},
                         "label": "dot"}],
         "seeds": list(seeds),
-        "runtime": {"chunk_size": chunk_size, **runtime},
+        "runtime": runtime,
     })
 
 
-def _sweep_results(chunk_size, store=None, seeds=(0,), **runtime):
+def _sweep_results(store=None, seeds=(0,), **runtime):
     """The per-seed sweep results of ``_sweep_spec`` run on ``store``."""
-    report = run_experiment(_sweep_spec(chunk_size, seeds, **runtime),
+    report = run_experiment(_sweep_spec(seeds, **runtime),
                             store=store if store is not None else EvaluationStore())
     return report.sweep_results()
 
@@ -84,65 +86,55 @@ class TestEvaluatorReuse:
         evaluator.evaluate(evaluator.design_space.most_aggressive_point())
         assert len(first) == 1 and len(second) == 1
 
-    def test_chunks_share_one_evaluator_per_context(self, tiny_benchmarks):
-        from repro.dse import sweep as sweep_module
-
-        sweep_module._EVALUATOR_CACHE.clear()
-        _sweep_results(48)
-        assert len(sweep_module._EVALUATOR_CACHE) == 1  # six chunks, one baseline
-        # A second sweep of the same context reuses the cached baseline and
-        # still lands its evaluations in the new store.
-        store = EvaluationStore()
-        (result,) = _sweep_results(96, store=store)
-        assert len(sweep_module._EVALUATOR_CACHE) == 1
-        assert len(store) == result.space_size
-
 
 class TestSweepJobs:
-    def test_expansion_chunks_cover_the_space(self):
-        plan = plan_experiments([_sweep_spec(100, seeds=(0, 1))])
-        units = [unit for node in plan.evaluate_nodes for unit in node.units]
-        assert all(isinstance(unit, SweepChunkUnit) for unit in units)
-        by_seed = {}
-        for unit in units:
-            by_seed.setdefault(unit.seed, []).append((unit.start, unit.stop))
-        assert set(by_seed) == {0, 1}
-        for ranges in by_seed.values():
-            assert ranges[0][0] == 0
-            assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-            assert ranges[-1][1] == 288  # restricted dotproduct space
-
     def test_expansion_validation(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_dict({"kind": "sweep", "benchmarks": [],
                                       "seeds": [0]})
         with pytest.raises(ConfigurationError):
-            _sweep_spec(64, seeds=())
-        with pytest.raises(ConfigurationError):
-            _sweep_spec(0)
-        with pytest.raises(ConfigurationError):
-            SweepJob("dot", DotProductBenchmark(8), seed=0, start=5, stop=5)
+            _sweep_spec(seeds=())
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            _sweep_spec(chunk_size=0)
 
     def test_chunk_execution_returns_local_front(self, tiny_benchmarks):
-        job = SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=0, stop=64)
+        job = SweepJob("dot", tiny_benchmarks["dot"], seed=0)
         store = EvaluationStore()
         chunk = execute_sweep_job(job, store=store)
         assert isinstance(chunk, SweepChunk)
-        assert chunk.evaluated == 64 == len(store)
+        assert chunk.evaluated == chunk.space_size == 288 == len(store)
         evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store)
-        expected = ParetoArchive(evaluator.evaluate_index_range(0, 64)).front()
+        expected = ParetoArchive(evaluator.evaluate_index_range(0, 288)).front()
         assert _front_identity(chunk.front) == _front_identity(expected)
 
-    def test_chunk_beyond_space_raises(self, tiny_benchmarks):
-        job = SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=10_000, stop=10_001)
-        with pytest.raises(ExplorationError):
-            execute_sweep_job(job)
+    def test_cold_context_runs_the_precise_version_and_one_pass(self, monkeypatch):
+        # Row-axis kernels: the precise run, then every behaviour class of
+        # the context as the rows of one stacked pass, whatever other
+        # contexts the sweep holds.
+        runs = []
+        execute = Benchmark.execute
+
+        def spy(self, context, inputs):
+            runs.append(self.name)
+            return execute(self, context, inputs)
+
+        monkeypatch.setattr(Benchmark, "execute", spy)
+        spec = ExperimentSpec.from_dict({
+            "kind": "sweep", "benchmarks": ["dotproduct:length=8", "matmul", "sobel"],
+            "seeds": [0, 1],
+        })
+        benchmarks = [bspec.build() for bspec in spec.benchmarks]
+        assert all(benchmark.row_axis for benchmark in benchmarks)
+        assert run_experiment(spec, store=EvaluationStore()).ok
+        # Two seeds, so two contexts per benchmark, two runs each.
+        assert sorted(runs) == sorted(benchmark.name for benchmark in benchmarks
+                                      for _ in range(2 * 2))
 
 
 class TestRunSweep:
     def test_true_front_matches_exhaustive_archive(self, tiny_benchmarks):
         store = EvaluationStore()
-        (result,) = _sweep_results(50, store=store)
+        (result,) = _sweep_results(store=store)
         assert result.evaluations == result.space_size == 288 == len(store)
         evaluator = Evaluator(tiny_benchmarks["dot"], seed=0, store=store)
         expected = ParetoArchive(
@@ -154,12 +146,17 @@ class TestRunSweep:
         assert result.hypervolume() > 0.0
 
     def test_serial_and_process_executors_are_identical(self, tiny_benchmarks):
+        # Two seeds: two contexts, so the jobs reach the 2-worker pool (a
+        # one-job list runs in-process).
         serial_store = EvaluationStore()
-        (serial,) = _sweep_results(48, store=serial_store)
+        serial_results = _sweep_results(store=serial_store, seeds=(0, 1))
         process_store = EvaluationStore()
-        (process,) = _sweep_results(48, store=process_store, executor="process", jobs=2)
-        assert _front_identity(serial.front) == _front_identity(process.front)
-        assert serial.evaluations == process.evaluations
+        process_results = _sweep_results(store=process_store, seeds=(0, 1),
+                                         executor="process", jobs=2)
+        assert len(serial_results) == len(process_results) == 2
+        for serial, process in zip(serial_results, process_results):
+            assert _front_identity(serial.front) == _front_identity(process.front)
+            assert serial.evaluations == process.evaluations
         assert sorted(serial_store.keys()) == sorted(process_store.keys())
         for key in serial_store.keys():
             left, right = serial_store.get(key), process_store.get(key)
@@ -169,24 +166,38 @@ class TestRunSweep:
     def test_store_round_trip_warm_starts_the_next_sweep(self, tiny_benchmarks, tmp_path):
         path = tmp_path / "sweep.sqlite"
         with EvaluationStore(path=path) as store:
-            (cold,) = _sweep_results(96, store=store)
+            (cold,) = _sweep_results(store=store)
         reloaded = EvaluationStore(path=path)
         assert len(reloaded) == cold.space_size
-        (warm,) = _sweep_results(96, store=reloaded)
+        (warm,) = _sweep_results(store=reloaded)
         assert _front_identity(warm.front) == _front_identity(cold.front)
         stats = reloaded.stats
         assert stats.hits == cold.space_size  # everything served from disk
         assert stats.misses == 0
 
-    def test_failed_chunk_reports_and_raises(self, tiny_benchmarks):
-        jobs = [SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=0, stop=288)]
-        bad = SweepJob("dot", tiny_benchmarks["dot"], seed=0, start=10_000, stop=10_100)
-        outcomes = SerialExecutor().run(jobs + [bad], store=EvaluationStore())
+    def test_failed_chunk_reports_and_raises(self, tiny_benchmarks, monkeypatch):
+        # A 32-bit multiplier of the dot product's catalog refuses every
+        # call; the matrix product's 8-bit units never reach it.
+        dot = tiny_benchmarks["dot"]
+        name = Evaluator(dot, seed=0).catalog.multipliers[3].name
+        apply_trusted = Operator.apply_trusted
+
+        def refusing(self, a, b):
+            if self.name == name:
+                raise OperatorError(f"{name} refuses these operands")
+            return apply_trusted(self, a, b)
+
+        monkeypatch.setattr(Operator, "apply_trusted", refusing)
+        jobs = [SweepJob("matmul", MatMulBenchmark(rows=3, inner=3, cols=3), seed=0),
+                SweepJob("dot", dot, seed=0)]
+        outcomes = SerialExecutor().run(jobs, store=EvaluationStore())
         assert [outcome.ok for outcome in outcomes] == [True, False]
-        assert "starts beyond the space" in outcomes[-1].error
+        assert f"{name} refuses these operands" in outcomes[-1].error
+        with pytest.raises(ExplorationError, match=r"2 of 2 sweep\(s\) failed"):
+            _sweep_results(seeds=(0, 1))
 
     def test_multiple_seeds_produce_one_result_each(self):
-        results = _sweep_results(150, seeds=(0, 1))
+        results = _sweep_results(seeds=(0, 1))
         assert [(r.benchmark_label, r.seed) for r in results] == [("dot", 0), ("dot", 1)]
 
 
@@ -203,7 +214,7 @@ def _campaign_spec(max_steps, seeds):
 class TestFrontQualityIntegration:
     def test_judge_scores_agent_trace_against_true_front(self):
         store = EvaluationStore()
-        (truth,) = _sweep_results(288, store=store)
+        (truth,) = _sweep_results(store=store)
         report = run_experiment(_campaign_spec(60, (0,)), store=store)
         quality = truth.judge(report.entries[0].result.records)
         assert 0.0 <= quality.coverage <= 1.0
@@ -213,7 +224,7 @@ class TestFrontQualityIntegration:
 
     def test_campaign_summarize_with_reference_fronts(self):
         store = EvaluationStore()
-        (truth,) = _sweep_results(288, store=store)
+        (truth,) = _sweep_results(store=store)
         report = run_experiment(_campaign_spec(50, (0, 1)), store=store)
         plain = report.summarize()["q-learning"]["dot"]
         assert plain.runs == 2
