@@ -37,7 +37,7 @@ class Benchmark(ABC):
 
     A kernel that sets :attr:`row_axis` can run many versions of itself in
     one pass on a :class:`~repro.instrumentation.context.StackedContext`
-    (the evaluator runs a sweep chunk's behaviour classes that way).  Its
+    (the evaluator runs a context's behaviour classes that way).  Its
     contract: :meth:`run` puts the row axis first on every array it passes
     to the context (length 1 for arrays built from the inputs, such as
     ``inputs["a"][None]``; a Python or NumPy scalar broadcasts as it is),

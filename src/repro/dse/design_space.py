@@ -226,7 +226,7 @@ class DesignSpace:
     def iter_range(self, start: int, stop: int) -> Iterator[DesignPoint]:
         """Iterate over the enumeration slice ``[start, stop)`` (clamped)."""
         if start < 0:
-            raise DesignSpaceError(f"chunk start must be non-negative, got {start}")
+            raise DesignSpaceError(f"range start must be non-negative, got {start}")
         return iter(self._enumeration[start:max(start, stop)])
 
     def __repr__(self) -> str:

@@ -46,7 +46,7 @@ adders, log and broken-array multipliers) keeps the analytic path.
 
 Tables are built on first use, never at import, and cached per process
 keyed by the operator's family and parameters, so every evaluator, sweep
-chunk and campaign job in a process shares one set per distinct unit.
+and campaign job in a process shares one set per distinct unit.
 """
 
 from __future__ import annotations
