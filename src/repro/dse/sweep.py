@@ -53,7 +53,7 @@ class SweepChunk:
     """Result of one executed :class:`~repro.runtime.jobs.SweepJob` (picklable).
 
     Carries the context's Pareto front plus its space size, thresholds and
-    precise baseline, so the driver can assemble a :class:`SweepResult`
+    precise baseline, so plan execution can assemble a :class:`SweepResult`
     without re-running the precise version.
     """
 
